@@ -5,10 +5,11 @@ excited state, probed with an odd two-valued observable, has correlations
 E(t, s) = -alpha^2 cos(omega (t-s)) with alpha the single off-diagonal
 matrix element.  At the right four measurement times the CHSH combination
 reaches -2 sqrt(2) alpha^2, beyond the classical bound 2 once
-alpha^2 > sqrt(2)/2.  Realizability of a general correlation matrix is
-decided exactly by linear feasibility over the sixteen deterministic
-atoms, cross-checkable against the eight sign-variant CHSH inequalities
-(necessary always; sufficient for vanishing marginals).
+alpha^2 > sqrt(2)/2.  Realizability of a general correlation matrix with
+marginals is decided exactly by Fine's facets (PRL 48, 291 (1982)): a
+joint distribution over the sixteen deterministic atoms exists iff the
+eight sign-variant CHSH inequalities and the sixteen positivity facets
+hold.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
+from scipy.optimize import nnls
 
 from .correlators import Observable
-from .errors import ParameterError
+from .errors import NumericError, ParameterError
 from .spectral import EigenSystem, quadrature
 
 __all__ = [
@@ -43,8 +45,23 @@ _ATOMS: tuple[tuple[int, int, int, int], ...] = tuple(product((-1, 1), repeat=4)
 _CHSH_PATTERNS: tuple[tuple[int, int, int, int], ...] = tuple(
     p for p in product((-1, 1), repeat=4) if p[0] * p[1] * p[2] * p[3] == -1
 )
-_FEAS_TOL = 1e-9
-_PIVOT_TOL = 1e-12
+# moments (1, <s1>, <s2>, <t1>, <t2>, E11, E12, E21, E22) of each atom, one column per atom
+_MOMENTS = np.array(
+    [[1, *a, a[0] * a[2], a[0] * a[3], a[1] * a[2], a[1] * a[3]] for a in _ATOMS], dtype=float
+).T
+
+
+def _positivity_facets() -> np.ndarray:
+    """Rows y with y . moments = 4 P(s_i = a, t_j = b), one per (i, j, a, b)."""
+    facets = np.zeros((16, 9))
+    for row, (i, j, a, b) in enumerate(product((0, 1), (0, 1), (-1, 1), (-1, 1))):
+        facets[row, [0, 1 + i, 3 + j, 5 + 2 * i + j]] = (1.0, a, b, a * b)
+    return facets
+
+
+_POSITIVITY_FACETS = _positivity_facets()
+_FACET_TOL = 1e-12
+_MODEL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -153,65 +170,8 @@ def chsh_inequalities(E) -> list[tuple[tuple[int, int, int, int], float]]:
 
 
 # --------------------------------------------------------------------------
-# linear feasibility over the sixteen atoms
+# classical realizability from Fine's facets
 # --------------------------------------------------------------------------
-
-def _phase_one_simplex(A: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Minimize the artificial-variable sum for A x = b, x >= 0.
-
-    Dense tableau with Bland's rule; returns (residual, x, y) where y are
-    the dual prices of the artificial phase (a Farkas certificate when
-    the residual stays positive).
-    """
-    m, n = A.shape
-    A = A.copy()
-    b = b.copy()
-    flip = b < 0
-    A[flip] *= -1.0
-    b[flip] *= -1.0
-    tab = np.zeros((m + 1, n + m + 1))
-    tab[:m, :n] = A
-    tab[:m, n : n + m] = np.eye(m)
-    tab[:m, -1] = b
-    tab[m, :] = -tab[:m, :].sum(axis=0)  # phase-one reduced costs
-    tab[m, n : n + m] = 0.0
-    basis = list(range(n, n + m))
-    for _ in range(10000):
-        enter = -1
-        for j in range(n + m):
-            if tab[m, j] < -_PIVOT_TOL:
-                enter = j
-                break
-        if enter < 0:
-            break
-        ratio = np.inf
-        leave = -1
-        for i in range(m):
-            if tab[i, enter] > _PIVOT_TOL:
-                r = tab[i, -1] / tab[i, enter]
-                if r < ratio - _PIVOT_TOL or (
-                    abs(r - ratio) <= _PIVOT_TOL
-                    and (leave < 0 or basis[i] < basis[leave])
-                ):
-                    ratio = r
-                    leave = i
-        if leave < 0:
-            break  # unbounded cannot happen for this phase; defensive
-        piv = tab[leave, enter]
-        tab[leave] /= piv
-        for i in range(m + 1):
-            if i != leave and tab[i, enter] != 0.0:
-                tab[i] -= tab[i, enter] * tab[leave]
-        basis[leave] = enter
-    residual = -tab[m, -1]
-    x = np.zeros(n)
-    for i, col in enumerate(basis):
-        if col < n:
-            x[col] = tab[i, -1]
-    y = -tab[m, n : n + m].copy()
-    y[flip] *= -1.0
-    return float(residual), x, y
-
 
 @dataclass(frozen=True)
 class RealizabilityResult:
@@ -224,10 +184,14 @@ class RealizabilityResult:
 def classical_realizability(E, marginals=(0.0, 0.0, 0.0, 0.0)) -> RealizabilityResult:
     """Does a joint distribution reproduce the 4 correlations and 4 marginals?
 
-    Exact linear feasibility over the 16 atoms (phase-one simplex); when
-    infeasible, the most violated of the eight CHSH combinations is
-    returned as witness (for zero marginals one always exists), otherwise
-    the dual certificate of the simplex.
+    Decided by Fine's 24 facets of the two-setting local polytope: the 8
+    CHSH inequalities and the 16 positivity facets.  When infeasible, the
+    most violated CHSH combination above 2 is returned as witness;
+    otherwise the most violated positivity facet as certificate: a
+    Farkas vector y over the moments (1, <s1>, <s2>, <t1>, <t2>, E11,
+    E12, E21, E22), non-negative on every atom and negative on the input.
+    When feasible, the model is a non-negative least-squares fit over the
+    16 atoms, checked against the inputs.
     """
     E = np.asarray(E, dtype=float)
     marg = np.asarray(marginals, dtype=float)
@@ -235,24 +199,23 @@ def classical_realizability(E, marginals=(0.0, 0.0, 0.0, 0.0)) -> RealizabilityR
         raise ParameterError("need a 2x2 correlation matrix and 4 marginals")
     if np.max(np.abs(E)) > 1.0 + 1e-12 or np.max(np.abs(marg)) > 1.0 + 1e-12:
         raise ParameterError("correlations and marginals must lie in [-1, 1]")
-    rows = [np.ones(16)]
-    rhs = [1.0]
-    for pos in range(4):  # <sigma_1>, <sigma_2>, <tau_1>, <tau_2>
-        rows.append(np.array([a[pos] for a in _ATOMS], dtype=float))
-        rhs.append(float(marg[pos]))
-    for i in (0, 1):
-        for j in (0, 1):
-            rows.append(np.array([a[i] * a[2 + j] for a in _ATOMS], dtype=float))
-            rhs.append(float(E[i, j]))
-    residual, x, y = _phase_one_simplex(np.vstack(rows), np.asarray(rhs))
-    if residual <= _FEAS_TOL:
-        atoms = np.clip(x, 0.0, None)
-        atoms = atoms / math.fsum(atoms)
-        return RealizabilityResult(True, ClassicalModel(tuple(atoms)), None, None)
+    target = np.concatenate(([1.0], marg, E.reshape(4)))
     pattern, value = max(chsh_inequalities(E), key=lambda pv: pv[1])
-    if value > 2.0:
+    slack = _POSITIVITY_FACETS @ target
+    worst = int(np.argmin(slack))
+    if value > 2.0 + _FACET_TOL:
         return RealizabilityResult(False, None, (pattern, value), None)
-    return RealizabilityResult(False, None, None, y)
+    if slack[worst] < -_FACET_TOL:
+        return RealizabilityResult(False, None, None, _POSITIVITY_FACETS[worst].copy())
+    try:
+        x, _ = nnls(_MOMENTS, target)
+    except RuntimeError as exc:
+        raise NumericError(f"non-negative least squares failed: {exc}") from exc
+    # nnls can report a zero residual with a wrong x on degenerate inputs
+    err = float(np.max(np.abs(_MOMENTS @ x - target)))
+    if not err <= _MODEL_TOL:
+        raise NumericError(f"classical model misses a feasible target by {err:.2e}")
+    return RealizabilityResult(True, ClassicalModel(tuple(x / math.fsum(x))), None, None)
 
 
 # --------------------------------------------------------------------------

@@ -53,12 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--out", default=None, help="output path (overrides config)")
         p.add_argument("--seed", type=int, default=None, help="override the MC seed")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=None,
-            help="worker hint only; results are identical regardless",
-        )
         if name == "eigen":
             p.add_argument("--cluster", type=int, default=0, help="cluster to export")
         if name == "nelson-mc":
@@ -83,9 +77,9 @@ def _two_observables(cfg: RunConfig, state: CompositeState):
     systems = [c for c in state.clusters]
     if not cfg.observables:
         raise ConfigError("observables: at least one observable is required")
-    f = build_observable(cfg.observables[0], systems, 0)
+    f = build_observable(cfg.observables[0], systems, 0, "observables[0]")
     if len(cfg.observables) >= 2:
-        g = build_observable(cfg.observables[1], systems, 1)
+        g = build_observable(cfg.observables[1], systems, 1, "observables[1]")
     else:
         g = f
     return f, g
@@ -107,7 +101,7 @@ def cmd_qm_corr(cfg: RunConfig, args) -> int:
         out, ["lag", "value", "method"],
         [[lag, val, "qm"] for lag, val in zip(series.lags, series.values)],
     )
-    serialize.write_sidecar(out, args.config)
+    serialize.write_sidecar(out, args.config, args.argv)
     return EXIT_OK
 
 
@@ -142,7 +136,7 @@ def cmd_compare(cfg: RunConfig, args) -> int:
         "max_abs_dev_qm_nelson": result.max_abs_dev_qm_nelson,
     }
     serialize.write_json(Path(str(out) + ".summary.json"), summary)
-    serialize.write_sidecar(out, args.config)
+    serialize.write_sidecar(out, args.config, args.argv)
     return EXIT_OK
 
 
@@ -203,7 +197,7 @@ def cmd_nelson_mc(cfg: RunConfig, args) -> int:
     serialize.write_json(Path(str(out) + ".diag.json"), diagnostics)
     if args.dump_paths:
         nelson_sde.dump_paths(ensemble, args.dump_paths)
-    serialize.write_sidecar(out, args.config)
+    serialize.write_sidecar(out, args.config, args.argv)
     return EXIT_OK
 
 
@@ -213,7 +207,7 @@ def cmd_chsh(cfg: RunConfig, args) -> int:
     if es.k < 2:
         raise ConfigError("system.clusters[0].k: chsh needs at least 2 eigenstates")
     obs_raw = cfg.chsh_observable or {"kind": "sign"}
-    f = build_observable(obs_raw, [es], 0)
+    f = build_observable(obs_raw, [es], 0, "chsh.observable")
     report = bell.run_chsh(es, f, cfg.chsh_times)
     if cfg.output_format == "csv":
         serialize.write_csv(
@@ -221,7 +215,7 @@ def cmd_chsh(cfg: RunConfig, args) -> int:
         )
     else:
         serialize.write_json(out, serialize.chsh_report_to_dict(report))
-    serialize.write_sidecar(out, args.config)
+    serialize.write_sidecar(out, args.config, args.argv)
     if not report.classical_feasible:
         print(f"VIOLATES: S = {report.S:.3f}, classical infeasible")
     else:
@@ -245,7 +239,7 @@ def cmd_eps_study(cfg: RunConfig, args) -> int:
         ["epsilon", "value", "stderr", "spectral_ref", "abs_dev"],
         [[r.epsilon, r.value, r.stderr, r.spectral_ref, r.abs_dev] for r in rows],
     )
-    serialize.write_sidecar(out, args.config)
+    serialize.write_sidecar(out, args.config, args.argv)
     return EXIT_OK
 
 
@@ -258,7 +252,7 @@ def cmd_eigen(cfg: RunConfig, args) -> int:
     header = ["x"] + [f"psi_{i}" for i in range(es.k)]
     mat = np.column_stack([es.grid.points] + [f.values for f in es.eigenfunctions])
     serialize.write_csv(out, header, mat.tolist())
-    serialize.write_sidecar(out, args.config)
+    serialize.write_sidecar(out, args.config, args.argv)
     return EXIT_OK
 
 
@@ -273,7 +267,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
+    args.argv = argv
     try:
         cfg = load_config(args.config)
     except ConfigError as exc:

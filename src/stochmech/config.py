@@ -319,26 +319,33 @@ def build_state(cfg: RunConfig) -> CompositeState:
     return build_composite_state(clusters, cfg.terms)
 
 
-def build_observable(raw: dict, cluster_systems, position: int = 0) -> Observable:
+def build_observable(
+    raw: dict, cluster_systems, position: int = 0, path: str = "observable"
+) -> Observable:
+    """Observable from its config object; ``position`` is the default cluster."""
     kind = raw.get("kind")
-    cluster = raw.get("cluster", position)
+    cluster = _as_int(raw.get("cluster", position), f"{path}.cluster")
+    if not 0 <= cluster < len(cluster_systems):
+        raise ConfigError(
+            f"{path}.cluster: expected 0 <= cluster < {len(cluster_systems)}, got {cluster}"
+        )
     if kind in ("position", "sign"):
         return Observable(kind, cluster)
     if kind == "indicator":
         return Observable(
             "indicator",
             cluster,
-            a=_as_float(_need(raw, "a", "observable"), "observable.a"),
-            b=_as_float(_need(raw, "b", "observable"), "observable.b"),
+            a=_as_float(_need(raw, "a", path), f"{path}.a"),
+            b=_as_float(_need(raw, "b", path), f"{path}.b"),
         )
     if kind == "tabulated":
         es = cluster_systems[cluster]
-        values = _need(raw, "values", "observable")
+        values = _need(raw, "values", path)
         if not isinstance(values, list) or len(values) != es.grid.n:
             raise ConfigError(
-                f"observable.values: expected {es.grid.n} samples on the cluster grid"
+                f"{path}.values: expected {es.grid.n} samples on the cluster grid"
             )
         return Observable(
             "tabulated", cluster, samples=np.asarray(values, dtype=float), grid=es.grid
         )
-    raise ConfigError(f"observable.kind: unknown kind {kind!r}")
+    raise ConfigError(f"{path}.kind: unknown kind {kind!r}")

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
 
 from .channels import ChannelDecomposition, decompose
@@ -466,21 +467,6 @@ def estimate_multi_time(ensemble: Ensemble, observables, times) -> tuple[float, 
     return mean, stderr
 
 
-def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
-    """Cumulative integral with Simpson panels and quadratic half-panels."""
-    n = y.size
-    out = np.empty(n)
-    out[0] = 0.0
-    for j in range(1, n):
-        if j % 2 == 0:
-            out[j] = out[j - 2] + h / 3.0 * (y[j - 2] + 4.0 * y[j - 1] + y[j])
-        elif j + 1 < n:
-            out[j] = out[j - 1] + h / 12.0 * (5.0 * y[j - 1] + 8.0 * y[j] - y[j + 1])
-        else:
-            out[j] = out[j - 1] + h / 2.0 * (y[j - 1] + y[j])
-    return out
-
-
 def stationarity_distance(
     ensemble: Ensemble, state: CompositeState, t: float
 ) -> tuple[float, ...]:
@@ -490,7 +476,7 @@ def stationarity_distance(
     for c in range(state.n_clusters):
         es = state.clusters[c]
         pdf = marginal_density(state, c)
-        cdf = _cumulative_simpson(pdf, es.grid.h)
+        cdf = cumulative_simpson(pdf, dx=es.grid.h, initial=0.0)
         cdf /= cdf[-1]
         samples = np.sort(ensemble.positions[:, it, c])
         fvals = np.interp(samples, es.grid.points, cdf)
@@ -508,12 +494,8 @@ def dump_paths(ensemble: Ensemble, path) -> None:
     time, then the next time, ...), full precision.  Large: n_paths lines
     of n_times * n_clusters numbers each.
     """
-    n_paths = ensemble.n_paths
-    flat = ensemble.positions.reshape(n_paths, -1)
-    with open(path, "w") as fh:
-        for i in range(n_paths):
-            fh.write(" ".join(format(v, ".17g") for v in flat[i]))
-            fh.write("\n")
+    flat = ensemble.positions.reshape(ensemble.n_paths, -1)
+    np.savetxt(path, flat, fmt="%.17g", delimiter=" ")
 
 
 # --------------------------------------------------------------------------

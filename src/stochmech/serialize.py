@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -106,11 +105,16 @@ CHSH_CSV_HEADER = [
 ]
 
 
-def write_sidecar(data_path: str | Path, config_path: str | Path | None) -> None:
-    """Run metadata next to the data file; the only place timestamps live."""
+def write_sidecar(
+    data_path: str | Path, config_path: str | Path | None, argv: list[str]
+) -> None:
+    """Run metadata next to the data file; the only place timestamps live.
+
+    ``argv`` is the command line of the run, without the program name.
+    """
     meta = {
         "created_utc": datetime.now(timezone.utc).isoformat(),
-        "argv": sys.argv,
+        "argv": argv,
         "data_file": str(data_path),
     }
     if config_path is not None:

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from stochmech import (
     ClassicalModel,
     DoubleWellPotential,
     Grid,
+    NumericError,
     Observable,
     ParameterError,
     alpha,
@@ -24,6 +26,7 @@ from stochmech import (
     run_chsh,
     solve_eigensystem,
 )
+from stochmech import bell
 from stochmech.bell import ArrangementDistribution
 
 SQRT2 = math.sqrt(2.0)
@@ -146,6 +149,15 @@ def test_threshold_sharp_at_sqrt2_over_2():
         assert classical_realizability(E).feasible is expected_feasible
 
 
+def test_positivity_facet_sharp_with_marginals():
+    # <s1> = <t1> = 1/2 puts P(s1 = t1 = -1) = E11 / 4 on a positivity facet
+    marg = (0.5, 0.0, 0.5, 0.0)
+    for e11, expected_feasible in ((1e-9, True), (-1e-9, False)):
+        r = classical_realizability(np.array([[e11, 0.0], [0.0, 0.0]]), marg)
+        assert r.feasible is expected_feasible
+        assert (r.certificate is None) is expected_feasible
+
+
 def test_realizability_with_marginals_round_trip():
     rng = np.random.default_rng(7)
     atoms = rng.dirichlet(np.ones(16))
@@ -173,15 +185,41 @@ def test_realizability_input_validation():
         classical_realizability(np.array([[1.5, 0.0], [0.0, 0.0]]))
 
 
+def _moments(s1, s2, t1, t2):
+    return np.array([1, s1, s2, t1, t2, s1 * t1, s1 * t2, s2 * t1, s2 * t2], dtype=float)
+
+
 def test_infeasible_with_marginals_yields_certificate():
-    # perfect correlations with contradictory marginals: no CHSH witness,
-    # the dual certificate takes over
-    E = np.array([[1.0, 1.0], [1.0, 1.0]])
-    marg = (1.0, 1.0, 1.0, -1.0)
-    r = classical_realizability(E, marg)
-    assert not r.feasible
-    assert r.violated is None
-    assert r.certificate is not None
+    cases = (
+        # perfect correlations with contradictory marginals: no CHSH witness
+        ([[1.0, 1.0], [1.0, 1.0]], (1.0, 1.0, 1.0, -1.0)),
+        # a degenerate input on which nnls reports a zero residual with a wrong x
+        ([[-1.0, 0.0], [-1.0, 0.0]], (0.0, 1.0, 0.0, -0.5)),
+    )
+    for E, marg in cases:
+        r = classical_realizability(np.array(E), marg)
+        assert not r.feasible
+        assert r.violated is None
+        # Farkas vector: non-negative on every atom, negative on the target
+        y = r.certificate
+        target = np.concatenate(([1.0], marg, np.ravel(E)))
+        assert all(y @ _moments(*a) >= 0.0 for a in product((-1, 1), repeat=4))
+        assert y @ target < 0.0
+
+
+def _nnls_wrong_model(A, b):
+    return np.eye(16)[0], 0.0  # a zero residual reported for a wrong x
+
+
+def _nnls_iteration_limit(A, b):
+    raise RuntimeError("Maximum number of iterations reached.")
+
+
+@pytest.mark.parametrize("fake_nnls", [_nnls_wrong_model, _nnls_iteration_limit])
+def test_model_failure_raises_numeric_error(monkeypatch, fake_nnls):
+    monkeypatch.setattr(bell, "nnls", fake_nnls)
+    with pytest.raises(NumericError):
+        classical_realizability(np.zeros((2, 2)))
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from stochmech import nelson_sde
@@ -45,7 +46,8 @@ def read_rows(path):
 def test_qm_corr_table(tmp_path):
     cfg_path = write_config(tmp_path, two_oscillator_config())
     out = tmp_path / "qm.csv"
-    assert main(["qm-corr", "--config", cfg_path, "--out", str(out)]) == 0
+    argv = ["qm-corr", "--config", cfg_path, "--out", str(out)]
+    assert main(argv) == 0
     header, rows = read_rows(out)
     assert header == ["lag", "value", "method"]
     assert len(rows) == 9
@@ -54,7 +56,9 @@ def test_qm_corr_table(tmp_path):
     # newline endings and full-precision floats
     raw = out.read_bytes()
     assert b"\r" not in raw
-    assert (tmp_path / "qm.csv.meta.json").exists()
+    # the sidecar records the command line given to main, not the interpreter's
+    meta = json.loads((tmp_path / "qm.csv.meta.json").read_text())
+    assert meta["argv"] == argv
 
 
 def test_missing_state_block_exits_2(tmp_path, capsys):
@@ -69,6 +73,15 @@ def test_empty_lags_exit_2(tmp_path):
     cfg = two_oscillator_config(lags=[])
     cfg_path = write_config(tmp_path, cfg)
     assert main(["qm-corr", "--config", cfg_path, "--out", str(tmp_path / "x.csv")]) == 2
+
+
+@pytest.mark.parametrize("cluster", [5, "1"])
+def test_bad_observable_cluster_exit_2(tmp_path, capsys, cluster):
+    cfg = two_oscillator_config()
+    cfg["observables"][0]["cluster"] = cluster
+    cfg_path = write_config(tmp_path, cfg)
+    assert main(["qm-corr", "--config", cfg_path, "--out", str(tmp_path / "x.csv")]) == 2
+    assert "observables[0].cluster" in capsys.readouterr().err
 
 
 def test_invalid_json_exit_2(tmp_path, capsys):
@@ -140,6 +153,27 @@ def test_nelson_mc_outputs_and_determinism(tmp_path, mc_config, capsys):
     diag = json.loads(d1)
     assert set(diag) == {"ks_stats", "clamp_rate", "sign_change_fraction"}
     assert diag["clamp_rate"] <= 0.01
+
+
+def test_nelson_mc_dump_paths(tmp_path, mc_config, monkeypatch):
+    ensembles = []
+    simulate = nelson_sde.simulate_ensemble
+
+    def keep(*args, **kwargs):
+        ensembles.append(simulate(*args, **kwargs))
+        return ensembles[-1]
+
+    monkeypatch.setattr(nelson_sde, "simulate_ensemble", keep)
+    dump = tmp_path / "paths.txt"
+    argv = ["nelson-mc", "--config", mc_config, "--out", str(tmp_path / "mc.csv")]
+    assert main(argv + ["--dump-paths", str(dump)]) == 0
+    (ens,) = ensembles
+    n_paths, n_times, n_clusters = ens.positions.shape
+    lines = dump.read_text().splitlines()
+    assert len(lines) == n_paths
+    assert all(len(line.split(" ")) == n_times * n_clusters for line in lines)
+    parsed = np.array([[float(v) for v in line.split(" ")] for line in lines])
+    assert np.array_equal(parsed, ens.positions.reshape(n_paths, -1))
 
 
 def test_nelson_mc_seed_override_changes_bytes(tmp_path, mc_config):
