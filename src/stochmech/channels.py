@@ -30,11 +30,17 @@ from .spectral import (
 )
 from .states import CompositeState, is_product
 
-__all__ = ["Channel", "ChannelDecomposition", "decompose"]
+__all__ = ["Channel", "ChannelDecomposition", "decompose", "dense_harmonic"]
 
 # Channels drive drift splines and mode expansions; a finer grid than the
 # eigensolver default keeps interpolation error out of their budgets.
 CHANNEL_GRID_POINTS = 4001
+
+
+def dense_harmonic(omega: float, k: int) -> EigenSystem:
+    """The k lowest oscillator states on the channel grid, +/-10 sigma wide."""
+    span = 10.0 / math.sqrt(omega)
+    return harmonic_eigensystem(omega, k, Grid(-span, span, CHANNEL_GRID_POINTS))
 
 
 @dataclass(frozen=True)
@@ -119,9 +125,7 @@ def decompose(state: CompositeState) -> ChannelDecomposition:
                 # psi = (b x_1 + a x_2) * gaussian = psi_1(u1) psi_0(u2)
                 # with u1 = b x_1 + a x_2, u2 = -a x_1 + b x_2.
                 rotation = np.array([[b, -a], [a, b]])
-                span = 10.0 / math.sqrt(omega)
-                grid = Grid(-span, span, CHANNEL_GRID_POINTS)
-                dense = harmonic_eigensystem(omega, 2, grid)
+                dense = dense_harmonic(omega, 2)
                 channels = (
                     Channel(pots[0], dense, 1),
                     Channel(pots[0], dense, 0),

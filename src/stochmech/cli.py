@@ -25,7 +25,7 @@ import numpy as np
 from . import bell, nelson_sde, serialize
 from .config import RunConfig, build_cluster, build_observable, build_state, load_config
 from .correlators import compare_theories, qm_two_time_series
-from .errors import ConfigError, StepSizeError, StochMechError
+from .errors import ConfigError, ParameterError, StepSizeError, StochMechError
 from .states import CompositeState
 
 EXIT_OK = 0
@@ -168,6 +168,14 @@ def _lag_steps(lags, dt: float, horizon: float):
     return steps, int(n_steps), stride
 
 
+def _checked_drift(state: CompositeState, epsilon: float, path: str):
+    """Regularized drift; an epsilon the state's nodes rule out is a config error."""
+    try:
+        return nelson_sde.regularized_drift(state, epsilon)
+    except ParameterError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def cmd_nelson_mc(cfg: RunConfig, args) -> int:
     out = _resolve_out(cfg, args)
     mc, seed = _mc_plan(cfg, args)
@@ -175,7 +183,7 @@ def cmd_nelson_mc(cfg: RunConfig, args) -> int:
     f, g = _two_observables(cfg, state)
     lags = _require_lags(cfg)
     _, _, stride = _lag_steps(lags, mc.dt, mc.horizon)
-    drift = nelson_sde.regularized_drift(state, mc.epsilon)
+    drift = _checked_drift(state, mc.epsilon, "mc.epsilon")
     init = nelson_sde.sample_stationary(state, mc.n_paths, seed)
     ensemble = nelson_sde.simulate_ensemble(
         drift, init, mc.dt, mc.horizon, seed, store_stride=stride
@@ -203,10 +211,14 @@ def cmd_nelson_mc(cfg: RunConfig, args) -> int:
 
 def cmd_chsh(cfg: RunConfig, args) -> int:
     out = _resolve_out(cfg, args)
-    es = build_cluster(cfg.clusters[0])
+    es = build_cluster(cfg.clusters[0], "system.clusters[0]")
     if es.k < 2:
         raise ConfigError("system.clusters[0].k: chsh needs at least 2 eigenstates")
     obs_raw = cfg.chsh_observable or {"kind": "sign"}
+    if obs_raw["kind"] not in ("sign", "tabulated"):
+        raise ConfigError(
+            f"chsh.observable.kind: must be 'sign' or 'tabulated', got {obs_raw['kind']!r}"
+        )
     f = build_observable(obs_raw, [es], 0, "chsh.observable")
     report = bell.run_chsh(es, f, cfg.chsh_times)
     if cfg.output_format == "csv":
@@ -230,6 +242,8 @@ def cmd_eps_study(cfg: RunConfig, args) -> int:
         raise ConfigError("eps_study: epsilons and lag are required")
     state = build_state(cfg)
     f, g = _two_observables(cfg, state)
+    # epsilons decrease, so the first one is the only one the nodes can rule out
+    _checked_drift(state, cfg.eps_study_epsilons[0], "eps_study.epsilons[0]")
     rows = nelson_sde.epsilon_convergence_study(
         state, f, g, cfg.eps_study_lag, cfg.eps_study_epsilons,
         n_paths=mc.n_paths, dt=mc.dt, seed=seed,
@@ -248,7 +262,7 @@ def cmd_eigen(cfg: RunConfig, args) -> int:
     idx = args.cluster
     if not 0 <= idx < len(cfg.clusters):
         raise ConfigError(f"--cluster: no cluster {idx} in the config")
-    es = build_cluster(cfg.clusters[idx])
+    es = build_cluster(cfg.clusters[idx], f"system.clusters[{idx}]")
     header = ["x"] + [f"psi_{i}" for i in range(es.k)]
     mat = np.column_stack([es.grid.points] + [f.values for f in es.eigenfunctions])
     serialize.write_csv(out, header, mat.tolist())

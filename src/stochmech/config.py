@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .correlators import Observable
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 from .spectral import (
     DoubleWellPotential,
     EigenSystem,
@@ -101,6 +101,11 @@ class RunConfig:
     eps_study_lag: float | None
     output_format: str
     output_path: str | None
+
+
+def _need_kind(raw, path: str) -> None:
+    if not isinstance(raw, dict) or "kind" not in raw:
+        raise ConfigError(f"{path}: needs a 'kind' field")
 
 
 def _parse_grid(raw, path: str) -> Grid:
@@ -233,8 +238,7 @@ def parse_config(raw: dict) -> RunConfig:
     if not isinstance(observables, list):
         raise ConfigError("observables: must be a list")
     for i, o in enumerate(observables):
-        if not isinstance(o, dict) or "kind" not in o:
-            raise ConfigError(f"observables[{i}]: needs a 'kind' field")
+        _need_kind(o, f"observables[{i}]")
     lags = _parse_lags(raw["lags"], "lags") if "lags" in raw else ()
     mc = _parse_mc(raw["mc"], "mc") if "mc" in raw else None
     chsh_obs = None
@@ -244,6 +248,8 @@ def parse_config(raw: dict) -> RunConfig:
         if not isinstance(chsh, dict):
             raise ConfigError("chsh: must be an object")
         chsh_obs = chsh.get("observable")
+        if chsh_obs is not None:
+            _need_kind(chsh_obs, "chsh.observable")
         times = chsh.get("times")
         if times is not None:
             if not isinstance(times, list) or len(times) != 4:
@@ -259,6 +265,8 @@ def parse_config(raw: dict) -> RunConfig:
         if not isinstance(eps_list, list) or not eps_list:
             raise ConfigError("eps_study.epsilons: expected a non-empty list")
         eps_eps = tuple(_as_float(v, f"eps_study.epsilons[{i}]") for i, v in enumerate(eps_list))
+        if eps_eps[-1] <= 0 or any(b >= a for a, b in zip(eps_eps, eps_eps[1:])):
+            raise ConfigError("eps_study.epsilons: must be positive and decrease strictly")
         eps_lag = _as_float(_need(es_raw, "lag", "eps_study"), "eps_study.lag")
     output = raw.get("output", {})
     if not isinstance(output, dict):
@@ -296,27 +304,35 @@ def load_config(path: str | Path) -> RunConfig:
 # builders
 # --------------------------------------------------------------------------
 
-def build_cluster(cfg: ClusterConfig) -> EigenSystem:
-    if cfg.kind == "harmonic":
-        pot = HarmonicPotential(**cfg.params)
-    elif cfg.kind == "infinite_well":
-        pot = InfiniteWellPotential(**cfg.params)
-    elif cfg.kind == "double_well":
-        pot = DoubleWellPotential(**cfg.params)
-    else:
-        grid = cfg.grid
-        pot = TabulatedPotential(grid, np.asarray(cfg.params["values"]))
-    grid = cfg.grid or default_grid(pot)
-    if cfg.solver == "analytic":
+def build_cluster(cfg: ClusterConfig, path: str) -> EigenSystem:
+    """Solve one cluster; a rejected parameter exits as a config error at ``path``."""
+    try:
         if cfg.kind == "harmonic":
-            return harmonic_eigensystem(pot.omega, cfg.k, grid)
-        return box_eigensystem(pot.half_width, cfg.k, grid)
-    return solve_eigensystem(pot, grid, cfg.k)
+            pot = HarmonicPotential(**cfg.params)
+        elif cfg.kind == "infinite_well":
+            pot = InfiniteWellPotential(**cfg.params)
+        elif cfg.kind == "double_well":
+            pot = DoubleWellPotential(**cfg.params)
+        else:
+            pot = TabulatedPotential(cfg.grid, np.asarray(cfg.params["values"]))
+        grid = cfg.grid or default_grid(pot)
+        if cfg.solver == "analytic":
+            if cfg.kind == "harmonic":
+                return harmonic_eigensystem(pot.omega, cfg.k, grid)
+            return box_eigensystem(pot.half_width, cfg.k, grid)
+        return solve_eigensystem(pot, grid, cfg.k)
+    except ParameterError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def build_state(cfg: RunConfig) -> CompositeState:
-    clusters = [build_cluster(c) for c in cfg.clusters]
-    return build_composite_state(clusters, cfg.terms)
+    clusters = [
+        build_cluster(c, f"system.clusters[{i}]") for i, c in enumerate(cfg.clusters)
+    ]
+    try:
+        return build_composite_state(clusters, cfg.terms)
+    except ParameterError as exc:
+        raise ConfigError(f"state.terms: {exc}") from exc
 
 
 def build_observable(

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .channels import Channel, decompose
+from .channels import Channel, ChannelDecomposition, decompose
 from .errors import (
     CompatibilityError,
     NumericError,
@@ -36,7 +37,7 @@ from .spectral import (
     nodal_intervals,
     quadrature,
 )
-from .states import CompositeState, _amplitude
+from .states import CompositeState, _amplitude, term_pairs
 
 __all__ = [
     "Observable",
@@ -160,17 +161,16 @@ class TrigDecomposition:
 class ModeExpansion:
     """Spectral data of the Nelson semigroup for one observable pair.
 
-    value(t) = sum_n coefficients[n] * exp(-rates[n] * |t|); the rate-0
-    sector is always present (the semigroup fixes constants), and
-    ``weight`` holds the |psi| samples per channel realizing the unitary
-    map onto the Dirichlet-restricted picture.
+    value(t) = sum_n coefficients[n] * exp(-rates[n] * |t|).  Each mode is
+    an eigenmode of one channel's Dirichlet-restricted generator, weighted
+    by both observables' overlaps with it; products of means of
+    independent channels form one extra rate-0 mode.  The rate-0 sector
+    is always present (the semigroup fixes constants).  truncation_tail is
+    the largest fraction of an observable's norm the kept modes miss.
     """
 
     rates: tuple[float, ...]
     coefficients: tuple[float, ...]
-    f_overlaps: tuple[float, ...]
-    g_overlaps: tuple[float, ...]
-    weight: tuple[np.ndarray, ...]
     truncation_tail: float
 
     def __post_init__(self):
@@ -183,12 +183,7 @@ class ModeExpansion:
             raise ParameterError("rates must be non-decreasing")
         if abs(r[0]) > 1e-9:
             raise ParameterError("rate-0 sector missing from the expansion")
-        if not (
-            len(self.rates)
-            == len(self.coefficients)
-            == len(self.f_overlaps)
-            == len(self.g_overlaps)
-        ):
+        if len(self.rates) != len(self.coefficients):
             raise ParameterError("mode arrays must share one length")
 
     def __call__(self, t) -> np.ndarray:
@@ -247,24 +242,15 @@ def qm_multitime_correlation(state: CompositeState, observables, times) -> float
     mats = {o.cluster: _matrix_elements(state, o) for o in observables}
     t_of = {o.cluster: t for o, t in zip(observables, times)}
     observed = set(mats)
-    n_terms = len(state.terms)
     total = 0.0 + 0.0j
-    for s in range(n_terms):
-        cs, idx_s = state.terms[s]
-        for p in range(n_terms):
-            cp, idx_p = state.terms[p]
-            if any(
-                idx_s[i] != idx_p[i]
-                for i in range(state.n_clusters)
-                if i not in observed
-            ):
-                continue
-            factor = cs * cp + 0.0j
-            for i in observed:
-                es = state.clusters[i]
-                dlam = es.energies[idx_s[i]] - es.energies[idx_p[i]]
-                factor *= mats[i][s, p] * np.exp(1j * dlam * t_of[i])
-            total += factor
+    for s, p in term_pairs(state, observed):
+        (cs, idx_s), (cp, idx_p) = state.terms[s], state.terms[p]
+        factor = cs * cp + 0.0j
+        for i in observed:
+            es = state.clusters[i]
+            dlam = es.energies[idx_s[i]] - es.energies[idx_p[i]]
+            factor *= mats[i][s, p] * np.exp(1j * dlam * t_of[i])
+        total += factor
     if abs(total.imag) > _IMAG_TOL:
         raise NumericError(f"imaginary part {total.imag:.3e} did not cancel")
     return float(total.real)
@@ -286,23 +272,14 @@ def qm_two_time_series(
     mf = _matrix_elements(state, f)
     mg = _matrix_elements(state, g)
     es_f = state.clusters[f.cluster]
-    n_terms = len(state.terms)
     buckets: dict[float, float] = {}
-    for s in range(n_terms):
-        cs, idx_s = state.terms[s]
-        for p in range(n_terms):
-            cp, idx_p = state.terms[p]
-            if any(
-                idx_s[i] != idx_p[i]
-                for i in range(state.n_clusters)
-                if i not in (f.cluster, g.cluster)
-            ):
-                continue
-            b = cs * cp * mf[s, p] * mg[s, p]
-            w = round(
-                abs(es_f.energies[idx_s[f.cluster]] - es_f.energies[idx_p[f.cluster]]), 9
-            )
-            buckets[w] = buckets.get(w, 0.0) + b
+    for s, p in term_pairs(state, (f.cluster, g.cluster)):
+        (cs, idx_s), (cp, idx_p) = state.terms[s], state.terms[p]
+        b = cs * cp * mf[s, p] * mg[s, p]
+        w = round(
+            abs(es_f.energies[idx_s[f.cluster]] - es_f.energies[idx_p[f.cluster]]), 9
+        )
+        buckets[w] = buckets.get(w, 0.0) + b
     freqs = tuple(sorted(buckets))
     decomp = TrigDecomposition(freqs, tuple(buckets[w] for w in freqs))
     values = decomp(np.asarray(lags))
@@ -366,7 +343,6 @@ class _ChannelModes:
     rates: np.ndarray
     f_overlaps: np.ndarray
     g_overlaps: np.ndarray
-    weight: np.ndarray
     deficit: float
 
 
@@ -400,13 +376,13 @@ def _channel_autocorrelation_modes(
             modes = interval_dirichlet_modes(channel.potential, a, b, h_target, n_modes)
             w = np.abs(spline(modes.points[1:-1]))
             pieces.append((modes.h, w, modes.values[1:-1, :], modes.energies))
-        result = _assemble_channel_modes(pieces, intervals, f_fn, g_fn, psi)
+        result = _assemble_channel_modes(pieces, intervals, f_fn, g_fn)
         if result.deficit <= deficit_tol or n_modes >= per_cap:
             return result
         n_modes = min(per_cap, n_modes * 4)
 
 
-def _assemble_channel_modes(pieces, intervals, f_fn, g_fn, psi) -> _ChannelModes:
+def _assemble_channel_modes(pieces, intervals, f_fn, g_fn) -> _ChannelModes:
     # Global h-dot normalization of |psi| over the partitioned grid makes
     # the constant observable map to exactly 1.
     total = math.fsum(h * float(w @ w) for h, w, _, _ in pieces)
@@ -461,7 +437,6 @@ def _assemble_channel_modes(pieces, intervals, f_fn, g_fn, psi) -> _ChannelModes
         rates=np.asarray(rates_all)[order],
         f_overlaps=np.asarray(f_all)[order],
         g_overlaps=np.asarray(g_all)[order],
-        weight=np.abs(psi.values),
         deficit=float(deficit),
     )
 
@@ -471,25 +446,40 @@ def _channel_mean(channel: Channel, fn) -> float:
     return quadrature(fn(psi.grid.points), psi.values, psi.values, grid=psi.grid)
 
 
-def _rotated_kind(state: CompositeState, obs: Observable) -> tuple[str, float]:
-    """Classify an observable on the rotated two-cluster family.
+def _identity(x):
+    return x
 
-    Rotated channels mix the cluster coordinates, so only functions that
-    survive the mixing are exactly expandable: constants (trivially) and
-    the coordinate itself (linear in the channel coordinates).
+
+def _channel_terms(
+    state: CompositeState, dec: ChannelDecomposition, obs: Observable
+) -> tuple[float, list]:
+    """Write f(x_j) as  constant + sum_c weight_c * fn_c(u_c)  over channels.
+
+    Product channels are the clusters themselves, so any observable is a
+    single channel term.  Rotated channels mix the cluster coordinates, so
+    only functions that survive the mixing are exactly expandable:
+    constants, and the coordinate itself, x_j = sum_c R[j, c] u_c.
     """
+    if np.allclose(dec.rotation, np.eye(dec.n_channels)):
+        return 0.0, [(obs.cluster, obs, 1.0)]
     vals = obs(state.clusters[obs.cluster].grid.points)
     if float(np.max(vals) - np.min(vals)) == 0.0:
-        return "const", float(vals[0])
+        return float(vals[0]), []
     if obs.kind == "position":
-        return "position", 0.0
+        row = dec.rotation[obs.cluster]
+        return 0.0, [(c, _identity, row[c]) for c in range(dec.n_channels)]
     raise UnsupportedStateError(
         "rotated two-cluster states support position and constant "
         "observables only; use the Monte Carlo backend otherwise"
     )
 
 
-_expansion_cache: dict[tuple, tuple[CompositeState, ModeExpansion]] = {}
+def _mean(dec: ChannelDecomposition, const: float, terms) -> float:
+    """Stationary mean of  const + sum_c weight_c * fn_c(u_c)."""
+    return sum((w * _channel_mean(dec.channels[c], fn) for c, fn, w in terms), const)
+
+
+_expansion_cache: dict[tuple, ModeExpansion] = {}
 _cache_lock = threading.Lock()
 
 
@@ -500,95 +490,66 @@ def nelson_mode_expansion(
 
     Supported states are those with a channel decomposition: products of
     1D clusters, and real two-term exchange superpositions of identical
-    harmonic clusters (position observables only in the rotated case).
-    Expansions are cached per (state, f, g).
+    harmonic clusters (position and constant observables only in the
+    rotated case).  Expansions are cached per (state, f, g) for as long as
+    the state is alive.
     """
     key = (id(state), f.key(), g.key())
     with _cache_lock:
         hit = _expansion_cache.get(key)
-    if hit is not None and hit[0] is state:
-        return hit[1]
+    if hit is not None:
+        return hit
     expansion = _build_expansion(state, f, g)
     with _cache_lock:
-        _expansion_cache[key] = (state, expansion)
+        _expansion_cache[key] = expansion
+    weakref.finalize(state, _expansion_cache.pop, key, None)
     return expansion
 
 
 def _build_expansion(state: CompositeState, f: Observable, g: Observable) -> ModeExpansion:
+    """E[f(t) g(0)] as a bilinear sum over the channel terms of f and g.
+
+    Terms on a shared channel contribute that channel's decaying modes;
+    terms on distinct channels are independent and contribute the product
+    of their means at rate 0, as does a constant side times the other
+    side's mean.
+    """
     for o in (f, g):
         if not 0 <= o.cluster < state.n_clusters:
             raise ParameterError(f"no cluster {o.cluster}")
     dec = decompose(state)
-    rotated = not np.allclose(dec.rotation, np.eye(dec.n_channels))
-    modes: list[tuple[float, float, float, float]] = []  # rate, coeff, f_ov, g_ov
+    const_f, f_terms = _channel_terms(state, dec, f)
+    const_g, g_terms = _channel_terms(state, dec, g)
+    modes: list[tuple[float, float]] = []  # rate, coefficient
+    cross: list[float] = []  # rate-0 products of independent means
     tail = 0.0
-    if not rotated:
-        if f.cluster == g.cluster:
-            ch = dec.channels[f.cluster]
-            cm = _channel_autocorrelation_modes(ch, f, g)
-            tail = cm.deficit
-            for r, of, og in zip(cm.rates, cm.f_overlaps, cm.g_overlaps):
-                modes.append((float(r), float(of * og), float(of), float(og)))
-            weight = (cm.weight,)
-        else:
-            mean_f = _channel_mean(dec.channels[f.cluster], f)
-            mean_g = _channel_mean(dec.channels[g.cluster], g)
-            modes.append((0.0, mean_f * mean_g, mean_f, mean_g))
-            weight = (
-                np.abs(dec.channels[f.cluster].factor.values),
-                np.abs(dec.channels[g.cluster].factor.values),
-            )
-    else:
-        kind_f, const_f = _rotated_kind(state, f)
-        kind_g, const_g = _rotated_kind(state, g)
-        weight = tuple(np.abs(ch.factor.values) for ch in dec.channels)
-        if kind_f == "const" and kind_g == "const":
-            modes.append((0.0, const_f * const_g, const_f, const_g))
-        else:
-            R = dec.rotation
-            means = [
-                _channel_mean(ch, lambda x: np.asarray(x, dtype=float))
-                for ch in dec.channels
-            ]
-            cluster_mean = lambda j: sum(
-                R[j, c] * means[c] for c in range(dec.n_channels)
-            )
-            if "const" in (kind_f, kind_g):
-                # one side constant: the correlation is a time-independent mean
-                coeff = (
-                    const_f * cluster_mean(g.cluster)
-                    if kind_f == "const"
-                    else const_g * cluster_mean(f.cluster)
+    for c, f_fn, wf in f_terms:
+        for d, g_fn, wg in g_terms:
+            if c == d:
+                cm = _channel_autocorrelation_modes(dec.channels[c], f_fn, g_fn)
+                tail = max(tail, cm.deficit)
+                modes.extend(
+                    (float(r), float(wf * wg * of * og))
+                    for r, of, og in zip(cm.rates, cm.f_overlaps, cm.g_overlaps)
                 )
-                modes.append((0.0, float(coeff), float(coeff), 1.0))
             else:
-                chan_modes = []
-                for ch in dec.channels:
-                    cm = _channel_autocorrelation_modes(ch, lambda x: x, lambda x: x)
-                    chan_modes.append(cm)
-                    tail = max(tail, cm.deficit)
-                fi, gj = f.cluster, g.cluster
-                for c, cm in enumerate(chan_modes):
-                    wgt = R[fi, c] * R[gj, c]
-                    for r, of, og in zip(cm.rates, cm.f_overlaps, cm.g_overlaps):
-                        modes.append((float(r), float(wgt * of * og), float(of), float(og)))
-                cross = sum(
-                    R[fi, c] * R[gj, cp] * means[c] * means[cp]
-                    for c in range(dec.n_channels)
-                    for cp in range(dec.n_channels)
-                    if c != cp
+                cross.append(
+                    wf * wg * _channel_mean(dec.channels[c], f_fn)
+                    * _channel_mean(dec.channels[d], g_fn)
                 )
-                modes.append((0.0, float(cross), float(cross), 1.0))
+    if not f_terms:
+        cross.append(const_f * _mean(dec, const_g, g_terms))
+    elif not g_terms:
+        cross.append(const_g * _mean(dec, const_f, f_terms))
+    if cross:
+        # start from the first term so a lone product is kept exactly
+        modes.append((0.0, float(sum(cross[1:], cross[0]))))
     modes.sort(key=lambda m: m[0])
     if abs(modes[0][0]) > 1e-9:
-        modes.insert(0, (0.0, 0.0, 0.0, 0.0))
-    rates = tuple(max(0.0, m[0]) for m in modes)
+        modes.insert(0, (0.0, 0.0))
     return ModeExpansion(
-        rates=rates,
-        coefficients=tuple(m[1] for m in modes),
-        f_overlaps=tuple(m[2] for m in modes),
-        g_overlaps=tuple(m[3] for m in modes),
-        weight=weight,
+        rates=tuple(max(0.0, r) for r, _ in modes),
+        coefficients=tuple(c for _, c in modes),
         truncation_tail=tail,
     )
 

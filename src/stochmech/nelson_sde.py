@@ -19,7 +19,7 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
 
-from .channels import ChannelDecomposition, decompose
+from .channels import CHANNEL_GRID_POINTS, ChannelDecomposition, decompose, dense_harmonic
 from .correlators import Observable, nelson_semigroup_correlation
 from .errors import (
     EnvelopeError,
@@ -29,7 +29,7 @@ from .errors import (
     StepSizeError,
     UnsupportedStateError,
 )
-from .spectral import Grid, HarmonicPotential, Wavefunction, find_nodes, harmonic_eigensystem
+from .spectral import HarmonicPotential, Wavefunction, find_nodes
 from .states import CompositeState, density, marginal_density
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
 CLAMP_SIGMAS = 10.0  # drift increment cap, |b dt| <= 10 sqrt(dt)
 CLAMP_RATE_LIMIT = 0.01
 _MATCH_TOL = 1e-8
-DRIFT_GRID_POINTS = 4001  # spline support; finer than eigensolver defaults
 
 _CTX_INIT = 1  # Philox key contexts
 _CTX_PATHS = 2
@@ -167,12 +166,8 @@ def _drift_samples(channel) -> Wavefunction:
     """Factor samples backing the drift spline, densified when analytic."""
     psi = channel.factor
     pot = channel.potential
-    if isinstance(pot, HarmonicPotential) and psi.grid.n < DRIFT_GRID_POINTS:
-        span = 10.0 / math.sqrt(pot.omega)
-        dense = harmonic_eigensystem(
-            pot.omega, channel.index + 1, Grid(-span, span, DRIFT_GRID_POINTS)
-        )
-        return dense.eigenfunctions[channel.index]
+    if isinstance(pot, HarmonicPotential) and psi.grid.n < CHANNEL_GRID_POINTS:
+        return dense_harmonic(pot.omega, channel.index + 1).eigenfunctions[channel.index]
     return psi
 
 
@@ -435,15 +430,7 @@ def estimate_two_time(
     ensemble: Ensemble, f: Observable, g: Observable, t: float, s: float
 ) -> tuple[float, float]:
     """Sample mean and standard error of f(x(t)) g(x(s)) over the paths."""
-    it = ensemble.time_index(float(t))
-    i_s = ensemble.time_index(float(s))
-    vals = f(ensemble.positions[:, it, f.cluster]) * g(
-        ensemble.positions[:, i_s, g.cluster]
-    )
-    n = vals.size
-    mean = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return mean, stderr
+    return estimate_multi_time(ensemble, [f, g], [t, s])
 
 
 def estimate_multi_time(ensemble: Ensemble, observables, times) -> tuple[float, float]:

@@ -23,6 +23,7 @@ __all__ = [
     "density",
     "is_product",
     "marginal_density",
+    "term_pairs",
 ]
 
 ENERGY_TOL = 1e-6
@@ -136,23 +137,27 @@ def density(state: CompositeState, points) -> np.ndarray:
     return amp * amp
 
 
-def marginal_density(state: CompositeState, cluster: int) -> np.ndarray:
-    """Single-cluster marginal of |psi|^2 on that cluster's grid.
+def term_pairs(state: CompositeState, kept):
+    """Index pairs (s, p) of terms that agree on every cluster outside ``kept``.
 
     Integrating out the other clusters leaves, by orthonormality, only
-    term pairs that agree on every other cluster index.
+    these pairs in a double sum over the state's terms.
     """
+    others = [i for i in range(state.n_clusters) if i not in kept]
+    for s, (_, idx_s) in enumerate(state.terms):
+        for p, (_, idx_p) in enumerate(state.terms):
+            if all(idx_s[i] == idx_p[i] for i in others):
+                yield s, p
+
+
+def marginal_density(state: CompositeState, cluster: int) -> np.ndarray:
+    """Single-cluster marginal of |psi|^2 on that cluster's grid."""
     if not 0 <= cluster < state.n_clusters:
         raise ParameterError(f"no cluster {cluster}")
     es = state.clusters[cluster]
     out = np.zeros(es.grid.n)
-    for (cs, idx_s), (cp, idx_p) in (
-        (a, b) for a in state.terms for b in state.terms
-    ):
-        if any(
-            idx_s[i] != idx_p[i] for i in range(state.n_clusters) if i != cluster
-        ):
-            continue
+    for s, p in term_pairs(state, (cluster,)):
+        (cs, idx_s), (cp, idx_p) = state.terms[s], state.terms[p]
         out += (
             cs
             * cp

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from stochmech import nelson_sde
+from stochmech import cli, nelson_sde
+from stochmech.errors import NumericError
 from stochmech.cli import main
 from stochmech.serialize import chsh_report_from_dict, chsh_report_to_dict, series_from_dict
 
@@ -211,6 +212,39 @@ def test_nelson_mc_off_grid_lag_exit_2(tmp_path):
     assert main(["nelson-mc", "--config", cfg_path, "--out", str(tmp_path / "x.csv")]) == 2
 
 
+@pytest.mark.parametrize("field", ["system.clusters[1]", "state.terms"])
+def test_rejected_while_building_exit_2(tmp_path, capsys, field):
+    cfg = two_oscillator_config()
+    if field == "state.terms":
+        cfg["state"]["terms"][0]["indices"] = [0, 5]  # only 2 states solved
+    else:  # narrower than the +/-8 sigma a harmonic grid needs
+        cfg["system"]["clusters"][1]["grid"] = {"x_min": -5.0, "x_max": 5.0, "n": 1001}
+    cfg_path = write_config(tmp_path, cfg)
+    assert main(["qm-corr", "--config", cfg_path, "--out", str(tmp_path / "x.csv")]) == 2
+    assert f"{field}:" in capsys.readouterr().err
+
+
+def test_nelson_mc_epsilon_beyond_nodes_exit_2(tmp_path, capsys):
+    # the first-excited channel's node sits 10 from either grid edge
+    cfg = two_oscillator_config(
+        lags=[0.25],
+        mc={"n_paths": 100, "dt": 1e-3, "seed": 1, "epsilon": 6.0, "horizon": 0.5},
+    )
+    cfg_path = write_config(tmp_path, cfg)
+    assert main(["nelson-mc", "--config", cfg_path, "--out", str(tmp_path / "x.csv")]) == 2
+    assert "mc.epsilon:" in capsys.readouterr().err
+
+
+def test_numeric_error_exit_3(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise NumericError("imaginary part did not cancel")
+
+    monkeypatch.setattr(cli, "qm_two_time_series", fail)
+    cfg_path = write_config(tmp_path, two_oscillator_config())
+    assert main(["qm-corr", "--config", cfg_path, "--out", str(tmp_path / "x.csv")]) == 3
+    assert "error: imaginary part" in capsys.readouterr().err
+
+
 def test_nelson_mc_clamp_threshold_exit_4(tmp_path, mc_config, monkeypatch):
     monkeypatch.setattr(nelson_sde, "CLAMP_SIGMAS", 0.02)
     assert main(["nelson-mc", "--config", mc_config, "--out", str(tmp_path / "x.csv")]) == 4
@@ -232,6 +266,22 @@ def test_chsh_box_violates(tmp_path, capsys):
     assert not report.classical_feasible
     # round trip: emitted JSON reparses to the in-memory structure
     assert chsh_report_to_dict(report) == json.loads(out.read_text())
+
+
+@pytest.mark.parametrize(
+    "observable, field",
+    [("sign", "chsh.observable"), ({"kind": "position"}, "chsh.observable.kind")],
+)
+def test_chsh_bad_observable_exit_2(tmp_path, capsys, observable, field):
+    cfg = {
+        "system": {"clusters": [{"kind": "infinite_well", "half_width": 1.0, "k": 2}]},
+        "state": {"terms": [{"coefficient": 1.0, "indices": [0]}]},
+        "chsh": {"observable": observable},
+        "output": {"format": "json"},
+    }
+    cfg_path = write_config(tmp_path, cfg)
+    assert main(["chsh", "--config", cfg_path, "--out", str(tmp_path / "x.json")]) == 2
+    assert f"{field}:" in capsys.readouterr().err
 
 
 def test_chsh_harmonic_feasible(tmp_path, capsys):
@@ -275,6 +325,18 @@ def test_eps_study_empty_list_exit_2(tmp_path):
     )
     cfg_path = write_config(tmp_path, cfg)
     assert main(["eps-study", "--config", cfg_path, "--out", str(tmp_path / "x.csv")]) == 2
+
+
+@pytest.mark.parametrize("epsilons", [[6.0, 0.1], [0.03, 0.1], [0.1, -0.1]])
+def test_eps_study_bad_epsilons_exit_2(tmp_path, capsys, epsilons):
+    cfg = two_oscillator_config(
+        lags=[0.25],
+        mc={"n_paths": 100, "dt": 1e-3, "seed": 1, "epsilon": 1e-3, "horizon": 0.5},
+        eps_study={"epsilons": epsilons, "lag": 0.25},
+    )
+    cfg_path = write_config(tmp_path, cfg)
+    assert main(["eps-study", "--config", cfg_path, "--out", str(tmp_path / "x.csv")]) == 2
+    assert "eps_study.epsilons" in capsys.readouterr().err
 
 
 def test_eigen_export(tmp_path):

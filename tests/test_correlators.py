@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -24,6 +25,8 @@ from stochmech import (
     qm_two_time_series,
     quadrature,
 )
+from stochmech import correlators
+from stochmech.states import marginal_density
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -269,6 +272,38 @@ def test_expansion_cached(two_oscillator_state, pos0, pos1):
     a = nelson_mode_expansion(two_oscillator_state, pos0, pos1)
     b = nelson_mode_expansion(two_oscillator_state, pos0, pos1)
     assert a is b
+
+
+def test_expansion_cache_released_with_state(harmonic_es, pos0):
+    state = build_composite_state([harmonic_es], [(1.0, (0,))])
+    nelson_mode_expansion(state, pos0, pos0)
+    key = (id(state), pos0.key(), pos0.key())
+    assert key in correlators._expansion_cache
+    del state
+    gc.collect()
+    assert key not in correlators._expansion_cache
+
+
+def test_rotated_constant_times_position_vanishes(two_oscillator_state, harmonic_es, pos1):
+    # a constant side factors out: E[1 * x_1] is the mean of an odd marginal
+    lo, hi = harmonic_es.grid.x_min - 1, harmonic_es.grid.x_max + 1
+    one0 = Observable("indicator", 0, a=lo, b=hi)
+    for f, g in [(one0, pos1), (pos1, one0)]:
+        exp = nelson_mode_expansion(two_oscillator_state, f, g)
+        assert exp.rates == (0.0,)
+        assert np.max(np.abs(exp(np.array([0.0, 0.5, 2.0, 25.0])))) < 1e-12
+
+
+def test_rotated_same_cluster_equal_time_second_moment(two_oscillator_state, harmonic_es, pos0):
+    # both channels feed x_0, so this sums two channels' modes and the
+    # cross-channel means; at lag 0 it is <x_0^2>, short by at most the
+    # truncation tail the expansion reports
+    exp = nelson_mode_expansion(two_oscillator_state, pos0, pos0)
+    grid = harmonic_es.grid
+    second = quadrature(grid.points**2, marginal_density(two_oscillator_state, 0), grid=grid)
+    assert second == pytest.approx(1.0, abs=1e-12)
+    assert exp.truncation_tail < 1e-6
+    assert abs(float(exp(0.0)) - second) <= exp.truncation_tail * second
 
 
 # --------------------------------------------------------------------------
