@@ -149,23 +149,26 @@ def _mc_plan(cfg: RunConfig, args):
     return cfg.mc, int(seed)
 
 
+def _n_steps(value: float, dt: float, path: str) -> int:
+    k = round(value / dt)
+    if abs(k * dt - value) > 1e-9 * max(1.0, value):
+        raise ConfigError(f"{path}: {value} is not a multiple of mc.dt={dt}")
+    return int(k)
+
+
 def _lag_steps(lags, dt: float, horizon: float):
     steps = []
     for lag in lags:
-        k = round(lag / dt)
-        if abs(k * dt - lag) > 1e-9 * max(1.0, lag):
-            raise ConfigError(f"lags: {lag} is not a multiple of mc.dt={dt}")
+        k = _n_steps(lag, dt, "lags")
         if lag > horizon + 1e-12:
             raise ConfigError(f"lags: {lag} exceeds mc.horizon={horizon}")
-        steps.append(int(k))
-    n_steps = round(horizon / dt)
-    if abs(n_steps * dt - horizon) > 1e-9 * max(1.0, horizon):
-        raise ConfigError(f"mc.horizon: {horizon} is not a multiple of mc.dt={dt}")
-    stride = int(n_steps)
+        steps.append(k)
+    n_steps = _n_steps(horizon, dt, "mc.horizon")
+    stride = n_steps
     for k in steps:
         if k:
             stride = math.gcd(stride, k)
-    return steps, int(n_steps), stride
+    return steps, n_steps, stride
 
 
 def _checked_drift(state: CompositeState, epsilon: float, path: str):
@@ -240,6 +243,8 @@ def cmd_eps_study(cfg: RunConfig, args) -> int:
     mc, seed = _mc_plan(cfg, args)
     if not cfg.eps_study_epsilons or cfg.eps_study_lag is None:
         raise ConfigError("eps_study: epsilons and lag are required")
+    if _n_steps(cfg.eps_study_lag, mc.dt, "eps_study.lag") < 1:
+        raise ConfigError(f"eps_study.lag: must be at least one step of mc.dt={mc.dt}")
     state = build_state(cfg)
     f, g = _two_observables(cfg, state)
     # epsilons decrease, so the first one is the only one the nodes can rule out

@@ -221,6 +221,12 @@ def _check_distinct_clusters(observables) -> None:
         )
 
 
+def _check_clusters(state: CompositeState, observables) -> None:
+    for o in observables:
+        if not 0 <= o.cluster < state.n_clusters:
+            raise ParameterError(f"no cluster {o.cluster}")
+
+
 def qm_multitime_correlation(state: CompositeState, observables, times) -> float:
     """Heisenberg-picture expectation of the product of the observables.
 
@@ -236,9 +242,7 @@ def qm_multitime_correlation(state: CompositeState, observables, times) -> float
     if not observables:
         raise ParameterError("need at least one observable")
     _check_distinct_clusters(observables)
-    for o in observables:
-        if not 0 <= o.cluster < state.n_clusters:
-            raise ParameterError(f"no cluster {o.cluster}")
+    _check_clusters(state, observables)
     mats = {o.cluster: _matrix_elements(state, o) for o in observables}
     t_of = {o.cluster: t for o, t in zip(observables, times)}
     observed = set(mats)
@@ -266,6 +270,7 @@ def qm_two_time_series(
     on the first observable's cluster.
     """
     _check_distinct_clusters([f, g])
+    _check_clusters(state, [f, g])
     lags = [float(t) for t in lags]
     if not lags:
         raise ParameterError("need at least one lag")
@@ -514,9 +519,7 @@ def _build_expansion(state: CompositeState, f: Observable, g: Observable) -> Mod
     of their means at rate 0, as does a constant side times the other
     side's mean.
     """
-    for o in (f, g):
-        if not 0 <= o.cluster < state.n_clusters:
-            raise ParameterError(f"no cluster {o.cluster}")
+    _check_clusters(state, [f, g])
     dec = decompose(state)
     const_f, f_terms = _channel_terms(state, dec, f)
     const_g, g_terms = _channel_terms(state, dec, g)

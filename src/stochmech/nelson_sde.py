@@ -5,9 +5,12 @@ and diverges at nodes.  Near each node the weight is replaced by a
 strictly positive C^1 cosh patch of width epsilon whose log-derivative is
 bounded; as epsilon shrinks the process converges to the node-respecting
 (Dirichlet) diffusion, which is what the spectral backend computes
-exactly.  Paths are simulated per independent channel with deterministic
-counter-based noise substreams, so ensembles are bitwise reproducible
-and paths could be filled in concurrently.
+exactly.  Outside the patches the drift is read from a uniform table of
+its smooth part, the log-derivative minus the node poles, so a step
+costs index arithmetic rather than a spline search.  Paths are simulated
+per independent channel with deterministic counter-based noise
+substreams, so ensembles are bitwise reproducible and paths could be
+filled in concurrently.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ __all__ = [
 CLAMP_SIGMAS = 10.0  # drift increment cap, |b dt| <= 10 sqrt(dt)
 CLAMP_RATE_LIMIT = 0.01
 _MATCH_TOL = 1e-8
+TABLE_REFINE = 8  # drift-table cells per cell of the channel grid
 
 _CTX_INIT = 1  # Philox key contexts
 _CTX_PATHS = 2
@@ -124,10 +128,18 @@ def _solve_patch(node: float, eps: float, value: float, slope: float) -> NodePat
 
 @dataclass(frozen=True)
 class DriftChannel:
-    """Evaluable drift of one 1D channel: spline log-derivative + patches."""
+    """Evaluable drift of one 1D channel: residual table, poles and patches.
 
-    spline: CubicSpline
-    derivative: CubicSpline
+    Near a simple node z the log-derivative of |psi| is 1/(x - z) plus a
+    smooth remainder.  ``residual`` samples the drift minus the pole terms
+    at ``poles`` on a uniform grid over [x_min, x_max], so evaluation is
+    index arithmetic and one linear interpolation; the pole terms are then
+    added back and the cosh patches replace the sum within epsilon of each
+    node.  Beyond the grid the drift is held at its edge value.
+    """
+
+    residual: np.ndarray
+    poles: tuple[float, ...]
     patches: tuple[NodePatch, ...]
     x_min: float
     x_max: float
@@ -135,11 +147,15 @@ class DriftChannel:
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         xc = np.clip(x, self.x_min, self.x_max)
-        den = self.spline(xc)
-        num = self.derivative(xc)
-        safe = np.abs(den) > 0.0
-        out = np.zeros_like(xc)
-        np.divide(num, den, out=out, where=safe)
+        cells = self.residual.size - 1
+        s = (xc - self.x_min) * (cells / (self.x_max - self.x_min))
+        i = np.minimum(s.astype(np.intp), cells - 1)
+        lo = self.residual[i]
+        out = lo + (s - i) * (self.residual[i + 1] - lo)
+        # a pole lies inside its patch, which overwrites the value there
+        with np.errstate(divide="ignore"):
+            for z in self.poles:
+                out += 1.0 / (xc - z)
         for p in self.patches:
             u = x - p.node
             mask = np.abs(u) <= p.epsilon
@@ -171,12 +187,45 @@ def _drift_samples(channel) -> Wavefunction:
     return psi
 
 
+def _spline_zero(spline: CubicSpline, node: float, epsilon: float) -> float:
+    """The spline's own zero next to a node located on the samples (Newton).
+
+    It must lie inside the node's patch, where the patch replaces its pole.
+    """
+    z = node
+    for _ in range(4):
+        z -= float(spline(z)) / float(spline(z, 1))
+    if not abs(z - node) < epsilon:
+        raise RegularizationError(f"no spline zero within epsilon of node {node:.4g}")
+    return z
+
+
+def _residual_table(spline: CubicSpline, poles, grid) -> np.ndarray:
+    """Drift minus its pole terms on a grid TABLE_REFINE times finer than the samples."""
+    x = np.linspace(grid.x_min, grid.x_max, TABLE_REFINE * (grid.n - 1) + 1)
+    den = spline(x)
+    res = np.zeros_like(x)
+    np.divide(spline(x, 1), den, out=res, where=np.abs(den) > 0.0)
+    near = [np.abs(x - z) < x[1] - x[0] for z in poles]
+    for z, m in zip(poles, near):
+        # on the spline piece at z, psi = c1 u + c2 u^2 + c3 u^3 with u = x - z,
+        # and psi'/psi - 1/u has this closed form, free of cancellation
+        c1, c2, c3 = (float(spline(z, k)) / math.factorial(k) for k in (1, 2, 3))
+        u = x[m] - z
+        res[m] = (c2 + 2.0 * c3 * u) / (c1 + (c2 + c3 * u) * u)
+    for z, m in zip(poles, near):
+        res[~m] -= 1.0 / (x[~m] - z)
+    return res
+
+
 def regularized_drift(state: CompositeState, epsilon: float) -> RegularizedDrift:
     """Build the cosh-patched drift for every channel of the state.
 
     epsilon must stay below half the smallest spacing between nodes (or
     from a node to the grid edge).  Outside the patches the drift is the
-    log-derivative of the cubic spline through the factor samples.
+    log-derivative of the cubic spline through the factor samples, read
+    from a residual table sampled off that spline (see DriftChannel); the
+    spline also supplies the edge values and slopes the patches match.
     """
     if not epsilon > 0.0:
         raise ParameterError("epsilon must be positive")
@@ -214,10 +263,11 @@ def regularized_drift(state: CompositeState, epsilon: float) -> RegularizedDrift
                     f"reduce epsilon"
                 )
             patches.append(patch)
+        poles = tuple(_spline_zero(spline, z, epsilon) for z in nodes)
         channels.append(
             DriftChannel(
-                spline=spline,
-                derivative=deriv,
+                residual=_residual_table(spline, poles, grid),
+                poles=poles,
                 patches=tuple(patches),
                 x_min=grid.x_min,
                 x_max=grid.x_max,

@@ -339,6 +339,18 @@ def test_eps_study_bad_epsilons_exit_2(tmp_path, capsys, epsilons):
     assert "eps_study.epsilons" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lag", [0.2505, 0.0])
+def test_eps_study_bad_lag_exit_2(tmp_path, capsys, lag):
+    cfg = two_oscillator_config(
+        lags=[0.25],
+        mc={"n_paths": 100, "dt": 1e-3, "seed": 1, "epsilon": 1e-3, "horizon": 0.5},
+        eps_study={"epsilons": [0.1, 0.03], "lag": lag},
+    )
+    cfg_path = write_config(tmp_path, cfg)
+    assert main(["eps-study", "--config", cfg_path, "--out", str(tmp_path / "x.csv")]) == 2
+    assert "eps_study.lag" in capsys.readouterr().err
+
+
 def test_eigen_export(tmp_path):
     cfg_path = write_config(tmp_path, two_oscillator_config())
     out = tmp_path / "eigen.csv"

@@ -113,6 +113,11 @@ def test_qm_box_singlet_sign_correlation(box_singlet_state, box_es):
     assert series.values == pytest.approx(expected, abs=1e-9)
 
 
+def test_qm_series_unknown_cluster(two_oscillator_state, pos0):
+    with pytest.raises(ParameterError, match="no cluster 5"):
+        qm_two_time_series(two_oscillator_state, Observable("position", 5), pos0, [0.0])
+
+
 def test_qm_product_state_odd_observable_zero(ground_product_state, pos0, pos1):
     series, _ = qm_two_time_series(ground_product_state, pos0, pos1, [0.0, 1.0, 2.0])
     assert np.max(np.abs(series.values)) < 1e-12

@@ -5,10 +5,13 @@ import pytest
 from scipy.stats import chi2
 
 from stochmech import (
+    DoubleWellPotential,
+    Grid,
     Observable,
     ParameterError,
     StepSizeError,
     build_composite_state,
+    default_grid,
     density,
     estimate_multi_time,
     estimate_two_time,
@@ -16,6 +19,7 @@ from stochmech import (
     regularized_drift,
     sample_stationary,
     simulate_ensemble,
+    solve_eigensystem,
     stationarity_distance,
 )
 from stochmech import nelson_sde
@@ -85,6 +89,48 @@ def test_patch_matching_and_curvature(excited_state, harmonic_es):
     # scalings: a = O(eps), b = O(1/eps)
     assert 0.1 * eps < patch.a < 10.0 * eps
     assert 0.1 / eps < patch.b < 10.0 / eps
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-4])  # wider and narrower than a table cell
+def test_drift_table_matches_exact_excited_state(excited_state, eps):
+    channel = regularized_drift(excited_state, eps).channels[0]
+    xs = np.linspace(-5.0, 5.0, 200001)
+    xs = xs[np.abs(xs) > eps]
+    assert np.max(np.abs(channel(xs) - (1.0 / xs - xs))) < 1e-6
+
+
+# the off-centre grid puts the sampled node 3e-9 off the spline's zero
+@pytest.mark.parametrize("grid", [None, Grid(-4.0, 4.5, 2001)])
+def test_drift_table_matches_spline_double_well(grid):
+    from scipy.interpolate import CubicSpline
+
+    pot = DoubleWellPotential(barrier_height=4.0, well_separation=1.0)
+    es = solve_eigensystem(pot, grid or default_grid(pot), 2)
+    state = build_composite_state([es], [(1.0, (1,))])
+    channel = regularized_drift(state, 1e-3).channels[0]
+    psi = es.eigenfunctions[1]
+    spline = CubicSpline(psi.grid.points, psi.values)
+    xs = np.linspace(-3.0, 3.0, 120001)
+    for p in channel.patches:
+        xs = xs[np.abs(xs - p.node) > p.epsilon]
+    exact = spline(xs, 1) / spline(xs)
+    err = np.abs(channel(xs) - exact)
+    # the state's mass sits within |x| <= 2; further out the drift grows
+    # like x^2 and the comparison is relative
+    inner = np.abs(xs) <= 2.0
+    assert np.max(err[inner]) < 1e-6
+    assert np.max(err / np.maximum(1.0, np.abs(exact))) < 1e-6
+
+
+def test_drift_finite_at_node_and_beyond_grid(excited_state):
+    channel = regularized_drift(excited_state, 1e-3).channels[0]
+    (patch,) = channel.patches
+    xs = np.array(
+        [patch.node, *channel.poles, channel.x_min - 1.0, channel.x_max + 1.0, -1e6, 1e6]
+    )
+    assert np.all(np.isfinite(channel(xs)))
+    # held at the edge value beyond the grid
+    assert channel(np.array([channel.x_max + 1.0]))[0] == channel(np.array([channel.x_max]))[0]
 
 
 def test_epsilon_bound_against_node_separation(excited_state):
@@ -177,19 +223,11 @@ def test_time_reflection_symmetry(ou_ensemble):
 
 
 def test_brownian_baseline(ground_state_1d):
-    # zero drift: flat spline, no patches - a pure random walk
+    # zero drift, no patches - a pure random walk
     drift = regularized_drift(ground_state_1d, 1e-3)
-    zero_channel = nelson_sde.DriftChannel(
-        spline=drift.channels[0].spline.__class__(
-            drift.channels[0].spline.x, np.zeros_like(drift.channels[0].spline.x)
-        ),
-        derivative=drift.channels[0].derivative,
-        patches=(),
-        x_min=-10.0,
-        x_max=10.0,
-    )
+
     zero_drift = nelson_sde.RegularizedDrift(
-        ground_state_1d, 1e-3, drift.decomposition, (zero_channel,)
+        ground_state_1d, 1e-3, drift.decomposition, (np.zeros_like,)
     )
     init = np.zeros((10000, 1))
     ens = simulate_ensemble(zero_drift, init, dt=1e-3, horizon=1.0, seed=3, store_stride=1000)
@@ -206,6 +244,15 @@ def test_bitwise_determinism(two_oscillator_state):
     c = simulate_ensemble(drift, init, chunk_paths=64, **kw)
     assert np.array_equal(a.positions, b.positions)
     assert np.array_equal(a.positions, c.positions)
+
+
+def test_chunking_invariance_nodal_state(excited_state):
+    drift = regularized_drift(excited_state, 1e-3)
+    init = sample_stationary(excited_state, 300, seed=6)
+    kw = dict(dt=1e-3, horizon=0.2, seed=6, store_stride=50)
+    a = simulate_ensemble(drift, init, chunk_paths=2048, **kw)
+    b = simulate_ensemble(drift, init, chunk_paths=64, **kw)
+    assert np.array_equal(a.positions, b.positions)
 
 
 def test_simulate_validations(ground_state_1d):
