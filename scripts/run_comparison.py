@@ -46,7 +46,9 @@ def main() -> int:
     state = build_composite_state([es, es], [(c, (0, 1)), (c, (1, 0))])
     f = Observable("position", 0)
     g = Observable("position", 1)
-    lags = [args.max_lag * i / args.steps for i in range(args.steps + 1)]
+    # lags on the dt grid, so that the Monte Carlo can store each of them
+    per_lag = max(1, round(args.max_lag / (args.steps * args.dt)))
+    lags = [i * per_lag * args.dt for i in range(args.steps + 1)]
     result = compare_theories(state, f, g, lags[1:])
 
     header = ["lag", "qm", "bohm", "nelson"]
@@ -58,14 +60,9 @@ def main() -> int:
     ]
 
     if args.mc_paths > 0:
-        # store on a grid coarse enough to hold every requested lag
-        stride = max(1, int(round(lags[1] / args.dt)))
-        horizon = stride * args.dt * args.steps
         drift = regularized_drift(state, args.epsilon)
         init = sample_stationary(state, args.mc_paths, args.seed)
-        ens = simulate_ensemble(
-            drift, init, args.dt, horizon, args.seed, store_stride=stride
-        )
+        ens = simulate_ensemble(drift, init, args.dt, lags, args.seed)
         header += ["mc", "mc_stderr"]
         for row in rows:
             value, stderr = estimate_two_time(ens, f, g, row[0], 0.0)

@@ -16,7 +16,6 @@ Exit codes: 0 success, 2 configuration problem, 3 numeric backend error,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -25,7 +24,7 @@ import numpy as np
 from . import bell, nelson_sde, serialize
 from .config import RunConfig, build_cluster, build_observable, build_state, load_config
 from .correlators import compare_theories, qm_two_time_series
-from .errors import ConfigError, ParameterError, StepSizeError, StochMechError
+from .errors import ConfigError, ParameterError, RegularizationError, StepSizeError, StochMechError
 from .states import CompositeState
 
 EXIT_OK = 0
@@ -156,26 +155,11 @@ def _n_steps(value: float, dt: float, path: str) -> int:
     return int(k)
 
 
-def _lag_steps(lags, dt: float, horizon: float):
-    steps = []
-    for lag in lags:
-        k = _n_steps(lag, dt, "lags")
-        if lag > horizon + 1e-12:
-            raise ConfigError(f"lags: {lag} exceeds mc.horizon={horizon}")
-        steps.append(k)
-    n_steps = _n_steps(horizon, dt, "mc.horizon")
-    stride = n_steps
-    for k in steps:
-        if k:
-            stride = math.gcd(stride, k)
-    return steps, n_steps, stride
-
-
 def _checked_drift(state: CompositeState, epsilon: float, path: str):
     """Regularized drift; an epsilon the state's nodes rule out is a config error."""
     try:
         return nelson_sde.regularized_drift(state, epsilon)
-    except ParameterError as exc:
+    except (ParameterError, RegularizationError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -185,12 +169,14 @@ def cmd_nelson_mc(cfg: RunConfig, args) -> int:
     state = build_state(cfg)
     f, g = _two_observables(cfg, state)
     lags = _require_lags(cfg)
-    _, _, stride = _lag_steps(lags, mc.dt, mc.horizon)
+    for lag in lags:
+        _n_steps(lag, mc.dt, "lags")
+        if not 0.0 <= lag <= mc.horizon + 1e-12:
+            raise ConfigError(f"lags: {lag} is outside [0, mc.horizon={mc.horizon}]")
+    _n_steps(mc.horizon, mc.dt, "mc.horizon")
     drift = _checked_drift(state, mc.epsilon, "mc.epsilon")
     init = nelson_sde.sample_stationary(state, mc.n_paths, seed)
-    ensemble = nelson_sde.simulate_ensemble(
-        drift, init, mc.dt, mc.horizon, seed, store_stride=stride
-    )
+    ensemble = nelson_sde.simulate_ensemble(drift, init, mc.dt, [*lags, mc.horizon], seed)
     rows = []
     for lag in lags:
         value, stderr = nelson_sde.estimate_two_time(ensemble, f, g, lag, 0.0)

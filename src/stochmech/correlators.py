@@ -351,13 +351,7 @@ class _ChannelModes:
     deficit: float
 
 
-def _channel_autocorrelation_modes(
-    channel: Channel,
-    f_fn,
-    g_fn,
-    deficit_tol: float = DEFICIT_TOL,
-    cap: int = MODE_CAP,
-) -> _ChannelModes:
+def _channel_autocorrelation_modes(channel: Channel, f_fn, g_fn) -> _ChannelModes:
     """Expansion of E[f(u(t)) g(u(0))] for one stationary 1D channel.
 
     Multiplying by |psi| maps the generator onto the channel Hamiltonian
@@ -371,7 +365,7 @@ def _channel_autocorrelation_modes(
     spline = CubicSpline(grid.points, psi.values)
     nodes = find_nodes(psi)
     intervals = nodal_intervals(grid, nodes)
-    per_cap = max(2, cap // len(intervals))
+    per_cap = max(2, MODE_CAP // len(intervals))
     h_target = grid.h / 2.0
 
     n_modes = min(24, per_cap)
@@ -382,7 +376,7 @@ def _channel_autocorrelation_modes(
             w = np.abs(spline(modes.points[1:-1]))
             pieces.append((modes.h, w, modes.values[1:-1, :], modes.energies))
         result = _assemble_channel_modes(pieces, intervals, f_fn, g_fn)
-        if result.deficit <= deficit_tol or n_modes >= per_cap:
+        if result.deficit <= DEFICIT_TOL or n_modes >= per_cap:
             return result
         n_modes = min(per_cap, n_modes * 4)
 

@@ -54,6 +54,7 @@ CLAMP_SIGMAS = 10.0  # drift increment cap, |b dt| <= 10 sqrt(dt)
 CLAMP_RATE_LIMIT = 0.01
 _MATCH_TOL = 1e-8
 TABLE_REFINE = 8  # drift-table cells per cell of the channel grid
+NOISE_BLOCK = 256  # steps of noise drawn per path at a time
 
 _CTX_INIT = 1  # Philox key contexts
 _CTX_PATHS = 2
@@ -344,10 +345,11 @@ def sample_stationary(state: CompositeState, n: int, seed: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Seeded SDE sample paths stored on a uniform time grid.
+    """Seeded SDE sample paths stored at the requested times.
 
     positions has shape (n_paths, len(t_grid), n_clusters), in cluster
-    coordinates.  Re-running with identical (seed, dt, n_paths, epsilon,
+    coordinates; t_grid holds the stored step counts times dt, always
+    starting at 0.  Re-running with identical (seed, dt, n_paths, epsilon,
     init) reproduces positions bitwise.
     """
 
@@ -383,71 +385,79 @@ def simulate_ensemble(
     drift: RegularizedDrift,
     init: np.ndarray,
     dt: float,
-    horizon: float,
+    times,
     seed: int,
-    store_stride: int = 1,
     chunk_paths: int = 2048,
 ) -> Ensemble:
     """Euler-Maruyama integration of every channel of the drift.
 
     x <- x + b(x) dt + sqrt(dt) xi with per-path deterministic noise;
     drift increments are clamped at 10 sqrt(dt) and the clamp rate is a
-    diagnostic (error above 1%: shrink dt or grow epsilon).
+    diagnostic (error above 1%: shrink dt or grow epsilon).  Positions are
+    stored at t = 0 and at each of ``times``, each a whole number of steps;
+    the last of them is the horizon.
     """
     if not dt > 0.0:
         raise ParameterError("dt must be positive")
-    if horizon < dt:
-        raise ParameterError("horizon must be at least one step")
-    n_steps = int(round(horizon / dt))
-    if abs(n_steps * dt - horizon) > 1e-9 * max(1.0, horizon):
-        raise ParameterError("horizon must be an integer number of steps")
-    if store_stride < 1 or n_steps % store_stride != 0:
-        raise ParameterError("store_stride must divide the step count")
+    steps = {0}
+    for t in times:
+        k = round(t / dt)
+        if k < 0 or abs(k * dt - t) > 1e-9 * max(1.0, t):
+            raise ParameterError(f"time {t} is not a whole number of steps of dt={dt}")
+        steps.add(int(k))
+    steps = sorted(steps)
+    n_steps = steps[-1]
+    if n_steps < 1:
+        raise ParameterError("need a time at least one step after 0")
+    column = {k: j for j, k in enumerate(steps)}
     init = np.asarray(init, dtype=float)
     dec = drift.decomposition
     n_ch = dec.n_channels
     if init.ndim != 2 or init.shape[1] != n_ch:
         raise ParameterError(f"init must have shape (n_paths, {n_ch})")
     n_paths = init.shape[0]
-    n_stored = n_steps // store_stride + 1
-    t_grid = np.arange(n_stored) * (dt * store_stride)
+    t_grid = np.array(steps) * dt
     sqrt_dt = math.sqrt(dt)
     clamp = CLAMP_SIGMAS * sqrt_dt
     node_lists = [np.array(find_nodes(ch.factor)) for ch in dec.channels]
 
-    positions = np.empty((n_paths, n_stored, n_ch))
+    positions = np.empty((n_paths, len(steps), n_ch))
     clamped = 0
     crossed = np.zeros((n_paths, n_ch), dtype=bool)
     for start in range(0, n_paths, chunk_paths):
         stop = min(start + chunk_paths, n_paths)
         m = stop - start
-        noise = np.empty((m, n_steps, n_ch))
-        for j in range(m):
-            noise[j] = _path_generator(seed, start + j).standard_normal((n_steps, n_ch))
+        gens = [_path_generator(seed, start + j) for j in range(m)]
+        noise = np.empty((m, min(NOISE_BLOCK, n_steps), n_ch))
         u = dec.to_channels(init[start:stop])
         positions[start:stop, 0, :] = u
         regions = [
             np.searchsorted(node_lists[c], u[:, c]) if node_lists[c].size else None
             for c in range(n_ch)
         ]
-        stored = 1
         for s in range(n_steps):
+            i = s % NOISE_BLOCK
+            if i == 0:
+                # block by block, each path's normals continue its one stream
+                n_block = min(NOISE_BLOCK, n_steps - s)
+                for j, gen in enumerate(gens):
+                    gen.standard_normal(out=noise[j, :n_block])
             for c in range(n_ch):
                 b = drift.channels[c](u[:, c])
                 move = b * dt
                 over = np.abs(move) > clamp
                 clamped += int(np.count_nonzero(over))
                 np.clip(move, -clamp, clamp, out=move)
-                u[:, c] += move + sqrt_dt * noise[:, s, c]
+                u[:, c] += move + sqrt_dt * noise[:, i, c]
                 if regions[c] is not None:
                     now = np.searchsorted(node_lists[c], u[:, c])
                     crossed[start:stop, c] |= now != regions[c]
                     regions[c] = now
-            if (s + 1) % store_stride == 0:
+            col = column.get(s + 1)
+            if col is not None:
                 if not np.all(np.isfinite(u)):
                     raise NumericError(f"non-finite path values at step {s + 1}")
-                positions[start:stop, stored, :] = u
-                stored += 1
+                positions[start:stop, col, :] = u
     # back to cluster coordinates (no-op for product states)
     positions = positions @ dec.rotation.T
     clamp_rate = clamped / float(n_paths * n_steps * n_ch)
@@ -571,13 +581,10 @@ def epsilon_convergence_study(
         raise ParameterError("epsilons must decrease strictly")
     spectral = nelson_semigroup_correlation(state, f, g, t)
     init = sample_stationary(state, n_paths, seed)
-    n_steps = int(round(t / dt))
     rows = []
     for eps in epsilons:
         drift = regularized_drift(state, eps)
-        ens = simulate_ensemble(
-            drift, init, dt, horizon=t, seed=seed, store_stride=n_steps
-        )
+        ens = simulate_ensemble(drift, init, dt, [t], seed)
         value, stderr = estimate_two_time(ens, f, g, t, 0.0)
         rows.append(
             EpsilonStudyRow(

@@ -57,6 +57,7 @@ BOX_DEFAULT_POINTS = 2001  # odd count puts x = 0 on a Simpson panel boundary
 _ORTHO_TOL = 1e-6
 _NORM_TOL = 1e-8
 _PARITY_TOL = 1e-10
+_DEAD_TOL = 1e-9  # samples below this fraction of max|f| count as zero
 _SIGN_SCALE = 1e-12
 
 
@@ -525,10 +526,10 @@ def solve_eigensystem(potential: Potential, grid: Grid, k: int) -> EigenSystem:
 # nodes and node-restricted spectra
 # --------------------------------------------------------------------------
 
-def find_nodes(f: Wavefunction, tol: float = 1e-9) -> list[float]:
+def find_nodes(f: Wavefunction) -> list[float]:
     """Interior zero crossings by sign change plus linear interpolation.
 
-    Samples below ``tol`` relative to max|f| count as dead; endpoints are
+    Samples below _DEAD_TOL relative to max|f| count as dead; endpoints are
     never reported and reported nodes are at least 2h apart.
     """
     x = f.grid.points
@@ -537,7 +538,7 @@ def find_nodes(f: Wavefunction, tol: float = 1e-9) -> list[float]:
     scale = float(np.max(np.abs(v)))
     if scale == 0.0:
         return []
-    live = np.nonzero(np.abs(v) > tol * scale)[0]
+    live = np.nonzero(np.abs(v) > _DEAD_TOL * scale)[0]
     if live.size < 2:
         return []
     nodes: list[float] = []
@@ -555,7 +556,7 @@ def find_nodes(f: Wavefunction, tol: float = 1e-9) -> list[float]:
     return nodes
 
 
-def _check_sign_stability(f: Wavefunction, nodes: Sequence[float], tol: float) -> None:
+def _check_sign_stability(f: Wavefunction, nodes: Sequence[float]) -> None:
     """Each internodal segment must carry one clean dominant sign."""
     x = f.grid.points
     v = f.values
@@ -564,8 +565,8 @@ def _check_sign_stability(f: Wavefunction, nodes: Sequence[float], tol: float) -
     for a, b in zip(edges[:-1], edges[1:]):
         sel = (x > a) & (x < b)
         seg = v[sel]
-        live = seg[np.abs(seg) > tol * scale]
-        if live.size == 0 or float(np.max(np.abs(seg))) < 10.0 * tol * scale:
+        live = seg[np.abs(seg) > _DEAD_TOL * scale]
+        if live.size == 0 or float(np.max(np.abs(seg))) < 10.0 * _DEAD_TOL * scale:
             raise NodeDetectionError(
                 f"no stable sign pattern on ({a:.4g}, {b:.4g})"
             )
@@ -628,8 +629,6 @@ def dirichlet_restricted_eigensystem(
     state: Wavefunction,
     grid: Grid,
     k: int,
-    tol: float = 1e-9,
-    refine: int = 2,
 ) -> EigenSystem:
     """Spectrum of the operator restricted by Dirichlet conditions at the
     nodes of ``state``.
@@ -643,15 +642,15 @@ def dirichlet_restricted_eigensystem(
     """
     if k < 1:
         raise ParameterError("k must be at least 1")
-    nodes = find_nodes(state, tol)
+    nodes = find_nodes(state)
     if not nodes:
         es = solve_eigensystem(potential, grid, k)
         return EigenSystem(
             grid, es.energies, es.eigenfunctions,
             boundary="dirichlet_at_nodes", nodes=(), potential=potential,
         )
-    _check_sign_stability(state, nodes, tol)
-    h_target = grid.h / refine
+    _check_sign_stability(state, nodes)
+    h_target = grid.h / 2.0
     symmetric_single = (
         len(nodes) == 1
         and grid.symmetric

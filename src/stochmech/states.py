@@ -51,11 +51,7 @@ class CompositeState:
         return [idx for _, idx in self.terms]
 
 
-def build_composite_state(
-    clusters,
-    terms,
-    energy_tol: float = ENERGY_TOL,
-) -> CompositeState:
+def build_composite_state(clusters, terms) -> CompositeState:
     """Validate and normalize a composite stationary state.
 
     ``terms`` is a list of (coefficient, index tuple) pairs; coefficients
@@ -98,7 +94,7 @@ def build_composite_state(
     ]
     energy = term_energies[0]
     for idx, e in zip(index_rows, term_energies):
-        if abs(e - energy) > energy_tol:
+        if abs(e - energy) > ENERGY_TOL:
             raise InconsistentStateError(
                 f"term {idx} has energy {e!r}, expected {energy!r} "
                 f"(all terms must share the total energy)"

@@ -75,7 +75,7 @@ def mc_run(two_osc):
     drift = regularized_drift(two_osc, 1e-3)
     init = sample_stationary(two_osc, MC_PATHS, seed=MC_SEED)
     ensemble = simulate_ensemble(
-        drift, init, dt=1e-3, horizon=2.0, seed=MC_SEED, store_stride=500
+        drift, init, dt=1e-3, times=(0.5, 1.0, 1.5, 2.0), seed=MC_SEED
     )
     return ensemble, time.perf_counter() - t0
 
@@ -185,7 +185,7 @@ def test_criterion_07_product_state_equivalence():
     drift = regularized_drift(state, 1e-3)
     init = sample_stationary(state, 20_000, seed=17)
     ensemble = simulate_ensemble(
-        drift, init, dt=1e-3, horizon=2.0, seed=17, store_stride=250
+        drift, init, dt=1e-3, times=[0.25 * i for i in range(1, 9)], seed=17
     )
     mc_ok = True
     worst = 0.0

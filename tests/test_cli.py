@@ -156,15 +156,21 @@ def test_nelson_mc_outputs_and_determinism(tmp_path, mc_config, capsys):
     assert diag["clamp_rate"] <= 0.01
 
 
-def test_nelson_mc_dump_paths(tmp_path, mc_config, monkeypatch):
-    ensembles = []
+@pytest.fixture()
+def ensembles(monkeypatch):
+    """Every ensemble the CLI simulates, kept for inspection."""
+    kept = []
     simulate = nelson_sde.simulate_ensemble
 
     def keep(*args, **kwargs):
-        ensembles.append(simulate(*args, **kwargs))
-        return ensembles[-1]
+        kept.append(simulate(*args, **kwargs))
+        return kept[-1]
 
     monkeypatch.setattr(nelson_sde, "simulate_ensemble", keep)
+    return kept
+
+
+def test_nelson_mc_dump_paths(tmp_path, mc_config, ensembles):
     dump = tmp_path / "paths.txt"
     argv = ["nelson-mc", "--config", mc_config, "--out", str(tmp_path / "mc.csv")]
     assert main(argv + ["--dump-paths", str(dump)]) == 0
@@ -226,13 +232,50 @@ def test_rejected_while_building_exit_2(tmp_path, capsys, field):
 
 def test_nelson_mc_epsilon_beyond_nodes_exit_2(tmp_path, capsys):
     # the first-excited channel's node sits 10 from either grid edge
-    cfg = two_oscillator_config(
+    wide = two_oscillator_config(
         lags=[0.25],
         mc={"n_paths": 100, "dt": 1e-3, "seed": 1, "epsilon": 6.0, "horizon": 0.5},
     )
+    # at the off-centre nodes of the double well's second excited state a
+    # patch this wide cannot match both sides to C1
+    double_well = dict(
+        wide,
+        system={"clusters": [{
+            "kind": "double_well", "barrier_height": 4.0, "well_separation": 1.0, "k": 3,
+            "grid": {"x_min": -3.5, "x_max": 3.5, "n": 2000},
+        }]},
+        state={"terms": [{"coefficient": 1.0, "indices": [2]}]},
+        observables=[{"kind": "position", "cluster": 0}],
+        mc=dict(wide["mc"], epsilon=1e-3),
+    )
+    for cfg in (wide, double_well):
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["nelson-mc", "--config", cfg_path, "--out", str(tmp_path / "x.csv")]) == 2
+        assert "mc.epsilon:" in capsys.readouterr().err
+
+
+def test_nelson_mc_stores_lags_and_horizon(tmp_path, ensembles):
+    cfg = two_oscillator_config(
+        lags=[0.0, 0.001, 0.2],
+        mc={"n_paths": 100, "dt": 1e-3, "seed": 1, "epsilon": 1e-3, "horizon": 0.3},
+    )
+    out = tmp_path / "x.csv"
+    assert main(["nelson-mc", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    (ens,) = ensembles
+    assert np.allclose(ens.t_grid, [0.0, 0.001, 0.2, 0.3], rtol=0.0, atol=1e-12)
+    ks = json.loads((tmp_path / "x.csv.diag.json").read_text())["ks_stats"]
+    assert list(ks) == [format(float(t), ".17g") for t in ens.t_grid]
+
+
+@pytest.mark.parametrize("lag", [-0.25, 0.75])
+def test_nelson_mc_lag_outside_horizon_exit_2(tmp_path, capsys, lag):
+    cfg = two_oscillator_config(
+        lags=[lag],
+        mc={"n_paths": 100, "dt": 1e-3, "seed": 1, "epsilon": 1e-3, "horizon": 0.5},
+    )
     cfg_path = write_config(tmp_path, cfg)
     assert main(["nelson-mc", "--config", cfg_path, "--out", str(tmp_path / "x.csv")]) == 2
-    assert "mc.epsilon:" in capsys.readouterr().err
+    assert "lags:" in capsys.readouterr().err
 
 
 def test_numeric_error_exit_3(tmp_path, capsys, monkeypatch):

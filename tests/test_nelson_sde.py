@@ -42,7 +42,7 @@ def ground_state_1d(harmonic_es):
 def ou_ensemble(ground_state_1d):
     drift = regularized_drift(ground_state_1d, 1e-3)
     init = sample_stationary(ground_state_1d, 20000, seed=42)
-    return simulate_ensemble(drift, init, dt=1e-3, horizon=1.0, seed=42, store_stride=250)
+    return simulate_ensemble(drift, init, dt=1e-3, times=(0.25, 0.5, 0.75, 1.0), seed=42)
 
 
 # --------------------------------------------------------------------------
@@ -230,7 +230,7 @@ def test_brownian_baseline(ground_state_1d):
         ground_state_1d, 1e-3, drift.decomposition, (np.zeros_like,)
     )
     init = np.zeros((10000, 1))
-    ens = simulate_ensemble(zero_drift, init, dt=1e-3, horizon=1.0, seed=3, store_stride=1000)
+    ens = simulate_ensemble(zero_drift, init, dt=1e-3, times=[1.0], seed=3)
     var = ens.positions[:, -1, 0].var()
     assert abs(var - 1.0) < 3.0 * math.sqrt(2.0 / 10000)
 
@@ -238,32 +238,44 @@ def test_brownian_baseline(ground_state_1d):
 def test_bitwise_determinism(two_oscillator_state):
     drift = regularized_drift(two_oscillator_state, 1e-2)
     init = sample_stationary(two_oscillator_state, 300, seed=5)
-    kw = dict(dt=1e-3, horizon=0.2, seed=5, store_stride=50)
+    kw = dict(dt=1e-3, times=(0.05, 0.1, 0.15, 0.2), seed=5)
     a = simulate_ensemble(drift, init, **kw)
     b = simulate_ensemble(drift, init, **kw)
     c = simulate_ensemble(drift, init, chunk_paths=64, **kw)
     assert np.array_equal(a.positions, b.positions)
     assert np.array_equal(a.positions, c.positions)
+    # unordered, repeated and zero times store each requested step once, in order
+    d = simulate_ensemble(drift, init, dt=1e-3, times=(0.2, 0.0, 0.1, 0.1), seed=5)
+    assert np.array_equal(d.t_grid, np.array([0, 100, 200]) * 1e-3)
+    assert np.array_equal(d.positions, a.positions[:, [0, 2, 4], :])
 
 
-def test_chunking_invariance_nodal_state(excited_state):
+def test_chunking_invariance_nodal_state(monkeypatch, excited_state):
     drift = regularized_drift(excited_state, 1e-3)
     init = sample_stationary(excited_state, 300, seed=6)
-    kw = dict(dt=1e-3, horizon=0.2, seed=6, store_stride=50)
+    kw = dict(dt=1e-3, times=(0.05, 0.1, 0.15, 0.2), seed=6)
     a = simulate_ensemble(drift, init, chunk_paths=2048, **kw)
     b = simulate_ensemble(drift, init, chunk_paths=64, **kw)
     assert np.array_equal(a.positions, b.positions)
+    # 200 steps are one noise block by default; blocks of 7 continue each stream
+    monkeypatch.setattr(nelson_sde, "NOISE_BLOCK", 7)
+    c = simulate_ensemble(drift, init, chunk_paths=64, **kw)
+    assert np.array_equal(a.positions, c.positions)
 
 
 def test_simulate_validations(ground_state_1d):
     drift = regularized_drift(ground_state_1d, 1e-3)
     init = np.zeros((10, 1))
     with pytest.raises(ParameterError):
-        simulate_ensemble(drift, init, dt=0.0, horizon=1.0, seed=1)
+        simulate_ensemble(drift, init, dt=0.0, times=[1.0], seed=1)
+    with pytest.raises(ParameterError, match="whole number of steps"):
+        simulate_ensemble(drift, init, dt=1e-3, times=[0.5, 1.0005], seed=1)
+    with pytest.raises(ParameterError, match="whole number of steps"):
+        simulate_ensemble(drift, init, dt=1e-3, times=[-0.5], seed=1)
+    with pytest.raises(ParameterError, match="at least one step"):
+        simulate_ensemble(drift, init, dt=1e-3, times=[0.0], seed=1)
     with pytest.raises(ParameterError):
-        simulate_ensemble(drift, init, dt=1e-3, horizon=1.0, seed=1, store_stride=3)
-    with pytest.raises(ParameterError):
-        simulate_ensemble(drift, np.zeros((10, 2)), dt=1e-3, horizon=0.1, seed=1)
+        simulate_ensemble(drift, np.zeros((10, 2)), dt=1e-3, times=[0.1], seed=1)
 
 
 def test_clamp_rate_guard(monkeypatch, excited_state):
@@ -271,7 +283,7 @@ def test_clamp_rate_guard(monkeypatch, excited_state):
     drift = regularized_drift(excited_state, 1e-3)
     init = sample_stationary(excited_state, 200, seed=8)
     with pytest.raises(StepSizeError):
-        simulate_ensemble(drift, init, dt=1e-3, horizon=0.05, seed=8, store_stride=50)
+        simulate_ensemble(drift, init, dt=1e-3, times=[0.05], seed=8)
 
 
 def test_estimator_constant_is_exact(ou_ensemble, harmonic_es):
@@ -298,7 +310,7 @@ def test_multi_time_consistent_with_two_time(ou_ensemble):
 def test_cluster_independence_on_product(ground_product_state):
     drift = regularized_drift(ground_product_state, 1e-3)
     init = sample_stationary(ground_product_state, 20000, seed=21)
-    ens = simulate_ensemble(drift, init, dt=1e-3, horizon=0.5, seed=21, store_stride=125)
+    ens = simulate_ensemble(drift, init, dt=1e-3, times=(0.125, 0.25, 0.375, 0.5), seed=21)
     f = Observable("indicator", 0, a=0.0, b=2.0)
     g = Observable("indicator", 1, a=-1.0, b=0.5)
     fg, se = estimate_two_time(ens, f, g, 0.5, 0.0)
@@ -348,7 +360,7 @@ def test_ks_negative_control_flipped_drift(ground_state_1d):
         ground_state_1d, 1e-3, drift.decomposition, (Negated(drift.channels[0]),)
     )
     init = sample_stationary(ground_state_1d, 5000, seed=31)
-    ens = simulate_ensemble(bad, init, dt=1e-3, horizon=2.0, seed=31, store_stride=2000)
+    ens = simulate_ensemble(bad, init, dt=1e-3, times=[2.0], seed=31)
     (stat,) = stationarity_distance(ens, ground_state_1d, 2.0)
     assert stat > 1.63 / math.sqrt(5000)
 
@@ -361,7 +373,7 @@ def test_ks_negative_control_flipped_drift(ground_state_1d):
 def crossing_ensemble(excited_state):
     drift = regularized_drift(excited_state, 1e-3)
     init = sample_stationary(excited_state, 20000, seed=5)
-    return simulate_ensemble(drift, init, dt=1e-3, horizon=2.0, seed=5, store_stride=500)
+    return simulate_ensemble(drift, init, dt=1e-3, times=(0.5, 1.0, 1.5, 2.0), seed=5)
 
 
 @pytest.mark.xfail(

@@ -248,6 +248,30 @@ def test_dirichlet_even_sector_ground_is_abs_psi1(harmonic_es):
     assert dr.eigenfunctions[1].parity == "odd"
 
 
+def test_dirichlet_merges_nodal_intervals(harmonic_es):
+    # psi_2 has nodes at +-1/sqrt(2); |psi_2| on each of the three nodal
+    # intervals is that interval's Dirichlet ground state, at energy 2.5
+    grid = harmonic_es.grid
+    psi2 = harmonic_es.eigenfunctions[2]
+    dr = dirichlet_restricted_eigensystem(HarmonicPotential(1.0), psi2, grid, 3)
+    assert len(dr.nodes) == 2
+    for e in dr.energies:
+        assert e == pytest.approx(2.5, abs=1e-3)
+    edges = [grid.x_min, *dr.nodes, grid.x_max]
+    pieces = [
+        Wavefunction.normalized(
+            grid, np.where((grid.points > a) & (grid.points < b), np.abs(psi2.values), 0.0)
+        ).values
+        for a, b in zip(edges[:-1], edges[1:])
+    ]
+    matched = []
+    for f in dr.eigenfunctions:
+        dists = [math.sqrt(quadrature(f.values - p, f.values - p, grid=grid)) for p in pieces]
+        assert min(dists) < 1e-4
+        matched.append(int(np.argmin(dists)))
+    assert sorted(matched) == [0, 1, 2]
+
+
 def test_dirichlet_rejects_unstable_sign_pattern():
     g = Grid(-1.0, 1.0, 401)
     # sign-fluctuating noise above the dead threshold across a wide band:
