@@ -16,6 +16,7 @@ Exit codes: 0 success, 2 configuration problem, 3 numeric backend error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -129,10 +130,13 @@ def cmd_compare(cfg: RunConfig, args) -> int:
             )
         ]
     serialize.write_csv(out, header, rows)
+    expansion = result.nelson_expansion
     summary = {
         "equal_time_agreement": result.equal_time_max_dev,
         "max_abs_dev_qm_bohm": result.max_abs_dev_qm_bohm,
         "max_abs_dev_qm_nelson": result.max_abs_dev_qm_nelson,
+        "nelson_modes": None if expansion is None else len(expansion.rates),
+        "nelson_truncation_tail": None if expansion is None else expansion.truncation_tail,
     }
     serialize.write_json(Path(str(out) + ".summary.json"), summary)
     serialize.write_sidecar(out, args.config, args.argv)
@@ -149,7 +153,10 @@ def _mc_plan(cfg: RunConfig, args):
 
 
 def _n_steps(value: float, dt: float, path: str) -> int:
-    k = round(value / dt)
+    steps = value / dt
+    if not math.isfinite(steps):
+        raise ConfigError(f"{path}: {value} is too many steps of mc.dt={dt}")
+    k = round(steps)
     if abs(k * dt - value) > 1e-9 * max(1.0, value):
         raise ConfigError(f"{path}: {value} is not a multiple of mc.dt={dt}")
     return int(k)

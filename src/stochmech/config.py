@@ -228,6 +228,8 @@ def parse_config(raw: dict) -> RunConfig:
         if not isinstance(t, dict):
             raise ConfigError(f"state.terms[{i}]: must be an object")
         coeff = _as_float(_need(t, "coefficient", f"state.terms[{i}]"), f"state.terms[{i}].coefficient")
+        if coeff == 0.0:
+            raise ConfigError(f"state.terms[{i}].coefficient: must be non-zero")
         idx = _need(t, "indices", f"state.terms[{i}]")
         if not isinstance(idx, list) or len(idx) != len(clusters):
             raise ConfigError(
@@ -316,6 +318,8 @@ def build_cluster(cfg: ClusterConfig, path: str) -> EigenSystem:
         else:
             pot = TabulatedPotential(cfg.grid, np.asarray(cfg.params["values"]))
         grid = cfg.grid or default_grid(pot)
+        if cfg.k > grid.n - 2:
+            raise ConfigError(f"{path}.k: {cfg.k} exceeds the {grid.n - 2} interior grid points")
         if cfg.solver == "analytic":
             if cfg.kind == "harmonic":
                 return harmonic_eigensystem(pot.omega, cfg.k, grid)

@@ -32,6 +32,7 @@ from .errors import (
 )
 from .spectral import (
     Grid,
+    IntervalModes,
     find_nodes,
     interval_dirichlet_modes,
     nodal_intervals,
@@ -58,6 +59,10 @@ __all__ = [
 MODE_CAP = 200
 DEFICIT_TOL = 1e-6
 _IMAG_TOL = 1e-10
+# An interval whose ends lie within this many eigensolver steps of an
+# earlier interval's negated ends is that interval's mirror image; a
+# tolerance, because the node of an odd state sits within roundoff of 0.
+_MIRROR_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -359,32 +364,63 @@ def _channel_autocorrelation_modes(channel: Channel, f_fn, g_fn) -> _ChannelMode
     nodal subinterval is diagonalized independently; the per-interval
     restriction of |psi| itself is kept as the exact rate-0 mode and the
     finite-difference modes above it are orthogonalized against it.
+
+    Starting from 24 modes per interval, the count grows fourfold until
+    the truncation deficit meets DEFICIT_TOL or the per-interval share of
+    MODE_CAP is reached.  No eigenpair is computed twice: a growing count
+    solves only the modes above those already held, and under an even
+    potential an interval that mirrors an earlier one reuses its solve.
     """
     psi = channel.factor
     grid = psi.grid
     spline = CubicSpline(grid.points, psi.values)
-    nodes = find_nodes(psi)
-    intervals = nodal_intervals(grid, nodes)
+    intervals = nodal_intervals(grid, find_nodes(psi))
     per_cap = max(2, MODE_CAP // len(intervals))
-    h_target = grid.h / 2.0
+    solved: dict[int, IntervalModes] = {}
 
     n_modes = min(24, per_cap)
     while True:
-        pieces = []  # (h, weight_interior, modes_matrix, energies)
-        for a, b in intervals:
-            modes = interval_dirichlet_modes(channel.potential, a, b, h_target, n_modes)
-            w = np.abs(spline(modes.points[1:-1]))
-            pieces.append((modes.h, w, modes.values[1:-1, :], modes.energies))
-        result = _assemble_channel_modes(pieces, intervals, f_fn, g_fn)
+        pieces = _interval_modes(channel.potential, intervals, grid.h / 2.0, n_modes, solved)
+        result = _assemble_channel_modes(pieces, spline, f_fn, g_fn)
         if result.deficit <= DEFICIT_TOL or n_modes >= per_cap:
             return result
         n_modes = min(per_cap, n_modes * 4)
 
 
-def _assemble_channel_modes(pieces, intervals, f_fn, g_fn) -> _ChannelModes:
+def _interval_modes(potential, intervals, h_target, n_modes, solved) -> list[IntervalModes]:
+    """n_modes Dirichlet modes on each nodal interval, in interval order.
+
+    ``solved`` maps interval index to the modes solved so far and is
+    updated in place; they are extended rather than solved again.  Under an
+    even potential an interval whose ends mirror those of an earlier one
+    takes that interval's modes reflected.
+    """
+    tol = _MIRROR_TOL * h_target
+    pieces: list[IntervalModes] = []
+    for i, (a, b) in enumerate(intervals):
+        twin = next(
+            (
+                j for j, (aj, bj) in enumerate(intervals[:i])
+                if abs(a + bj) <= tol and abs(b + aj) <= tol
+            ),
+            None,
+        )
+        if twin is not None and potential.symmetric:
+            pieces.append(pieces[twin].mirrored())
+        else:
+            solved[i] = interval_dirichlet_modes(
+                potential, a, b, h_target, n_modes, solved.get(i)
+            )
+            pieces.append(solved[i])
+    return pieces
+
+
+def _assemble_channel_modes(pieces, spline, f_fn, g_fn) -> _ChannelModes:
+    # |psi| on each interval's interior points is that interval's rate-0 mode.
+    weights = [np.abs(spline(modes.points[1:-1])) for modes in pieces]
     # Global h-dot normalization of |psi| over the partitioned grid makes
     # the constant observable map to exactly 1.
-    total = math.fsum(h * float(w @ w) for h, w, _, _ in pieces)
+    total = math.fsum(modes.h * float(w @ w) for modes, w in zip(pieces, weights))
     scale = math.sqrt(total)
 
     rates_all: list[float] = []
@@ -394,7 +430,8 @@ def _assemble_channel_modes(pieces, intervals, f_fn, g_fn) -> _ChannelModes:
     deficit_num_g = 0.0
     norm_f = 0.0
     norm_g = 0.0
-    for (h, w_raw, mat, energies), (a, b) in zip(pieces, intervals):
+    for modes, w_raw in zip(pieces, weights):
+        h, mat, energies = modes.h, modes.values[1:-1, :], modes.energies
         w = w_raw / scale
         ground = w / math.sqrt(h * float(w @ w))
         basis = [ground]
@@ -408,7 +445,7 @@ def _assemble_channel_modes(pieces, intervals, f_fn, g_fn) -> _ChannelModes:
                 continue
             basis.append(v / nrm)
             rates.append(float(energies[j]) - e0)
-        xs_interior = np.linspace(a, b, w.size + 2)[1:-1]
+        xs_interior = modes.points[1:-1]
         wf = f_fn(xs_interior) * w
         wg = g_fn(xs_interior) * w
         norm_f += h * float(wf @ wf)
@@ -583,6 +620,7 @@ class CompareResult:
     max_abs_dev_qm_bohm: float
     max_abs_dev_qm_nelson: float | None
     nelson_warning: str | None = None
+    nelson_expansion: ModeExpansion | None = None
 
 
 def compare_theories(
@@ -603,6 +641,7 @@ def compare_theories(
     nelson = None
     warning = None
     nelson_dev = None
+    expansion = None
     equal_dev = abs(qm0 - bohm_value)
     try:
         expansion = nelson_mode_expansion(state, f, g)
@@ -632,4 +671,5 @@ def compare_theories(
         ),
         max_abs_dev_qm_nelson=nelson_dev,
         nelson_warning=warning,
+        nelson_expansion=expansion,
     )

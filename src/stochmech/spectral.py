@@ -407,6 +407,8 @@ def harmonic_eigensystem(omega: float, k: int, grid: Grid | None = None) -> Eige
     pot = HarmonicPotential(omega)
     if grid is None:
         grid = default_grid(pot)
+    if k > grid.n - 2:
+        raise ParameterError(f"k={k} too large for a grid with n={grid.n}")
     reach = 8.0 / math.sqrt(omega)
     if grid.x_min > -reach or grid.x_max < reach:
         raise ParameterError(
@@ -478,12 +480,17 @@ def _fix_sign(values: np.ndarray) -> np.ndarray:
 
 
 def _solve_interior(
-    v_diag: np.ndarray, h: float, k: int
+    v_diag: np.ndarray, h: float, k: int, first: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest k eigenpairs of the Dirichlet finite-difference operator.
+    """Eigenpairs first .. k-1, in ascending order, of the Dirichlet
+    finite-difference operator.
 
     ``v_diag`` holds potential samples at the interior points; the kinetic
     part is the standard second-order central-difference stencil.
+    Index-selected bisection and inverse iteration compute each pair on its
+    own, so pairs first .. k-1 appended to an earlier call's pairs
+    0 .. first-1 agree with one call for 0 .. k-1 within the bisection
+    tolerance eps * ||T||_1.
     """
     m = v_diag.size
     if k > m:
@@ -491,7 +498,7 @@ def _solve_interior(
     diag = 1.0 / h**2 + v_diag
     off = np.full(m - 1, -0.5 / h**2)
     try:
-        energies, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
+        energies, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(first, k - 1))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericError(f"tridiagonal eigensolver failed: {exc}") from exc
     if not np.all(np.isfinite(energies)):
@@ -592,22 +599,50 @@ class IntervalModes:
     energies: np.ndarray
     values: np.ndarray
 
+    def mirrored(self) -> "IntervalModes":
+        """The same spectrum on [-b, -a], valid when the potential is even."""
+        values = self.values[::-1].copy()
+        for i in range(self.energies.size):
+            values[:, i] = _fix_sign(values[:, i])
+        return IntervalModes(
+            -self.b, -self.a, -self.points[::-1], self.h, self.energies, values
+        )
+
 
 def interval_dirichlet_modes(
-    potential: Potential, a: float, b: float, h_target: float, n_modes: int
+    potential: Potential,
+    a: float,
+    b: float,
+    h_target: float,
+    n_modes: int,
+    solved: IntervalModes | None = None,
 ) -> IntervalModes:
-    """Solve the Dirichlet problem on [a, b] with spacing close to h_target."""
+    """Solve the Dirichlet problem on [a, b] with spacing close to h_target.
+
+    ``solved`` holds the lowest modes from an earlier call on the same
+    interval; they are kept and only the modes above them are computed.
+    """
     span = b - a
     n = max(51, int(round(span / h_target)) + 1)
     pts = np.linspace(a, b, n)
     h = pts[1] - pts[0]
-    v = potential.sample(pts)
     k = min(n_modes, n - 2)
-    energies, vecs = _solve_interior(v[1:-1], h, k)
-    full = np.zeros((n, k))
+    first = 0
+    if solved is not None:
+        if (solved.a, solved.b, solved.points.size) != (a, b, n):
+            raise ParameterError("solved modes belong to another interval")
+        first = solved.energies.size
+        if k <= first:
+            return solved
+    v = potential.sample(pts)
+    energies, vecs = _solve_interior(v[1:-1], h, k, first)
+    full = np.zeros((n, k - first))
     full[1:-1, :] = vecs / math.sqrt(h)  # unit norm under sum * h
-    for i in range(k):
+    for i in range(k - first):
         full[:, i] = _fix_sign(full[:, i])
+    if solved is not None:
+        energies = np.concatenate([solved.energies, energies])
+        full = np.hstack([solved.values, full])
     return IntervalModes(a, b, pts, float(h), energies, full)
 
 

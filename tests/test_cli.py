@@ -101,6 +101,10 @@ def test_compare_two_oscillators(tmp_path):
     assert summary["equal_time_agreement"] < 1e-6
     assert summary["max_abs_dev_qm_bohm"] > 0.1
     assert summary["max_abs_dev_qm_nelson"] > 0.1
+    # 96 modes on each half of the excited channel, 24 on the ground channel,
+    # one rate-0 product of means
+    assert summary["nelson_modes"] == 217
+    assert 0.0 < summary["nelson_truncation_tail"] < 1e-6
 
 
 def test_compare_product_state(tmp_path):
@@ -128,6 +132,9 @@ def test_compare_unsupported_nelson_partial_output(tmp_path, capsys):
     header, _ = read_rows(out)
     assert header == ["lag", "qm", "bohm"]
     assert "Nelson" in capsys.readouterr().err
+    summary = json.loads((tmp_path / "cmp.csv.summary.json").read_text())
+    assert summary["nelson_modes"] is None
+    assert summary["nelson_truncation_tail"] is None
 
 
 @pytest.fixture()
@@ -218,11 +225,13 @@ def test_nelson_mc_off_grid_lag_exit_2(tmp_path):
     assert main(["nelson-mc", "--config", cfg_path, "--out", str(tmp_path / "x.csv")]) == 2
 
 
-@pytest.mark.parametrize("field", ["system.clusters[1]", "state.terms"])
+@pytest.mark.parametrize("field", ["system.clusters[1]", "system.clusters[0].k", "state.terms"])
 def test_rejected_while_building_exit_2(tmp_path, capsys, field):
     cfg = two_oscillator_config()
     if field == "state.terms":
         cfg["state"]["terms"][0]["indices"] = [0, 5]  # only 2 states solved
+    elif field == "system.clusters[0].k":  # more states than the 2000-point grid holds
+        cfg["system"]["clusters"][0]["k"] = 10**6
     else:  # narrower than the +/-8 sigma a harmonic grid needs
         cfg["system"]["clusters"][1]["grid"] = {"x_min": -5.0, "x_max": 5.0, "n": 1001}
     cfg_path = write_config(tmp_path, cfg)
@@ -276,6 +285,30 @@ def test_nelson_mc_lag_outside_horizon_exit_2(tmp_path, capsys, lag):
     cfg_path = write_config(tmp_path, cfg)
     assert main(["nelson-mc", "--config", cfg_path, "--out", str(tmp_path / "x.csv")]) == 2
     assert "lags:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["lags", "mc.horizon"])
+def test_nelson_mc_step_count_overflow_exit_2(tmp_path, capsys, field):
+    # 1e308 / dt overflows to inf
+    cfg = two_oscillator_config(
+        lags=[1e308 if field == "lags" else 0.25],
+        mc={"n_paths": 100, "dt": 1e-3, "seed": 1, "epsilon": 1e-3,
+            "horizon": 1e308 if field == "mc.horizon" else 0.5},
+    )
+    cfg_path = write_config(tmp_path, cfg)
+    assert main(["nelson-mc", "--config", cfg_path, "--out", str(tmp_path / "x.csv")]) == 2
+    assert f"{field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["compare", "nelson-mc"])
+def test_zero_coefficient_exit_2(tmp_path, capsys, command):
+    cfg = two_oscillator_config(
+        mc={"n_paths": 100, "dt": 1e-3, "seed": 1, "epsilon": 1e-3, "horizon": 6.5},
+    )
+    cfg["state"]["terms"][1]["coefficient"] = 0.0
+    cfg_path = write_config(tmp_path, cfg)
+    assert main([command, "--config", cfg_path, "--out", str(tmp_path / "x.csv")]) == 2
+    assert "state.terms[1].coefficient:" in capsys.readouterr().err
 
 
 def test_numeric_error_exit_3(tmp_path, capsys, monkeypatch):

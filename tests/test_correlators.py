@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
+from scipy.interpolate import CubicSpline
 
 from stochmech import (
     CompatibilityError,
@@ -25,7 +26,16 @@ from stochmech import (
     qm_two_time_series,
     quadrature,
 )
-from stochmech import correlators
+from stochmech import correlators, spectral
+from stochmech.channels import Channel
+from stochmech.spectral import (
+    Grid,
+    HarmonicPotential,
+    TabulatedPotential,
+    find_nodes,
+    interval_dirichlet_modes,
+    nodal_intervals,
+)
 from stochmech.states import marginal_density
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -309,6 +319,88 @@ def test_rotated_same_cluster_equal_time_second_moment(two_oscillator_state, har
     assert second == pytest.approx(1.0, abs=1e-12)
     assert exp.truncation_tail < 1e-6
     assert abs(float(exp(0.0)) - second) <= exp.truncation_tail * second
+
+
+@pytest.fixture()
+def interval_solves(monkeypatch):
+    """The (a, b) of every interval eigensolve the Nelson expansion makes."""
+    calls = []
+
+    def record(potential, a, b, *args, **kwargs):
+        calls.append((a, b))
+        return interval_dirichlet_modes(potential, a, b, *args, **kwargs)
+
+    monkeypatch.setattr(correlators, "interval_dirichlet_modes", record)
+    return calls
+
+
+def test_mirrored_interval_matches_direct_solve(harmonic_es, interval_solves):
+    psi = harmonic_es.eigenfunctions[1]
+    grid = psi.grid
+    intervals = nodal_intervals(grid, find_nodes(psi))
+    assert len(intervals) == 2
+    h_target = grid.h / 2.0
+    pot = HarmonicPotential(1.0)
+    left, right = correlators._interval_modes(pot, intervals, h_target, 24, {})
+    assert interval_solves == [intervals[0]]
+    direct = interval_dirichlet_modes(pot, *intervals[1], h_target, 24)
+    # the right half carries its own points, so |psi| weighs it as a direct solve does
+    assert right.points.shape == direct.points.shape
+    assert np.max(np.abs(right.points - direct.points)) < 1e-12
+    assert right.h == pytest.approx(direct.h, rel=1e-12)
+    spline = CubicSpline(grid.points, psi.values)
+    assert np.max(np.abs(spline(right.points) - spline(direct.points))) < 1e-12
+    f, g = Observable("position", 0), Observable("indicator", 0, a=0.5, b=2.0)
+    mirrored = correlators._assemble_channel_modes([right], spline, f, g)
+    solved = correlators._assemble_channel_modes([direct], spline, f, g)
+    assert mirrored.rates.shape == solved.rates.shape
+    # two bisection runs place each energy within eps * ||T||_1 of the exact
+    # matrix eigenvalue, so a rate (a difference of two) agrees within 4x that
+    norm1 = 2.0 / direct.h**2 + float(np.max(pot.sample(direct.points)))
+    assert np.max(np.abs(mirrored.rates - solved.rates)) <= 4 * np.finfo(float).eps * norm1
+    assert np.max(np.abs(mirrored.f_overlaps - solved.f_overlaps)) < 1e-10
+    assert np.max(np.abs(mirrored.g_overlaps - solved.g_overlaps)) < 1e-10
+    assert mirrored.deficit == pytest.approx(solved.deficit, abs=1e-12)
+
+
+def test_intervals_without_mirror_are_all_solved(interval_solves):
+    # an uneven potential: mirrored interval ends alone are not enough
+    grid = Grid(-5.0, 5.0, 2001)
+    tilted = TabulatedPotential(grid, 0.5 * grid.points**2 + 0.05 * grid.points**3)
+    halves = [(-5.0, 0.0), (0.0, 5.0)]
+    pieces = correlators._interval_modes(tilted, halves, grid.h / 2.0, 24, {})
+    assert interval_solves == halves
+    direct = interval_dirichlet_modes(tilted, 0.0, 5.0, grid.h / 2.0, 24)
+    assert np.array_equal(pieces[1].energies, direct.energies)
+    # an even potential with the node off the grid's centre
+    interval_solves.clear()
+    es = harmonic_eigensystem(1.0, 2, Grid(-9.0, 11.0, 4001))
+    channel = Channel(HarmonicPotential(1.0), es, 1)
+    intervals = nodal_intervals(es.grid, find_nodes(es.eigenfunctions[1]))
+    f = Observable("position", 0)
+    correlators._channel_autocorrelation_modes(channel, f, f)
+    assert set(interval_solves) == set(intervals)
+    assert len(interval_solves) % len(intervals) == 0
+
+
+def test_escalation_extends_each_interval_once(harmonic_es, interval_solves, monkeypatch):
+    # psi_3: four nodal intervals, the right two mirroring the left two; the
+    # position observable needs a second round of modes
+    solve = spectral._solve_interior
+    index_ranges = []
+
+    def record(v_diag, h, k, first=0):
+        index_ranges.append((first, k))
+        return solve(v_diag, h, k, first)
+
+    monkeypatch.setattr(spectral, "_solve_interior", record)
+    channel = Channel(HarmonicPotential(1.0), harmonic_es, 3)
+    intervals = nodal_intervals(harmonic_es.grid, find_nodes(harmonic_es.eigenfunctions[3]))
+    f = Observable("position", 0)
+    cm = correlators._channel_autocorrelation_modes(channel, f, f)
+    assert interval_solves == intervals[:2] * 2
+    assert index_ranges == [(0, 24), (0, 24), (24, 50), (24, 50)]
+    assert cm.rates.size == correlators.MODE_CAP  # 4 intervals x MODE_CAP // 4 modes
 
 
 # --------------------------------------------------------------------------

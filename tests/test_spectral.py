@@ -23,7 +23,7 @@ from stochmech import (
     quadrature,
     solve_eigensystem,
 )
-from stochmech.spectral import simpson_weights
+from stochmech.spectral import interval_dirichlet_modes, simpson_weights
 
 
 # --------------------------------------------------------------------------
@@ -120,6 +120,8 @@ def test_harmonic_grid_preconditions():
         harmonic_eigensystem(1.0, 2, Grid(-5.0, 5.0, 500))
     with pytest.raises(DomainTruncationError):
         harmonic_eigensystem(1.0, 40, Grid(-8.05, 8.05, 1700))
+    with pytest.raises(ParameterError, match="too large"):  # before allocating k rows
+        harmonic_eigensystem(1.0, 10**6, Grid(-10.0, 10.0, 2000))
 
 
 def test_box_energies_and_values(box_es):
@@ -270,6 +272,26 @@ def test_dirichlet_merges_nodal_intervals(harmonic_es):
         assert min(dists) < 1e-4
         matched.append(int(np.argmin(dists)))
     assert sorted(matched) == [0, 1, 2]
+
+
+def test_interval_modes_extend_earlier_solve():
+    # the unit oscillator's left half at the channel grid's eigensolver step
+    pot = HarmonicPotential(1.0)
+    a, b, h_target = -10.0, 0.0, 0.0025
+    first = interval_dirichlet_modes(pot, a, b, h_target, 24)
+    extended = interval_dirichlet_modes(pot, a, b, h_target, 96, solved=first)
+    one_shot = interval_dirichlet_modes(pot, a, b, h_target, 96)
+    assert np.array_equal(extended.energies[:24], first.energies)
+    assert np.array_equal(extended.values[:, :24], first.values)
+    # bisection places each energy within eps * ||T||_1 of its own run
+    norm1 = 2.0 / one_shot.h**2 + float(np.max(pot.sample(one_shot.points)))
+    dev = np.max(np.abs(extended.energies - one_shot.energies))
+    assert dev <= np.finfo(float).eps * norm1
+    assert np.max(np.abs(extended.values - one_shot.values)) < 1e-10
+    # nothing left to solve hands the earlier modes back
+    assert interval_dirichlet_modes(pot, a, b, h_target, 24, solved=first) is first
+    with pytest.raises(ParameterError, match="another interval"):
+        interval_dirichlet_modes(pot, 0.0, 10.0, h_target, 96, solved=first)
 
 
 def test_dirichlet_rejects_unstable_sign_pattern():
