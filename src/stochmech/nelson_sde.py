@@ -395,7 +395,8 @@ def simulate_ensemble(
     drift increments are clamped at 10 sqrt(dt) and the clamp rate is a
     diagnostic (error above 1%: shrink dt or grow epsilon).  Positions are
     stored at t = 0 and at each of ``times``, each a whole number of steps;
-    the last of them is the horizon.
+    the last of them is the horizon.  Node crossings are counted at the
+    poles of each DriftChannel; a channel given as a bare callable has none.
     """
     if not dt > 0.0:
         raise ParameterError("dt must be positive")
@@ -419,7 +420,7 @@ def simulate_ensemble(
     t_grid = np.array(steps) * dt
     sqrt_dt = math.sqrt(dt)
     clamp = CLAMP_SIGMAS * sqrt_dt
-    node_lists = [np.array(find_nodes(ch.factor)) for ch in dec.channels]
+    node_lists = [np.array(getattr(ch, "poles", ())) for ch in drift.channels]
 
     positions = np.empty((n_paths, len(steps), n_ch))
     clamped = 0

@@ -44,6 +44,8 @@ __all__ = [
     "box_eigensystem",
     "solve_eigensystem",
     "find_nodes",
+    "nodal_intervals",
+    "nodal_interval_modes",
     "dirichlet_restricted_eigensystem",
     "default_grid",
 ]
@@ -59,6 +61,10 @@ _NORM_TOL = 1e-8
 _PARITY_TOL = 1e-10
 _DEAD_TOL = 1e-9  # samples below this fraction of max|f| count as zero
 _SIGN_SCALE = 1e-12
+# An interval whose ends lie within this many eigensolver steps of an
+# earlier interval's negated ends is that interval's mirror image; a
+# tolerance, because the node of an odd state sits within roundoff of 0.
+_MIRROR_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -646,9 +652,43 @@ def interval_dirichlet_modes(
     return IntervalModes(a, b, pts, float(h), energies, full)
 
 
-def nodal_intervals(grid: Grid, nodes: Sequence[float]) -> list[tuple[float, float]]:
-    edges = [grid.x_min] + list(nodes) + [grid.x_max]
+def nodal_intervals(psi: Wavefunction) -> list[tuple[float, float]]:
+    """The grid of psi split at its nodes, one piece when it has none.
+
+    Raises NodeDetectionError unless each piece carries one clean sign.
+    """
+    nodes = find_nodes(psi)
+    _check_sign_stability(psi, nodes)
+    edges = [psi.grid.x_min] + nodes + [psi.grid.x_max]
     return list(zip(edges[:-1], edges[1:]))
+
+
+def nodal_interval_modes(potential, intervals, h_target, n_modes, solved) -> list[IntervalModes]:
+    """n_modes Dirichlet modes on each nodal interval, in interval order.
+
+    ``solved`` maps interval index to the modes solved so far and is
+    updated in place; they are extended rather than solved again.  Under an
+    even potential an interval whose ends mirror those of an earlier one
+    takes that interval's modes reflected, and is left out of ``solved``.
+    """
+    tol = _MIRROR_TOL * h_target
+    pieces: list[IntervalModes] = []
+    for i, (a, b) in enumerate(intervals):
+        twin = next(
+            (
+                j for j, (aj, bj) in enumerate(intervals[:i])
+                if abs(a + bj) <= tol and abs(b + aj) <= tol
+            ),
+            None,
+        )
+        if twin is not None and potential.symmetric:
+            pieces.append(pieces[twin].mirrored())
+        else:
+            solved[i] = interval_dirichlet_modes(
+                potential, a, b, h_target, n_modes, solved.get(i)
+            )
+            pieces.append(solved[i])
+    return pieces
 
 
 def _resample_to_grid(modes: IntervalModes, col: int, grid: Grid) -> np.ndarray:
@@ -668,67 +708,50 @@ def dirichlet_restricted_eigensystem(
     """Spectrum of the operator restricted by Dirichlet conditions at the
     nodes of ``state``.
 
-    Each nodal subinterval is solved independently with Dirichlet
-    conditions at its ends and the spectra are merged in increasing
-    order.  For a symmetric potential with a single central node the
-    eigenfunctions are exposed as even/odd continuations of the half-line
-    solutions (even first within each degenerate pair), which is the
-    basis needed to expand even functions of the coordinate.
+    The nodal intervals are solved by nodal_interval_modes, as in the
+    Nelson expansion, and their spectra are merged in increasing order.
+    Each interval contributes its own localized modes, except that on a
+    symmetric grid an interval whose mirror twin meets it at the central
+    node contributes the even and odd combinations v + v[::-1] and
+    v - v[::-1] of its modes v (even first within each degenerate pair),
+    the basis needed to expand even functions of the coordinate.  A
+    nodeless state gives the finite-difference spectrum on the grid.
     """
     if k < 1:
         raise ParameterError("k must be at least 1")
-    nodes = find_nodes(state)
+    intervals = nodal_intervals(state)
+    nodes = tuple(b for _, b in intervals[:-1])
     if not nodes:
         es = solve_eigensystem(potential, grid, k)
         return EigenSystem(
             grid, es.energies, es.eigenfunctions,
             boundary="dirichlet_at_nodes", nodes=(), potential=potential,
         )
-    _check_sign_stability(state, nodes)
-    h_target = grid.h / 2.0
-    symmetric_single = (
-        len(nodes) == 1
-        and grid.symmetric
-        and abs(nodes[0]) < 2.0 * grid.h
-        and getattr(potential, "symmetric", False)
+    solved: dict[int, IntervalModes] = {}
+    pieces = nodal_interval_modes(potential, intervals, grid.h / 2.0, k, solved)
+    # index of the reflected interval that meets its twin at the central node
+    central = next(
+        (i for i in range(1, len(pieces)) if grid.symmetric and i not in solved
+         and (pieces[i].a, pieces[i].b) == (-pieces[i - 1].b, -pieces[i - 1].a)),
+        None,
     )
-    if symmetric_single:
-        z = nodes[0]
-        half = interval_dirichlet_modes(potential, z, grid.x_max, h_target, (k + 1) // 2)
-        spline_cols = [CubicSpline(half.points, half.values[:, j]) for j in range(half.energies.size)]
-        x = grid.points
-        funcs: list[Wavefunction] = []
-        energies: list[float] = []
-        right = x >= z
-        for j in range(half.energies.size):
-            vals_r = np.zeros(grid.n)
-            vals_r[right] = spline_cols[j](x[right])
-            vals_r[x > half.b] = 0.0
-            mirrored = np.zeros(grid.n)
-            mirrored[~right] = spline_cols[j](2.0 * z - x[~right])
-            even = vals_r + mirrored
-            odd = vals_r - mirrored
-            parity_even = "even" if abs(z) < 1e-12 else None
-            parity_odd = "odd" if abs(z) < 1e-12 else None
-            for vals, par in ((even, parity_even), (odd, parity_odd)):
-                if len(energies) >= k:
-                    break
-                energies.append(float(half.energies[j]))
-                funcs.append(Wavefunction.normalized(grid, vals, parity=par))
-        return EigenSystem(
-            grid, tuple(energies), tuple(funcs),
-            boundary="dirichlet_at_nodes", nodes=tuple(nodes), potential=potential,
-        )
-    merged: list[tuple[float, int, np.ndarray]] = []
-    for iv, (a, b) in enumerate(nodal_intervals(grid, nodes)):
-        modes = interval_dirichlet_modes(potential, a, b, h_target, k)
-        for j in range(modes.energies.size):
-            merged.append((float(modes.energies[j]), iv, _resample_to_grid(modes, j, grid)))
-    merged.sort(key=lambda item: (item[0], item[1]))
-    merged = merged[:k]
-    energies = [e for e, _, _ in merged]
-    funcs = [Wavefunction.normalized(grid, vals) for _, _, vals in merged]
+    merged: list[tuple[float, np.ndarray, str | None]] = []
+    for iv, modes in enumerate(pieces):
+        if iv == central:
+            continue
+        for j, energy in enumerate(modes.energies):
+            v = _resample_to_grid(modes, j, grid)
+            if iv + 1 == central:
+                merged.append((energy, _fix_sign(v + v[::-1]), "even"))
+                merged.append((energy, _fix_sign(v - v[::-1]), "odd"))
+            else:
+                merged.append((energy, v, None))
+    # stable: equal energies keep interval order, and even before odd
+    merged.sort(key=lambda item: item[0])
+    del merged[k:]
     return EigenSystem(
-        grid, tuple(energies), tuple(funcs),
-        boundary="dirichlet_at_nodes", nodes=tuple(nodes), potential=potential,
+        grid,
+        tuple(float(e) for e, _, _ in merged),
+        tuple(Wavefunction.normalized(grid, v, parity) for _, v, parity in merged),
+        boundary="dirichlet_at_nodes", nodes=nodes, potential=potential,
     )

@@ -7,7 +7,12 @@ import pytest
 from stochmech import cli, nelson_sde
 from stochmech.errors import NumericError
 from stochmech.cli import main
-from stochmech.serialize import chsh_report_from_dict, chsh_report_to_dict, series_from_dict
+from stochmech.serialize import (
+    chsh_report_from_dict,
+    chsh_report_to_dict,
+    series_from_dict,
+    series_to_dict,
+)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -300,6 +305,34 @@ def test_nelson_mc_step_count_overflow_exit_2(tmp_path, capsys, field):
     assert f"{field}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, field",
+    [("nelson-mc", "lags"), ("nelson-mc", "mc.horizon"), ("eps-study", "eps_study.lag")],
+)
+def test_step_count_above_cap_exit_2(tmp_path, capsys, command, field):
+    # finite, but more than MAX_STEPS steps of dt: rejected before any stepping
+    huge = 1e300
+    cfg = two_oscillator_config(
+        lags=[huge if field == "lags" else 0.25],
+        mc={"n_paths": 4, "dt": 1e-3, "seed": 1, "epsilon": 1e-3,
+            "horizon": huge if field == "mc.horizon" else 0.5},
+        eps_study={"epsilons": [0.1], "lag": huge if field == "eps_study.lag" else 0.25},
+    )
+    cfg_path = write_config(tmp_path, cfg)
+    assert main([command, "--config", cfg_path, "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"{field}: 1e+300 is more than {cli.MAX_STEPS} steps of mc.dt" in err
+
+
+@pytest.mark.parametrize("command", ["qm-corr", "compare", "nelson-mc", "eps-study", "eigen"])
+def test_json_format_for_csv_command_exit_2(tmp_path, capsys, command):
+    cfg_path = write_config(tmp_path, two_oscillator_config(output={"format": "json"}))
+    out = tmp_path / "x.json"
+    assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
+    assert f"output.format: {command} writes CSV only" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["compare", "nelson-mc"])
 def test_zero_coefficient_exit_2(tmp_path, capsys, command):
     cfg = two_oscillator_config(
@@ -441,3 +474,7 @@ def test_series_json_round_trip():
     series = series_from_dict(raw)
     assert series.method == "qm"
     assert series.values == (0.5, 0.2)
+    assert series_to_dict(series) == raw
+    mc = {"method": "nelson_mc", "lags": [0.5], "values": [0.3], "stderr": [0.01]}
+    assert series_to_dict(series_from_dict(mc)) == mc
+    assert json.loads(json.dumps(series_to_dict(series))) == raw

@@ -10,10 +10,13 @@ from scipy.interpolate import CubicSpline
 from stochmech import (
     CompatibilityError,
     CorrelationSeries,
+    EigenSystem,
+    NodeDetectionError,
     Observable,
     ParameterError,
     SingularPointError,
     UnsupportedStateError,
+    Wavefunction,
     bohm_multitime_correlation,
     bohm_velocity_field,
     build_composite_state,
@@ -32,7 +35,6 @@ from stochmech.spectral import (
     Grid,
     HarmonicPotential,
     TabulatedPotential,
-    find_nodes,
     interval_dirichlet_modes,
     nodal_intervals,
 )
@@ -330,18 +332,18 @@ def interval_solves(monkeypatch):
         calls.append((a, b))
         return interval_dirichlet_modes(potential, a, b, *args, **kwargs)
 
-    monkeypatch.setattr(correlators, "interval_dirichlet_modes", record)
+    monkeypatch.setattr(spectral, "interval_dirichlet_modes", record)
     return calls
 
 
 def test_mirrored_interval_matches_direct_solve(harmonic_es, interval_solves):
     psi = harmonic_es.eigenfunctions[1]
     grid = psi.grid
-    intervals = nodal_intervals(grid, find_nodes(psi))
+    intervals = nodal_intervals(psi)
     assert len(intervals) == 2
     h_target = grid.h / 2.0
     pot = HarmonicPotential(1.0)
-    left, right = correlators._interval_modes(pot, intervals, h_target, 24, {})
+    left, right = spectral.nodal_interval_modes(pot, intervals, h_target, 24, {})
     assert interval_solves == [intervals[0]]
     direct = interval_dirichlet_modes(pot, *intervals[1], h_target, 24)
     # the right half carries its own points, so |psi| weighs it as a direct solve does
@@ -368,7 +370,7 @@ def test_intervals_without_mirror_are_all_solved(interval_solves):
     grid = Grid(-5.0, 5.0, 2001)
     tilted = TabulatedPotential(grid, 0.5 * grid.points**2 + 0.05 * grid.points**3)
     halves = [(-5.0, 0.0), (0.0, 5.0)]
-    pieces = correlators._interval_modes(tilted, halves, grid.h / 2.0, 24, {})
+    pieces = spectral.nodal_interval_modes(tilted, halves, grid.h / 2.0, 24, {})
     assert interval_solves == halves
     direct = interval_dirichlet_modes(tilted, 0.0, 5.0, grid.h / 2.0, 24)
     assert np.array_equal(pieces[1].energies, direct.energies)
@@ -376,7 +378,7 @@ def test_intervals_without_mirror_are_all_solved(interval_solves):
     interval_solves.clear()
     es = harmonic_eigensystem(1.0, 2, Grid(-9.0, 11.0, 4001))
     channel = Channel(HarmonicPotential(1.0), es, 1)
-    intervals = nodal_intervals(es.grid, find_nodes(es.eigenfunctions[1]))
+    intervals = nodal_intervals(es.eigenfunctions[1])
     f = Observable("position", 0)
     correlators._channel_autocorrelation_modes(channel, f, f)
     assert set(interval_solves) == set(intervals)
@@ -395,12 +397,27 @@ def test_escalation_extends_each_interval_once(harmonic_es, interval_solves, mon
 
     monkeypatch.setattr(spectral, "_solve_interior", record)
     channel = Channel(HarmonicPotential(1.0), harmonic_es, 3)
-    intervals = nodal_intervals(harmonic_es.grid, find_nodes(harmonic_es.eigenfunctions[3]))
+    intervals = nodal_intervals(harmonic_es.eigenfunctions[3])
     f = Observable("position", 0)
     cm = correlators._channel_autocorrelation_modes(channel, f, f)
     assert interval_solves == intervals[:2] * 2
     assert index_ranges == [(0, 24), (0, 24), (24, 50), (24, 50)]
     assert cm.rates.size == correlators.MODE_CAP  # 4 intervals x MODE_CAP // 4 modes
+
+
+def test_nelson_expansion_rejects_unstable_sign_pattern():
+    # sign-fluctuating noise just above the dead threshold around the centre:
+    # the factor has no clean nodal intervals for the Dirichlet map
+    g = Grid(-1.0, 1.0, 401)
+    vals = np.exp(-8.0 * g.points**2)
+    band = np.abs(g.points) < 0.2
+    vals[band] = 5e-9 * (-1.0) ** np.arange(int(np.count_nonzero(band)))
+    pot = TabulatedPotential(g, np.zeros(g.n))
+    es = EigenSystem(g, (0.0,), (Wavefunction.normalized(g, vals),), potential=pot)
+    state = build_composite_state([es], [(1.0, (0,))])
+    f = Observable("position", 0)
+    with pytest.raises(NodeDetectionError):
+        nelson_mode_expansion(state, f, f)
 
 
 # --------------------------------------------------------------------------

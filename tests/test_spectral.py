@@ -274,6 +274,33 @@ def test_dirichlet_merges_nodal_intervals(harmonic_es):
     assert sorted(matched) == [0, 1, 2]
 
 
+def test_dirichlet_pairs_only_the_central_intervals(harmonic_es):
+    # psi_3 has nodes at 0 and +-sqrt(3/2); its four levels sit at 3.5.  The
+    # two intervals meeting at 0 mirror each other and give an even/odd
+    # pair; each outer interval keeps its own localized mode.
+    grid = harmonic_es.grid
+    dr = dirichlet_restricted_eigensystem(
+        HarmonicPotential(1.0), harmonic_es.eigenfunctions[3], grid, 4
+    )
+    assert len(dr.nodes) == 3
+    for e in dr.energies:
+        assert e == pytest.approx(3.5, abs=1e-3)
+    parities = [f.parity for f in dr.eigenfunctions]
+    central = [i for i, p in enumerate(parities) if p is not None]
+    assert [parities[i] for i in central] == ["even", "odd"]
+    assert central[1] == central[0] + 1
+    inner = np.abs(grid.points) < dr.nodes[2]
+    left, right = grid.points < dr.nodes[0], grid.points > dr.nodes[2]
+    for i, f in enumerate(dr.eigenfunctions):
+        if i in central:
+            assert np.all(f.values[~inner] == 0.0)
+            continue
+        # localized: supported on one outer interval, zero on the other
+        support = [bool(np.any(f.values[side] != 0.0)) for side in (left, right)]
+        assert sorted(support) == [False, True]
+        assert np.all(f.values[inner] == 0.0)
+
+
 def test_interval_modes_extend_earlier_solve():
     # the unit oscillator's left half at the channel grid's eigensolver step
     pot = HarmonicPotential(1.0)
