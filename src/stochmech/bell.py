@@ -23,7 +23,7 @@ from scipy.optimize import nnls
 
 from .correlators import Observable
 from .errors import NumericError, ParameterError
-from .spectral import EigenSystem, quadrature
+from .spectral import EigenSystem, Grid
 
 __all__ = [
     "ClassicalModel",
@@ -31,6 +31,7 @@ __all__ = [
     "RealizabilityResult",
     "ArrangementDistribution",
     "alpha",
+    "check_observable",
     "paper_times",
     "chsh_correlations",
     "chsh_value",
@@ -95,32 +96,49 @@ class ClassicalModel:
         )
 
 
+OBSERVABLE_KINDS = ("sign", "tabulated")  # the odd two-valued kinds alpha reads
+
+
+def check_observable(f: Observable, grid: Grid) -> np.ndarray:
+    """f on grid, once f passes alpha's rule: sign, or tabulated, odd and |f| <= 1."""
+    if f.kind not in OBSERVABLE_KINDS:
+        raise ParameterError("alpha needs an odd observable (sign or odd tabulated)")
+    if not f.is_bounded:
+        raise ParameterError("alpha needs a bounded observable (|f| <= 1)")
+    fvals = f(grid.points)
+    odd_dev = float(np.max(np.abs(fvals + fvals[::-1])))
+    if f.kind == "tabulated" and odd_dev > 1e-8:
+        raise ParameterError(f"tabulated observable not odd (dev {odd_dev:.2e})")
+    return fvals
+
+
+def _elements(es: EigenSystem, f: Observable) -> list[float]:
+    """<0|f|0>, <1|f|1> and <0|f|1> under the checks alpha documents."""
+    if es.k < 2:
+        raise ParameterError("need at least two eigenstates")
+    psi0, psi1 = es.eigenfunctions[:2]
+    _require_parity(psi0, "even")
+    _require_parity(psi1, "odd")
+    fvals = check_observable(f, es.grid)
+    w = es.grid.simpson
+    if es.grid.symmetric:  # mirrored weights cancel odd integrands for either parity of n
+        w = 0.5 * (w + w[::-1])
+    pairs = ((psi0, psi0), (psi1, psi1), (psi0, psi1))
+    elements = [float(w @ (a.values * fvals * b.values)) for a, b in pairs]
+    for diag in elements[:2]:
+        if abs(diag) > 1e-8:
+            raise ParameterError(f"diagonal element {diag:.2e} does not vanish")
+    return elements
+
+
 def alpha(es: EigenSystem, f: Observable) -> float:
     """Off-diagonal element of f between the even ground and odd first state.
 
-    Requires the parity pattern (even, odd) and an odd bounded observable;
-    also verifies that both diagonal elements vanish, which is what makes
-    the pair behave like a spin with zero marginals.
+    Requires the parity pattern (even, odd) and an odd bounded observable
+    (check_observable); also verifies that both diagonal elements vanish,
+    which is what makes the pair behave like a spin with zero marginals.
     """
-    if es.k < 2:
-        raise ParameterError("need at least two eigenstates")
-    psi0, psi1 = es.eigenfunctions[0], es.eigenfunctions[1]
-    _require_parity(psi0, "even")
-    _require_parity(psi1, "odd")
-    fvals = f(es.grid.points)
-    if f.kind == "position" or not f.is_bounded:
-        raise ParameterError("alpha needs a bounded observable (|f| <= 1)")
-    if f.kind not in ("sign", "tabulated"):
-        raise ParameterError("alpha needs an odd observable (sign or odd tabulated)")
-    if f.kind == "tabulated":
-        odd_dev = float(np.max(np.abs(fvals + fvals[::-1])))
-        if odd_dev > 1e-8:
-            raise ParameterError(f"tabulated observable not odd (dev {odd_dev:.2e})")
-    for psi in (psi0, psi1):
-        diag = quadrature(psi.values * fvals, psi.values, grid=es.grid)
-        if abs(diag) > 1e-8:
-            raise ParameterError(f"diagonal element {diag:.2e} does not vanish")
-    return quadrature(psi0.values * fvals, psi1.values, grid=es.grid)
+    return _elements(es, f)[2]
 
 
 def _require_parity(psi, parity: str) -> None:
@@ -341,11 +359,8 @@ def run_chsh(
         raise ParameterError("level splitting must be positive")
     if times is None:
         times = paper_times(omega)
-    a = alpha(es, f)
+    diag0, diag1, a = _elements(es, f)
     E = chsh_correlations(a, omega, times)
-    fvals = f(es.grid.points)
-    diag0 = quadrature(es.eigenfunctions[0].values * fvals, es.eigenfunctions[0].values, grid=es.grid)
-    diag1 = quadrature(es.eigenfunctions[1].values * fvals, es.eigenfunctions[1].values, grid=es.grid)
     marginal = 0.5 * (diag0 + diag1)
     marginals = (marginal, marginal, marginal, marginal)
     S = chsh_value(E)

@@ -26,13 +26,13 @@ from . import bell, nelson_sde, serialize
 from .config import RunConfig, build_cluster, build_observable, build_state, load_config
 from .correlators import compare_theories, qm_two_time_series
 from .errors import ConfigError, ParameterError, RegularizationError, StepSizeError, StochMechError
+from .nelson_sde import MAX_STEPS  # noqa: F401  (kept importable as cli.MAX_STEPS)
 from .states import CompositeState
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_DIAGNOSTIC = 4
-MAX_STEPS = 10**8  # most mc.dt steps a lag, horizon or study lag may span
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,7 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--out", default=None, help="output path (overrides config)")
-        p.add_argument("--seed", type=int, default=None, help="override the MC seed")
+        if name in ("nelson-mc", "eps-study"):
+            p.add_argument("--seed", type=int, default=None, help="override the MC seed")
         if name == "eigen":
             p.add_argument("--cluster", type=int, default=0, help="cluster to export")
         if name == "nelson-mc":
@@ -75,14 +76,20 @@ def _resolve_out(cfg: RunConfig, args) -> Path:
 
 
 def _two_observables(cfg: RunConfig, state: CompositeState):
-    systems = [c for c in state.clusters]
     if not cfg.observables:
         raise ConfigError("observables: at least one observable is required")
-    f = build_observable(cfg.observables[0], systems, 0, "observables[0]")
+    f = build_observable(cfg.observables[0], state.clusters, 0, "observables[0]")
     if len(cfg.observables) >= 2:
-        g = build_observable(cfg.observables[1], systems, 1, "observables[1]")
+        g = build_observable(cfg.observables[1], state.clusters, 1, "observables[1]")
     else:
         g = f
+    return f, g
+
+
+def _qm_observables(cfg: RunConfig, state: CompositeState):
+    f, g = _two_observables(cfg, state)
+    if f.cluster == g.cluster:  # one cluster's positions at two times do not commute
+        raise ConfigError(f"observables: both address cluster {f.cluster}; need two clusters")
     return f, g
 
 
@@ -95,7 +102,7 @@ def _require_lags(cfg: RunConfig):
 def cmd_qm_corr(cfg: RunConfig, args) -> int:
     out = _resolve_out(cfg, args)
     state = build_state(cfg)
-    f, g = _two_observables(cfg, state)
+    f, g = _qm_observables(cfg, state)
     lags = _require_lags(cfg)
     series, _ = qm_two_time_series(state, f, g, lags)
     serialize.write_csv(
@@ -109,7 +116,7 @@ def cmd_qm_corr(cfg: RunConfig, args) -> int:
 def cmd_compare(cfg: RunConfig, args) -> int:
     out = _resolve_out(cfg, args)
     state = build_state(cfg)
-    f, g = _two_observables(cfg, state)
+    f, g = _qm_observables(cfg, state)
     lags = _require_lags(cfg)
     result = compare_theories(state, f, g, lags)
     if result.nelson is None:
@@ -154,13 +161,10 @@ def _mc_plan(cfg: RunConfig, args):
 
 
 def _n_steps(value: float, dt: float, path: str) -> int:
-    steps = value / dt
-    if not steps <= MAX_STEPS:  # also catches an overflow to inf
-        raise ConfigError(f"{path}: {value} is more than {MAX_STEPS} steps of mc.dt={dt}")
-    k = round(steps)
-    if abs(k * dt - value) > 1e-9 * max(1.0, value):
-        raise ConfigError(f"{path}: {value} is not a multiple of mc.dt={dt}")
-    return int(k)
+    try:
+        return nelson_sde.step_count(value, dt, "mc.dt")
+    except ParameterError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _checked_drift(state: CompositeState, epsilon: float, path: str):
@@ -212,11 +216,15 @@ def cmd_chsh(cfg: RunConfig, args) -> int:
     if es.k < 2:
         raise ConfigError("system.clusters[0].k: chsh needs at least 2 eigenstates")
     obs_raw = cfg.chsh_observable or {"kind": "sign"}
-    if obs_raw["kind"] not in ("sign", "tabulated"):
+    if obs_raw["kind"] not in bell.OBSERVABLE_KINDS:
         raise ConfigError(
             f"chsh.observable.kind: must be 'sign' or 'tabulated', got {obs_raw['kind']!r}"
         )
     f = build_observable(obs_raw, [es], 0, "chsh.observable")
+    try:
+        bell.check_observable(f, es.grid)
+    except ParameterError as exc:
+        raise ConfigError(f"chsh.observable: {exc}") from exc
     report = bell.run_chsh(es, f, cfg.chsh_times)
     if cfg.output_format == "csv":
         serialize.write_csv(

@@ -37,6 +37,7 @@ from .spectral import (
     Grid,
     HarmonicPotential,
     InfiniteWellPotential,
+    Potential,
     TabulatedPotential,
     box_eigensystem,
     default_grid,
@@ -46,6 +47,8 @@ from .spectral import (
 from .states import CompositeState, build_composite_state
 
 __all__ = ["RunConfig", "load_config", "parse_config"]
+
+MAX_LAGS = 10**6  # most lags a start/stop/step object may expand to
 
 
 def _need(mapping: dict, key: str, path: str):
@@ -70,13 +73,27 @@ def _as_int(value, path: str) -> int:
     return value
 
 
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: must be an object")
+    return value
+
+
+def _number(raw: dict, key: str, path: str) -> float:
+    return _as_float(_need(raw, key, path), f"{path}.{key}")
+
+
+def _numbers(values, n: int, path: str) -> list[float]:
+    if not isinstance(values, list) or len(values) != n:
+        raise ConfigError(f"{path}: expected a list of {n} numbers")
+    return [_as_float(v, f"{path}[{i}]") for i, v in enumerate(values)]
+
+
 @dataclass(frozen=True)
 class ClusterConfig:
-    kind: str
-    params: dict
+    potential: Potential
+    grid: Grid
     k: int
-    grid: Grid | None
-    solver: str  # "analytic" or "fd"
 
 
 @dataclass(frozen=True)
@@ -109,76 +126,58 @@ def _need_kind(raw, path: str) -> None:
 
 
 def _parse_grid(raw, path: str) -> Grid:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: grid must be an object")
+    raw = _object(raw, path)
+    x_min, x_max = _number(raw, "x_min", path), _number(raw, "x_max", path)
+    n = _as_int(_need(raw, "n", path), f"{path}.n")
     try:
-        return Grid(
-            _as_float(_need(raw, "x_min", path), f"{path}.x_min"),
-            _as_float(_need(raw, "x_max", path), f"{path}.x_max"),
-            _as_int(_need(raw, "n", path), f"{path}.n"),
-        )
-    except ConfigError:
-        raise
+        return Grid(x_min, x_max, n)
     except Exception as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _parse_cluster(raw, path: str) -> ClusterConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: cluster must be an object")
+    """The cluster's potential, its grid (the default one unless given) and k."""
+    raw = _object(raw, path)
+    if "solver" in raw:
+        raise ConfigError(f"{path}.solver: not a field; the kind decides the solver")
     kind = _need(raw, "kind", path)
     grid = _parse_grid(raw["grid"], f"{path}.grid") if "grid" in raw else None
     k = _as_int(raw.get("k", 2), f"{path}.k")
-    if k < 1:
-        raise ConfigError(f"{path}.k: must be at least 1")
-    solver = raw.get("solver")
-    if kind == "harmonic":
-        params = {"omega": _as_float(_need(raw, "omega", path), f"{path}.omega")}
-        solver = solver or "analytic"
-    elif kind == "infinite_well":
-        params = {
-            "half_width": _as_float(_need(raw, "half_width", path), f"{path}.half_width")
-        }
-        solver = solver or "analytic"
-    elif kind == "double_well":
-        params = {
-            "barrier_height": _as_float(
-                _need(raw, "barrier_height", path), f"{path}.barrier_height"
-            ),
-            "well_separation": _as_float(
-                _need(raw, "well_separation", path), f"{path}.well_separation"
-            ),
-        }
-        solver = solver or "fd"
-    elif kind == "tabulated":
-        if grid is None:
-            raise ConfigError(f"{path}.grid: required for tabulated potentials")
-        values = _need(raw, "values", path)
-        if not isinstance(values, list) or len(values) != grid.n:
-            raise ConfigError(f"{path}.values: expected a list of {grid.n} numbers")
-        params = {"values": [
-            _as_float(v, f"{path}.values[{i}]") for i, v in enumerate(values)
-        ]}
-        solver = solver or "fd"
-    else:
-        raise ConfigError(f"{path}.kind: unknown potential kind {kind!r}")
-    if solver not in ("analytic", "fd"):
-        raise ConfigError(f"{path}.solver: must be 'analytic' or 'fd'")
-    if solver == "analytic" and kind in ("double_well", "tabulated"):
-        raise ConfigError(f"{path}.solver: {kind} has no analytic solver")
-    return ClusterConfig(kind=kind, params=params, k=k, grid=grid, solver=solver)
+    try:
+        if kind == "harmonic":
+            potential = HarmonicPotential(_number(raw, "omega", path))
+        elif kind == "infinite_well":
+            potential = InfiniteWellPotential(_number(raw, "half_width", path))
+        elif kind == "double_well":
+            potential = DoubleWellPotential(
+                _number(raw, "barrier_height", path), _number(raw, "well_separation", path)
+            )
+        elif kind == "tabulated":
+            if grid is None:
+                raise ConfigError(f"{path}.grid: required for tabulated potentials")
+            values = _numbers(_need(raw, "values", path), grid.n, f"{path}.values")
+            potential = TabulatedPotential(grid, np.array(values))
+        else:
+            raise ConfigError(f"{path}.kind: unknown potential kind {kind!r}")
+        grid = grid or default_grid(potential)
+    except ParameterError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    if not 1 <= k <= grid.n - 2:
+        raise ConfigError(f"{path}.k: {k} is not in [1, {grid.n - 2}], the interior grid points")
+    return ClusterConfig(potential, grid, k)
 
 
 def _parse_lags(raw, path: str) -> tuple[float, ...]:
     if isinstance(raw, list):
         lags = [_as_float(v, f"{path}[{i}]") for i, v in enumerate(raw)]
     elif isinstance(raw, dict):
-        start = _as_float(_need(raw, "start", path), f"{path}.start")
-        stop = _as_float(_need(raw, "stop", path), f"{path}.stop")
-        step = _as_float(_need(raw, "step", path), f"{path}.step")
+        start, stop, step = (_number(raw, key, path) for key in ("start", "stop", "step"))
         if step <= 0 or stop < start:
             raise ConfigError(f"{path}: need step > 0 and stop >= start")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        count = (stop - start) / step + 1e-9
+        if not count < MAX_LAGS:  # inf too
+            raise ConfigError(f"{path}: spans more than {MAX_LAGS} lags")
+        count = int(math.floor(count)) + 1
         lags = [start + i * step for i in range(count)]
     else:
         raise ConfigError(f"{path}: expected a list or a start/stop/step object")
@@ -190,12 +189,9 @@ def _parse_lags(raw, path: str) -> tuple[float, ...]:
 
 
 def _parse_mc(raw, path: str) -> McConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: must be an object")
+    raw = _object(raw, path)
     n_paths = _as_int(_need(raw, "n_paths", path), f"{path}.n_paths")
-    dt = _as_float(_need(raw, "dt", path), f"{path}.dt")
-    epsilon = _as_float(_need(raw, "epsilon", path), f"{path}.epsilon")
-    horizon = _as_float(_need(raw, "horizon", path), f"{path}.horizon")
+    dt, epsilon, horizon = (_number(raw, key, path) for key in ("dt", "epsilon", "horizon"))
     seed = raw.get("seed")
     if seed is not None:
         seed = _as_int(seed, f"{path}.seed")
@@ -206,35 +202,27 @@ def _parse_mc(raw, path: str) -> McConfig:
 
 
 def parse_config(raw: dict) -> RunConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("top level: expected a JSON object")
-    system = _need(raw, "system", "top level")
-    if not isinstance(system, dict):
-        raise ConfigError("system: must be an object")
+    raw = _object(raw, "top level")
+    system = _object(_need(raw, "system", "top level"), "system")
     clusters_raw = _need(system, "clusters", "system")
     if not isinstance(clusters_raw, list) or not clusters_raw:
         raise ConfigError("system.clusters: expected a non-empty list")
     clusters = tuple(
         _parse_cluster(c, f"system.clusters[{i}]") for i, c in enumerate(clusters_raw)
     )
-    state_raw = _need(raw, "state", "top level")
-    if not isinstance(state_raw, dict):
-        raise ConfigError("state: must be an object")
+    state_raw = _object(_need(raw, "state", "top level"), "state")
     terms_raw = _need(state_raw, "terms", "state")
     if not isinstance(terms_raw, list) or not terms_raw:
         raise ConfigError("state.terms: expected a non-empty list")
     terms = []
     for i, t in enumerate(terms_raw):
-        if not isinstance(t, dict):
-            raise ConfigError(f"state.terms[{i}]: must be an object")
-        coeff = _as_float(_need(t, "coefficient", f"state.terms[{i}]"), f"state.terms[{i}].coefficient")
+        t = _object(t, f"state.terms[{i}]")
+        coeff = _number(t, "coefficient", f"state.terms[{i}]")
         if coeff == 0.0:
             raise ConfigError(f"state.terms[{i}].coefficient: must be non-zero")
         idx = _need(t, "indices", f"state.terms[{i}]")
         if not isinstance(idx, list) or len(idx) != len(clusters):
-            raise ConfigError(
-                f"state.terms[{i}].indices: expected {len(clusters)} indices"
-            )
+            raise ConfigError(f"state.terms[{i}].indices: expected {len(clusters)} indices")
         terms.append((coeff, tuple(_as_int(v, f"state.terms[{i}].indices[{j}]") for j, v in enumerate(idx))))
     observables = raw.get("observables", [])
     if not isinstance(observables, list):
@@ -246,33 +234,24 @@ def parse_config(raw: dict) -> RunConfig:
     chsh_obs = None
     chsh_times = None
     if "chsh" in raw:
-        chsh = raw["chsh"]
-        if not isinstance(chsh, dict):
-            raise ConfigError("chsh: must be an object")
+        chsh = _object(raw["chsh"], "chsh")
         chsh_obs = chsh.get("observable")
         if chsh_obs is not None:
             _need_kind(chsh_obs, "chsh.observable")
-        times = chsh.get("times")
-        if times is not None:
-            if not isinstance(times, list) or len(times) != 4:
-                raise ConfigError("chsh.times: expected 4 numbers [t1, t2, s1, s2]")
-            chsh_times = tuple(_as_float(v, f"chsh.times[{i}]") for i, v in enumerate(times))
+        if chsh.get("times") is not None:  # [t1, t2, s1, s2]
+            chsh_times = tuple(_numbers(chsh["times"], 4, "chsh.times"))
     eps_eps: tuple[float, ...] = ()
     eps_lag = None
     if "eps_study" in raw:
-        es_raw = raw["eps_study"]
-        if not isinstance(es_raw, dict):
-            raise ConfigError("eps_study: must be an object")
+        es_raw = _object(raw["eps_study"], "eps_study")
         eps_list = _need(es_raw, "epsilons", "eps_study")
         if not isinstance(eps_list, list) or not eps_list:
             raise ConfigError("eps_study.epsilons: expected a non-empty list")
         eps_eps = tuple(_as_float(v, f"eps_study.epsilons[{i}]") for i, v in enumerate(eps_list))
         if eps_eps[-1] <= 0 or any(b >= a for a, b in zip(eps_eps, eps_eps[1:])):
             raise ConfigError("eps_study.epsilons: must be positive and decrease strictly")
-        eps_lag = _as_float(_need(es_raw, "lag", "eps_study"), "eps_study.lag")
-    output = raw.get("output", {})
-    if not isinstance(output, dict):
-        raise ConfigError("output: must be an object")
+        eps_lag = _number(es_raw, "lag", "eps_study")
+    output = _object(raw.get("output", {}), "output")
     out_format = output.get("format", "csv")
     if out_format not in ("csv", "json"):
         raise ConfigError("output.format: must be 'csv' or 'json'")
@@ -307,24 +286,16 @@ def load_config(path: str | Path) -> RunConfig:
 # --------------------------------------------------------------------------
 
 def build_cluster(cfg: ClusterConfig, path: str) -> EigenSystem:
-    """Solve one cluster; a rejected parameter exits as a config error at ``path``."""
+    """Solve one cluster, harmonic and infinite_well analytically and every
+    other potential by finite differences; a rejected parameter exits as a
+    config error at ``path``."""
+    pot = cfg.potential
     try:
-        if cfg.kind == "harmonic":
-            pot = HarmonicPotential(**cfg.params)
-        elif cfg.kind == "infinite_well":
-            pot = InfiniteWellPotential(**cfg.params)
-        elif cfg.kind == "double_well":
-            pot = DoubleWellPotential(**cfg.params)
-        else:
-            pot = TabulatedPotential(cfg.grid, np.asarray(cfg.params["values"]))
-        grid = cfg.grid or default_grid(pot)
-        if cfg.k > grid.n - 2:
-            raise ConfigError(f"{path}.k: {cfg.k} exceeds the {grid.n - 2} interior grid points")
-        if cfg.solver == "analytic":
-            if cfg.kind == "harmonic":
-                return harmonic_eigensystem(pot.omega, cfg.k, grid)
-            return box_eigensystem(pot.half_width, cfg.k, grid)
-        return solve_eigensystem(pot, grid, cfg.k)
+        if isinstance(pot, HarmonicPotential):
+            return harmonic_eigensystem(pot.omega, cfg.k, cfg.grid)
+        if isinstance(pot, InfiniteWellPotential):
+            return box_eigensystem(pot.half_width, cfg.k, cfg.grid)
+        return solve_eigensystem(pot, cfg.grid, cfg.k)
     except ParameterError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -352,20 +323,12 @@ def build_observable(
     if kind in ("position", "sign"):
         return Observable(kind, cluster)
     if kind == "indicator":
-        return Observable(
-            "indicator",
-            cluster,
-            a=_as_float(_need(raw, "a", path), f"{path}.a"),
-            b=_as_float(_need(raw, "b", path), f"{path}.b"),
-        )
+        a, b = _number(raw, "a", path), _number(raw, "b", path)
+        if not a < b:
+            raise ConfigError(f"{path}.b: must exceed a = {a}")
+        return Observable("indicator", cluster, a=a, b=b)
     if kind == "tabulated":
-        es = cluster_systems[cluster]
-        values = _need(raw, "values", path)
-        if not isinstance(values, list) or len(values) != es.grid.n:
-            raise ConfigError(
-                f"{path}.values: expected {es.grid.n} samples on the cluster grid"
-            )
-        return Observable(
-            "tabulated", cluster, samples=np.asarray(values, dtype=float), grid=es.grid
-        )
+        grid = cluster_systems[cluster].grid
+        samples = np.array(_numbers(_need(raw, "values", path), grid.n, f"{path}.values"))
+        return Observable("tabulated", cluster, samples=samples, grid=grid)
     raise ConfigError(f"{path}.kind: unknown kind {kind!r}")

@@ -32,7 +32,7 @@ from .errors import (
     StepSizeError,
     UnsupportedStateError,
 )
-from .spectral import HarmonicPotential, Wavefunction, find_nodes
+from .spectral import HarmonicPotential, Wavefunction, nodal_intervals
 from .states import CompositeState, density, marginal_density
 
 __all__ = [
@@ -43,6 +43,7 @@ __all__ = [
     "regularized_drift",
     "sample_stationary",
     "simulate_ensemble",
+    "step_count",
     "estimate_two_time",
     "estimate_multi_time",
     "stationarity_distance",
@@ -55,6 +56,7 @@ CLAMP_RATE_LIMIT = 0.01
 _MATCH_TOL = 1e-8
 TABLE_REFINE = 8  # drift-table cells per cell of the channel grid
 NOISE_BLOCK = 256  # steps of noise drawn per path at a time
+MAX_STEPS = 10**8  # most steps of dt one stored time may span
 
 _CTX_INIT = 1  # Philox key contexts
 _CTX_PATHS = 2
@@ -237,14 +239,11 @@ def regularized_drift(state: CompositeState, epsilon: float) -> RegularizedDrift
         grid = psi.grid
         spline = CubicSpline(grid.points, psi.values)
         deriv = spline.derivative()
-        nodes = find_nodes(psi)
-        if nodes:
-            gaps = np.diff([grid.x_min] + nodes + [grid.x_max])
-            bound = 0.5 * float(np.min(gaps))
-            if epsilon >= bound:
-                raise ParameterError(
-                    f"epsilon {epsilon} exceeds half the node separation {bound:.4g}"
-                )
+        intervals = nodal_intervals(psi)
+        nodes = [b for _, b in intervals[:-1]]
+        bound = 0.5 * min(b - a for a, b in intervals)
+        if nodes and epsilon >= bound:
+            raise ParameterError(f"epsilon {epsilon} exceeds half the node separation {bound:.4g}")
         patches = []
         for z in nodes:
             vp = abs(float(spline(z + epsilon)))
@@ -381,6 +380,17 @@ class Ensemble:
         return idx
 
 
+def step_count(t: float, dt: float, dt_name: str = "dt") -> int:
+    """Time t as a whole number, at most MAX_STEPS, of steps of dt (named dt_name)."""
+    steps = t / dt
+    if steps > MAX_STEPS:  # inf too
+        raise ParameterError(f"{t} is more than {MAX_STEPS} steps of {dt_name}={dt}")
+    k = round(steps) if math.isfinite(steps) else -1
+    if k < 0 or abs(k * dt - t) > 1e-9 * max(1.0, t):
+        raise ParameterError(f"{t} is not a whole number of steps of {dt_name}={dt}")
+    return k
+
+
 def simulate_ensemble(
     drift: RegularizedDrift,
     init: np.ndarray,
@@ -400,13 +410,7 @@ def simulate_ensemble(
     """
     if not dt > 0.0:
         raise ParameterError("dt must be positive")
-    steps = {0}
-    for t in times:
-        k = round(t / dt)
-        if k < 0 or abs(k * dt - t) > 1e-9 * max(1.0, t):
-            raise ParameterError(f"time {t} is not a whole number of steps of dt={dt}")
-        steps.add(int(k))
-    steps = sorted(steps)
+    steps = sorted({0, *(step_count(t, dt) for t in times)})
     n_steps = steps[-1]
     if n_steps < 1:
         raise ParameterError("need a time at least one step after 0")

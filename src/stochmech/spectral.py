@@ -14,6 +14,7 @@ Units are hbar = m = 1 throughout.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -256,6 +257,8 @@ class DoubleWellPotential:
     def __post_init__(self):
         if not (self.barrier_height > 0 and self.well_separation > 0):
             raise ParameterError("double well needs positive height and separation")
+        if self.well_separation > sys.float_info.max ** 0.25:
+            raise ParameterError("double well separation too large: w^4 overflows")
 
     def sample(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -501,6 +504,8 @@ def _solve_interior(
     m = v_diag.size
     if k > m:
         raise ParameterError(f"k={k} exceeds the {m} interior grid points")
+    if not 0.0 < h * h < math.inf:
+        raise ParameterError(f"grid spacing {h:.3g} puts 1/h^2 out of floating-point range")
     diag = 1.0 / h**2 + v_diag
     off = np.full(m - 1, -0.5 / h**2)
     try:

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stochmech import cli, nelson_sde
 from stochmech.errors import NumericError
@@ -230,10 +235,20 @@ def test_nelson_mc_off_grid_lag_exit_2(tmp_path):
     assert main(["nelson-mc", "--config", cfg_path, "--out", str(tmp_path / "x.csv")]) == 2
 
 
-@pytest.mark.parametrize("field", ["system.clusters[1]", "system.clusters[0].k", "state.terms"])
+@pytest.mark.parametrize(
+    "field",
+    [
+        "system.clusters[1]", "system.clusters[0].k", "state.terms",
+        "system.clusters[1].solver", "observables[1].b",
+    ],
+)
 def test_rejected_while_building_exit_2(tmp_path, capsys, field):
     cfg = two_oscillator_config()
-    if field == "state.terms":
+    if field == "system.clusters[1].solver":  # the kind alone decides the solver
+        cfg["system"]["clusters"][1]["solver"] = "fd"
+    elif field == "observables[1].b":
+        cfg["observables"][1] = {"kind": "indicator", "cluster": 1, "a": 0.5, "b": 0.0}
+    elif field == "state.terms":
         cfg["state"]["terms"][0]["indices"] = [0, 5]  # only 2 states solved
     elif field == "system.clusters[0].k":  # more states than the 2000-point grid holds
         cfg["system"]["clusters"][0]["k"] = 10**6
@@ -377,9 +392,17 @@ def test_chsh_box_violates(tmp_path, capsys):
     assert chsh_report_to_dict(report) == json.loads(out.read_text())
 
 
+BOX_X = np.linspace(-1.0, 1.0, 2001)  # the unit box's default grid
+
+
 @pytest.mark.parametrize(
     "observable, field",
-    [("sign", "chsh.observable"), ({"kind": "position"}, "chsh.observable.kind")],
+    [
+        ("sign", "chsh.observable"),
+        ({"kind": "position"}, "chsh.observable.kind"),
+        ({"kind": "tabulated", "values": (2.0 * BOX_X).tolist()}, "chsh.observable"),  # |f| > 1
+        ({"kind": "tabulated", "values": np.cos(BOX_X).tolist()}, "chsh.observable"),  # even
+    ],
 )
 def test_chsh_bad_observable_exit_2(tmp_path, capsys, observable, field):
     cfg = {
@@ -409,6 +432,77 @@ def test_chsh_harmonic_feasible(tmp_path, capsys):
     report = chsh_report_from_dict(json.loads(out.read_text()))
     assert report.classical_feasible
     assert report.alpha**2 == pytest.approx(2.0 / math.pi, abs=1e-8)
+
+
+README_CLUSTERS = [
+    {"kind": "harmonic", "omega": 1.0, "k": 2,
+     "grid": {"x_min": -10.0, "x_max": 10.0, "n": 2000}},
+    {"kind": "harmonic", "omega": 1.0, "k": 2},
+]
+
+
+@pytest.mark.parametrize(
+    "clusters",
+    [
+        README_CLUSTERS,
+        # default grid of 2000 points
+        [{"kind": "double_well", "barrier_height": 4.0, "well_separation": 1.0, "k": 2}],
+    ],
+)
+def test_chsh_even_point_grid(tmp_path, clusters):
+    # mirror-symmetrized Simpson weights cancel the odd integrands on even n too
+    cfg = {
+        "system": {"clusters": clusters},
+        "state": {"terms": [{"coefficient": 1.0, "indices": [0] * len(clusters)}]},
+        "output": {"format": "json"},
+    }
+    out = tmp_path / "chsh.json"
+    assert main(["chsh", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    report = chsh_report_from_dict(json.loads(out.read_text()))
+    assert max(abs(m) for m in report.marginals) < 1e-10
+    if clusters is README_CLUSTERS:
+        assert report.alpha**2 == pytest.approx(2.0 / math.pi, abs=1e-4)
+
+
+@pytest.mark.parametrize("command", ["qm-corr", "compare"])
+@pytest.mark.parametrize("clusters", [(0,), (1, 1)])
+def test_observables_on_one_cluster_exit_2(tmp_path, capsys, command, clusters):
+    # a single observable is also used for g, so it addresses one cluster twice
+    observables = [{"kind": "position", "cluster": c} for c in clusters]
+    cfg_path = write_config(tmp_path, two_oscillator_config(observables=observables))
+    assert main([command, "--config", cfg_path, "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err.startswith("config error: observables: both address cluster")
+
+
+@pytest.mark.parametrize("command", ["nelson-mc", "eps-study"])
+def test_mc_single_observable(tmp_path, command):
+    cfg = two_oscillator_config(
+        observables=[{"kind": "position", "cluster": 0}],
+        lags=[0.01],
+        mc={"n_paths": 50, "dt": 1e-3, "seed": 1, "epsilon": 1e-3, "horizon": 0.01},
+        eps_study={"epsilons": [0.1], "lag": 0.01},
+    )
+    cfg_path = write_config(tmp_path, cfg)
+    assert main([command, "--config", cfg_path, "--out", str(tmp_path / "x.csv")]) == 0
+
+
+@pytest.mark.parametrize("command", ["qm-corr", "compare", "chsh", "eigen"])
+def test_seed_flag_only_where_read(tmp_path, capsys, command):
+    cfg_path = write_config(tmp_path, two_oscillator_config())
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg_path, "--out", str(tmp_path / "x.csv"), "--seed", "7"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["chsh", "eigen"])
+def test_unsolved_cluster_checked_at_load_exit_2(tmp_path, capsys, command):
+    # both subcommands solve cluster 0 only; every cluster is still parsed
+    cfg = two_oscillator_config()
+    cfg["system"]["clusters"][1]["omega"] = -1.0
+    cfg_path = write_config(tmp_path, cfg)
+    assert main([command, "--config", cfg_path, "--out", str(tmp_path / "x.csv")]) == 2
+    assert "system.clusters[1]: harmonic potential needs omega > 0" in capsys.readouterr().err
 
 
 def test_eps_study_table(tmp_path):
@@ -478,3 +572,97 @@ def test_series_json_round_trip():
     mc = {"method": "nelson_mc", "lags": [0.5], "values": [0.3], "stderr": [0.01]}
     assert series_to_dict(series_from_dict(mc)) == mc
     assert json.loads(json.dumps(series_to_dict(series))) == raw
+
+
+# --------------------------------------------------------------------------
+# config contract under one-field mutations
+# --------------------------------------------------------------------------
+
+COMMANDS = ("qm-corr", "compare", "nelson-mc", "chsh", "eps-study", "eigen")
+SIZE_FIELDS = ("n_paths", "k", "n")  # kept out of the huge values, which would allocate
+FIELD_PATH = re.compile(r"config error: (top level|[A-Za-z_]\w*(\[\d+\])*(\.[A-Za-z_]\w*(\[\d+\])*)*): ")
+MUTATIONS = {
+    "wrong type": lambda v: 7 if isinstance(v, str) else "x",
+    "nan": lambda v: math.nan,
+    "inf": lambda v: math.inf,
+    "-inf": lambda v: -math.inf,
+    "1e308": lambda v: 1e308,
+    "zero": lambda v: 0,
+    "negative": lambda v: -v if isinstance(v, (int, float)) and v else -1,
+    "huge integer": lambda v: 10**30,
+}
+
+
+def small_config():
+    """A valid config every subcommand runs on in milliseconds."""
+    return {
+        "system": {"clusters": [
+            {"kind": "harmonic", "omega": 1.0, "k": 2,
+             "grid": {"x_min": -9.0, "x_max": 9.0, "n": 201}},
+            {"kind": "double_well", "barrier_height": 2.0, "well_separation": 1.0, "k": 2,
+             "grid": {"x_min": -3.0, "x_max": 3.0, "n": 201}},
+        ]},
+        "state": {"terms": [{"coefficient": 1.0, "indices": [1, 0]}]},
+        "observables": [
+            {"kind": "position", "cluster": 0},
+            {"kind": "indicator", "cluster": 1, "a": 0.0, "b": 1.0},
+        ],
+        "lags": {"start": 0.0, "stop": 0.01, "step": 0.005},
+        "mc": {"n_paths": 16, "dt": 0.005, "seed": 3, "epsilon": 0.01, "horizon": 0.01},
+        "chsh": {"observable": {"kind": "sign"}, "times": [0.0, 1.0, 0.5, 1.5]},
+        "eps_study": {"epsilons": [0.1, 0.05], "lag": 0.01},
+        "output": {"format": "csv"},
+    }
+
+
+def field_paths(node, prefix=()):
+    """Every field of a config below the top level, as key/index tuples."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from field_paths(value, prefix + (key,))
+
+
+def mutated(cfg, path, mutation):
+    """cfg with the field at path deleted ("missing key") or replaced."""
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    if mutation == "missing key":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = MUTATIONS[mutation](parent[path[-1]])
+    return cfg
+
+
+@st.composite
+def config_mutations(draw):
+    path = draw(st.sampled_from(list(field_paths(small_config()))))
+    allowed = ["missing key", *MUTATIONS]
+    if path[-1] in SIZE_FIELDS:
+        allowed = [m for m in allowed if m not in ("1e308", "huge integer")]
+    return path, draw(st.sampled_from(allowed)), draw(st.sampled_from(COMMANDS))
+
+
+def test_small_config_runs_everywhere(tmp_path):
+    cfg_path = write_config(tmp_path, small_config())
+    for command in COMMANDS:
+        assert main([command, "--config", cfg_path, "--out", str(tmp_path / "x.csv")]) == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(config_mutations())
+# each of these once escaped as an exception
+@example((("lags", "stop"), "1e308", "qm-corr"))
+@example((("system", "clusters", 1, "well_separation"), "1e308", "compare"))
+def test_config_mutations_exit_cleanly(tmp_path_factory, mutation):
+    path, kind, command = mutation
+    tmp = tmp_path_factory.mktemp("mutation")
+    cfg_path = write_config(tmp, mutated(small_config(), path, kind))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main([command, "--config", cfg_path, "--out", str(tmp / "x.csv")])
+    assert code in (0, 2, 3, 4)
+    if code == 2:
+        assert FIELD_PATH.search(err.getvalue()), err.getvalue()

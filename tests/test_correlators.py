@@ -28,6 +28,7 @@ from stochmech import (
     qm_multitime_correlation,
     qm_two_time_series,
     quadrature,
+    regularized_drift,
 )
 from stochmech import correlators, spectral
 from stochmech.channels import Channel
@@ -418,6 +419,9 @@ def test_nelson_expansion_rejects_unstable_sign_pattern():
     f = Observable("position", 0)
     with pytest.raises(NodeDetectionError):
         nelson_mode_expansion(state, f, f)
+    # the Monte Carlo drift reads the same nodal intervals
+    with pytest.raises(NodeDetectionError):
+        regularized_drift(state, 1e-3)
 
 
 # --------------------------------------------------------------------------

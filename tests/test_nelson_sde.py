@@ -274,6 +274,10 @@ def test_simulate_validations(ground_state_1d):
         simulate_ensemble(drift, init, dt=1e-3, times=[-0.5], seed=1)
     with pytest.raises(ParameterError, match="at least one step"):
         simulate_ensemble(drift, init, dt=1e-3, times=[0.0], seed=1)
+    # the step cap and the whole-step rule also catch non-finite and huge times
+    for t in (math.inf, math.nan, 1e300):
+        with pytest.raises(ParameterError):
+            simulate_ensemble(drift, init, dt=1e-3, times=[t], seed=1)
     with pytest.raises(ParameterError):
         simulate_ensemble(drift, np.zeros((10, 2)), dt=1e-3, times=[0.1], seed=1)
 

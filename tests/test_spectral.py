@@ -166,6 +166,12 @@ def test_solver_parameter_errors():
         solve_eigensystem(HarmonicPotential(1.0), Grid(-10.0, 10.0, 50), 49)
     with pytest.raises(ParameterError):
         solve_eigensystem(HarmonicPotential(1.0), Grid(-10.0, 10.0, 2000), 0)
+    # a spacing whose 1/h^2 overflows, and a double well whose w^4 does
+    coarse = Grid(-2.0, 1e308, 21)
+    with pytest.raises(ParameterError):
+        solve_eigensystem(TabulatedPotential(coarse, np.zeros(21)), coarse, 2)
+    with pytest.raises(ParameterError):
+        DoubleWellPotential(1.0, 1e308)
 
 
 @settings(max_examples=10, deadline=None)
