@@ -195,8 +195,8 @@ def cmd_nelson_mc(cfg: RunConfig, args) -> int:
         rows.append([lag, value, stderr])
     serialize.write_csv(out, ["lag", "estimate", "stderr"], rows)
     ks = {
-        serialize.fmt(float(t)): list(nelson_sde.stationarity_distance(ensemble, state, float(t)))
-        for t in ensemble.t_grid
+        serialize.fmt(float(t)): list(stats)
+        for t, stats in zip(ensemble.t_grid, nelson_sde.stationarity_distances(ensemble, state))
     }
     diagnostics = {
         "ks_stats": ks,

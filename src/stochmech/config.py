@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .correlators import Observable
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, DomainTruncationError, ParameterError
 from .spectral import (
     DoubleWellPotential,
     EigenSystem,
@@ -49,6 +49,7 @@ from .states import CompositeState, build_composite_state
 __all__ = ["RunConfig", "load_config", "parse_config"]
 
 MAX_LAGS = 10**6  # most lags a start/stop/step object may expand to
+MAX_PATHS = 10**7  # most Monte Carlo paths mc.n_paths may ask for
 
 
 def _need(mapping: dict, key: str, path: str):
@@ -198,6 +199,8 @@ def _parse_mc(raw, path: str) -> McConfig:
     for name, val in (("n_paths", n_paths), ("dt", dt), ("epsilon", epsilon), ("horizon", horizon)):
         if val <= 0:
             raise ConfigError(f"{path}.{name}: must be positive")
+    if n_paths > MAX_PATHS:
+        raise ConfigError(f"{path}.n_paths: {n_paths} is more than {MAX_PATHS} paths")
     return McConfig(n_paths, dt, seed, epsilon, horizon)
 
 
@@ -288,7 +291,8 @@ def load_config(path: str | Path) -> RunConfig:
 def build_cluster(cfg: ClusterConfig, path: str) -> EigenSystem:
     """Solve one cluster, harmonic and infinite_well analytically and every
     other potential by finite differences; a rejected parameter exits as a
-    config error at ``path``."""
+    config error at ``path``, and a grid that cannot hold the states at
+    ``path``.grid."""
     pot = cfg.potential
     try:
         if isinstance(pot, HarmonicPotential):
@@ -298,6 +302,8 @@ def build_cluster(cfg: ClusterConfig, path: str) -> EigenSystem:
         return solve_eigensystem(pot, cfg.grid, cfg.k)
     except ParameterError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    except DomainTruncationError as exc:
+        raise ConfigError(f"{path}.grid: {exc}") from exc
 
 
 def build_state(cfg: RunConfig) -> CompositeState:

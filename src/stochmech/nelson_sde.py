@@ -16,7 +16,7 @@ filled in concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
@@ -47,6 +47,7 @@ __all__ = [
     "estimate_two_time",
     "estimate_multi_time",
     "stationarity_distance",
+    "stationarity_distances",
     "epsilon_convergence_study",
     "dump_paths",
 ]
@@ -56,7 +57,10 @@ CLAMP_RATE_LIMIT = 0.01
 _MATCH_TOL = 1e-8
 TABLE_REFINE = 8  # drift-table cells per cell of the channel grid
 NOISE_BLOCK = 256  # steps of noise drawn per path at a time
+NOISE_TILE = 256  # paths whose noise block is drawn, then transposed, together
 MAX_STEPS = 10**8  # most steps of dt one stored time may span
+ENVELOPE_ROWS = 64  # rows of a two-cluster amplitude grid held at once
+BOUND_MARGIN = 1e-9  # relative slack of the sampler's cell bound over |psi|^2
 
 _CTX_INIT = 1  # Philox key contexts
 _CTX_PATHS = 2
@@ -135,10 +139,11 @@ class DriftChannel:
 
     Near a simple node z the log-derivative of |psi| is 1/(x - z) plus a
     smooth remainder.  ``residual`` samples the drift minus the pole terms
-    at ``poles`` on a uniform grid over [x_min, x_max], so evaluation is
-    index arithmetic and one linear interpolation; the pole terms are then
-    added back and the cosh patches replace the sum within epsilon of each
-    node.  Beyond the grid the drift is held at its edge value.
+    at ``poles`` on a uniform grid over [x_min, x_max], and ``slope`` holds
+    its differences, so evaluation is index arithmetic and one linear
+    interpolation; the pole terms are then added back and the cosh patches
+    replace the sum within epsilon of each node.  Beyond the grid the drift
+    is held at its edge value.
     """
 
     residual: np.ndarray
@@ -146,23 +151,34 @@ class DriftChannel:
     patches: tuple[NodePatch, ...]
     x_min: float
     x_max: float
+    slope: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # per-cell slope, bitwise residual[i + 1] - residual[i]
+        object.__setattr__(self, "slope", np.diff(self.residual))
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        xc = np.clip(x, self.x_min, self.x_max)
-        cells = self.residual.size - 1
-        s = (xc - self.x_min) * (cells / (self.x_max - self.x_min))
-        i = np.minimum(s.astype(np.intp), cells - 1)
-        lo = self.residual[i]
-        out = lo + (s - i) * (self.residual[i + 1] - lo)
-        # a pole lies inside its patch, which overwrites the value there
-        with np.errstate(divide="ignore"):
-            for z in self.poles:
-                out += 1.0 / (xc - z)
+        xc = np.maximum(x, self.x_min)
+        np.minimum(xc, self.x_max, out=xc)
+        cells = self.slope.size
+        s = xc - self.x_min
+        s *= cells / (self.x_max - self.x_min)
+        i = s.astype(np.intp)
+        np.minimum(i, cells - 1, out=i)
+        s -= i
+        out = self.slope[i]
+        out *= s
+        out += self.residual[i]
+        if self.poles:
+            # a pole lies inside its patch, which overwrites the value there
+            with np.errstate(divide="ignore"):
+                for z in self.poles:
+                    out += 1.0 / (xc - z)
         for p in self.patches:
             u = x - p.node
             mask = np.abs(u) <= p.epsilon
-            if np.any(mask):
+            if mask.any():
                 out[mask] = p.drift(u[mask])
         return out
 
@@ -288,13 +304,18 @@ def _max_density(state: CompositeState) -> float:
             amp += c * es.eigenfunctions[idx[0]].values
         return float(np.max(amp * amp))
     if state.n_clusters == 2:
+        # the amplitude grid a block of rows at a time, never all n1 x n2 of it
         es1, es2 = state.clusters
-        amp = np.zeros((es1.grid.n, es2.grid.n))
-        for c, idx in state.terms:
-            amp += c * np.outer(
-                es1.eigenfunctions[idx[0]].values, es2.eigenfunctions[idx[1]].values
-            )
-        return float(np.max(amp * amp))
+        top = 0.0
+        for r in range(0, es1.grid.n, ENVELOPE_ROWS):
+            amp = np.zeros((min(ENVELOPE_ROWS, es1.grid.n - r), es2.grid.n))
+            for c, idx in state.terms:
+                amp += c * np.outer(
+                    es1.eigenfunctions[idx[0]].values[r : r + ENVELOPE_ROWS],
+                    es2.eigenfunctions[idx[1]].values,
+                )
+            top = max(top, float(np.max(amp * amp)))
+        return top
     if len(state.terms) == 1:
         _, idx = state.terms[0]
         out = 1.0
@@ -306,16 +327,65 @@ def _max_density(state: CompositeState) -> float:
     )
 
 
+class _CellBound:
+    """Upper bound on |psi| per grid cell, for rejecting proposals before |psi|^2.
+
+    Linear interpolation keeps |phi| below the larger of a cell's two
+    flanking samples; the table takes one more sample on each side, so a
+    point whose computed cell is off by one is still covered.  The bound
+    at a point is sum_t |c_t| prod_i peak_{t,i}, and ``squared`` scales its
+    square by 1 + BOUND_MARGIN against rounding in ``density``.
+    """
+
+    def __init__(self, state: CompositeState):
+        self.grids = [es.grid for es in state.clusters]
+        peaks = {}
+        for _, idx in state.terms:
+            for i, k in enumerate(idx):
+                if (i, k) not in peaks:
+                    # entry j covers samples j - 1 .. j + 2; the last one, j = n - 1,
+                    # is where x_max itself falls
+                    a = np.abs(state.clusters[i].eigenfunctions[k].values)
+                    a = np.pad(a, (1, 2), mode="edge")
+                    peaks[i, k] = np.maximum(
+                        np.maximum(a[:-3], a[1:-2]), np.maximum(a[2:-1], a[3:])
+                    )
+        self.terms = [
+            (abs(c), [peaks[i, k] for i, k in enumerate(idx)]) for c, idx in state.terms
+        ]
+
+    def squared(self, pts: np.ndarray) -> np.ndarray:
+        cells = [
+            ((pts[:, i] - grid.x_min) * (1.0 / grid.h)).astype(np.intp)
+            for i, grid in enumerate(self.grids)
+        ]
+        bound = np.zeros(pts.shape[0])
+        for c, peaks in self.terms:
+            term = c * peaks[0][cells[0]]
+            for peak, j in zip(peaks[1:], cells[1:]):
+                term *= peak[j]
+            bound += term
+        bound *= bound
+        bound *= 1.0 + BOUND_MARGIN
+        return bound
+
+
 def sample_stationary(state: CompositeState, n: int, seed: int) -> np.ndarray:
     """Draw n joint samples from |psi|^2 by rejection against a uniform box.
 
     The envelope is 1.01 times the maximum density on the grid; sampling
-    is deterministic for a fixed seed.  Returns shape (n, n_clusters).
+    is deterministic for a fixed seed.  Each batch draws its points and
+    uniforms from one Philox stream; a proposal whose uniform exceeds the
+    squared per-cell bound of _CellBound is rejected without evaluating
+    |psi|^2, which is computed only for the rest.  The bound is never below
+    the density, so the accepted set is the one the plain test u <= |psi|^2
+    gives.  Returns shape (n, n_clusters).
     """
     if n < 1:
         raise ParameterError("need at least one sample")
     rng = np.random.Generator(np.random.Philox(key=_philox_key(seed, _CTX_INIT)))
     envelope = 1.01 * _max_density(state)
+    cell_bound = _CellBound(state)
     lows = np.array([es.grid.x_min for es in state.clusters])
     highs = np.array([es.grid.x_max for es in state.clusters])
     out = np.empty((n, state.n_clusters))
@@ -325,10 +395,11 @@ def sample_stationary(state: CompositeState, n: int, seed: int) -> np.ndarray:
     while filled < n:
         pts = rng.uniform(lows, highs, size=(batch, state.n_clusters))
         u = rng.uniform(0.0, envelope, size=batch)
-        keep = u <= density(state, pts)
+        live = np.flatnonzero(u <= cell_bound.squared(pts))
+        keep = live[u[live] <= density(state, pts[live])]
         proposed += batch
-        take = min(int(np.count_nonzero(keep)), n - filled)
-        out[filled : filled + take] = pts[keep][:take]
+        take = min(keep.size, n - filled)
+        out[filled : filled + take] = pts[keep[:take]]
         filled += take
         if proposed >= 64 * batch and filled / proposed < 1e-4:
             raise EnvelopeError(
@@ -397,7 +468,7 @@ def simulate_ensemble(
     dt: float,
     times,
     seed: int,
-    chunk_paths: int = 2048,
+    chunk_paths: int = 4096,
 ) -> Ensemble:
     """Euler-Maruyama integration of every channel of the drift.
 
@@ -407,6 +478,14 @@ def simulate_ensemble(
     stored at t = 0 and at each of ``times``, each a whole number of steps;
     the last of them is the horizon.  Node crossings are counted at the
     poles of each DriftChannel; a channel given as a bare callable has none.
+
+    Paths run chunk_paths at a time.  A chunk keeps its state channel-major,
+    one contiguous row of paths per channel.  Every NOISE_BLOCK steps it
+    draws the next block of each path's normals, NOISE_TILE paths at a time
+    in stream order, and stores them times sqrt(dt) as (step, channel,
+    path) rows, so each step reads one contiguous row per channel; the
+    drift increment goes into one preallocated row as well.  Memory thus
+    grows with chunk_paths, not with n_paths.
     """
     if not dt > 0.0:
         raise ParameterError("dt must be positive")
@@ -424,45 +503,55 @@ def simulate_ensemble(
     t_grid = np.array(steps) * dt
     sqrt_dt = math.sqrt(dt)
     clamp = CLAMP_SIGMAS * sqrt_dt
-    node_lists = [np.array(getattr(ch, "poles", ())) for ch in drift.channels]
+    poles = [tuple(getattr(ch, "poles", ())) for ch in drift.channels]
 
     positions = np.empty((n_paths, len(steps), n_ch))
     clamped = 0
-    crossed = np.zeros((n_paths, n_ch), dtype=bool)
+    crossed = np.zeros((n_ch, n_paths), dtype=bool)
+    block = min(NOISE_BLOCK, n_steps)
     for start in range(0, n_paths, chunk_paths):
         stop = min(start + chunk_paths, n_paths)
         m = stop - start
         gens = [_path_generator(seed, start + j) for j in range(m)]
-        noise = np.empty((m, min(NOISE_BLOCK, n_steps), n_ch))
-        u = dec.to_channels(init[start:stop])
-        positions[start:stop, 0, :] = u
-        regions = [
-            np.searchsorted(node_lists[c], u[:, c]) if node_lists[c].size else None
-            for c in range(n_ch)
-        ]
+        drawn = np.empty((min(NOISE_TILE, m), block, n_ch))
+        noise = np.empty((block, n_ch, m))
+        move = np.empty(m)
+        u = np.ascontiguousarray(dec.to_channels(init[start:stop]).T)
+        positions[start:stop, 0, :] = u.T
+        # which side of each pole a path is on; a crossing flips one
+        sides = [[u[c] > z for z in poles[c]] for c in range(n_ch)]
         for s in range(n_steps):
             i = s % NOISE_BLOCK
             if i == 0:
                 # block by block, each path's normals continue its one stream
                 n_block = min(NOISE_BLOCK, n_steps - s)
-                for j, gen in enumerate(gens):
-                    gen.standard_normal(out=noise[j, :n_block])
+                for t0 in range(0, m, NOISE_TILE):
+                    tile = gens[t0 : t0 + NOISE_TILE]
+                    for j, gen in enumerate(tile):
+                        gen.standard_normal(out=drawn[j, :n_block])
+                    np.multiply(
+                        drawn[: len(tile), :n_block].transpose(1, 2, 0),
+                        sqrt_dt,
+                        out=noise[:n_block, :, t0 : t0 + len(tile)],
+                    )
             for c in range(n_ch):
-                b = drift.channels[c](u[:, c])
-                move = b * dt
-                over = np.abs(move) > clamp
-                clamped += int(np.count_nonzero(over))
-                np.clip(move, -clamp, clamp, out=move)
-                u[:, c] += move + sqrt_dt * noise[:, i, c]
-                if regions[c] is not None:
-                    now = np.searchsorted(node_lists[c], u[:, c])
-                    crossed[start:stop, c] |= now != regions[c]
-                    regions[c] = now
+                x = u[c]
+                np.multiply(drift.channels[c](x), dt, out=move)
+                if not (-clamp <= move.min() and move.max() <= clamp):
+                    clamped += int(np.count_nonzero(np.abs(move) > clamp))
+                    np.maximum(move, -clamp, out=move)
+                    np.minimum(move, clamp, out=move)
+                move += noise[i, c]
+                x += move
+                for k, z in enumerate(poles[c]):
+                    now = x > z
+                    crossed[c, start:stop] |= now != sides[c][k]
+                    sides[c][k] = now
             col = column.get(s + 1)
             if col is not None:
                 if not np.all(np.isfinite(u)):
                     raise NumericError(f"non-finite path values at step {s + 1}")
-                positions[start:stop, col, :] = u
+                positions[start:stop, col, :] = u.T
     # back to cluster coordinates (no-op for product states)
     positions = positions @ dec.rotation.T
     clamp_rate = clamped / float(n_paths * n_steps * n_ch)
@@ -475,7 +564,7 @@ def simulate_ensemble(
         epsilon=drift.epsilon,
         clamp_rate=float(clamp_rate),
         sign_change_fraction=tuple(
-            float(np.mean(crossed[:, c])) if node_lists[c].size else 0.0
+            float(np.mean(crossed[c])) if poles[c] else 0.0
             for c in range(n_ch)
         ),
     )
@@ -519,24 +608,49 @@ def estimate_multi_time(ensemble: Ensemble, observables, times) -> tuple[float, 
     return mean, stderr
 
 
-def stationarity_distance(
-    ensemble: Ensemble, state: CompositeState, t: float
-) -> tuple[float, ...]:
-    """Per-cluster KS statistic of the time-t marginal against |psi|^2."""
-    it = ensemble.time_index(float(t))
-    stats = []
-    for c in range(state.n_clusters):
-        es = state.clusters[c]
-        pdf = marginal_density(state, c)
-        cdf = cumulative_simpson(pdf, dx=es.grid.h, initial=0.0)
+def _marginal_cdfs(state: CompositeState) -> list[np.ndarray]:
+    """Each cluster's |psi|^2 marginal CDF on its grid, scaled to end at 1."""
+    cdfs = []
+    for c, es in enumerate(state.clusters):
+        cdf = cumulative_simpson(marginal_density(state, c), dx=es.grid.h, initial=0.0)
         cdf /= cdf[-1]
-        samples = np.sort(ensemble.positions[:, it, c])
-        fvals = np.interp(samples, es.grid.points, cdf)
+        cdfs.append(cdf)
+    return cdfs
+
+
+def _ks_stats(positions: np.ndarray, state: CompositeState, cdfs) -> tuple[float, ...]:
+    """Per-cluster KS statistic of positions (n_paths, n_clusters) against the CDFs."""
+    stats = []
+    for c, cdf in enumerate(cdfs):
+        samples = np.sort(positions[:, c])
+        fvals = np.interp(samples, state.clusters[c].grid.points, cdf)
         n = samples.size
         upper = np.max(np.arange(1, n + 1) / n - fvals)
         lower = np.max(fvals - np.arange(0, n) / n)
         stats.append(float(max(upper, lower)))
     return tuple(stats)
+
+
+def stationarity_distance(
+    ensemble: Ensemble, state: CompositeState, t: float
+) -> tuple[float, ...]:
+    """Per-cluster KS statistic of the time-t marginal against |psi|^2."""
+    it = ensemble.time_index(float(t))
+    return _ks_stats(ensemble.positions[:, it], state, _marginal_cdfs(state))
+
+
+def stationarity_distances(
+    ensemble: Ensemble, state: CompositeState
+) -> list[tuple[float, ...]]:
+    """stationarity_distance at every stored time, in t_grid order.
+
+    Each cluster's marginal CDF is built once for all the times.
+    """
+    cdfs = _marginal_cdfs(state)
+    return [
+        _ks_stats(ensemble.positions[:, it], state, cdfs)
+        for it in range(ensemble.t_grid.size)
+    ]
 
 
 def dump_paths(ensemble: Ensemble, path) -> None:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from stochmech import cli, nelson_sde
 from stochmech.errors import NumericError
 from stochmech.cli import main
+from stochmech.config import MAX_PATHS, parse_config
 from stochmech.serialize import (
     chsh_report_from_dict,
     chsh_report_to_dict,
@@ -339,6 +340,34 @@ def test_step_count_above_cap_exit_2(tmp_path, capsys, command, field):
     assert f"{field}: 1e+300 is more than {cli.MAX_STEPS} steps of mc.dt" in err
 
 
+@pytest.mark.parametrize("command", ["nelson-mc", "eps-study"])
+def test_n_paths_above_cap_exit_2(tmp_path, capsys, monkeypatch, command):
+    # rejected while parsing, before the sampler could allocate 10**13 paths
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sample_stationary reached")
+
+    monkeypatch.setattr(nelson_sde, "sample_stationary", no_sampling)
+    cfg = two_oscillator_config(
+        lags=[0.25],
+        mc={"n_paths": 10**13, "dt": 1e-3, "seed": 1, "epsilon": 1e-3, "horizon": 0.5},
+        eps_study={"epsilons": [0.1], "lag": 0.25},
+    )
+    cfg_path = write_config(tmp_path, cfg)
+    assert main([command, "--config", cfg_path, "--out", str(tmp_path / "x.csv")]) == 2
+    assert f"mc.n_paths: {10**13} is more than {MAX_PATHS} paths" in capsys.readouterr().err
+    mc = dict(cfg["mc"], n_paths=MAX_PATHS)
+    assert parse_config(dict(cfg, mc=mc)).mc.n_paths == MAX_PATHS
+
+
+def test_harmonic_grid_too_wide_exit_2(tmp_path, capsys):
+    # 2000 points over +/-1e30 miss every state's mass
+    cfg = two_oscillator_config()
+    cfg["system"]["clusters"][0]["grid"] = {"x_min": -1e30, "x_max": 1e30, "n": 2000}
+    cfg_path = write_config(tmp_path, cfg)
+    assert main(["compare", "--config", cfg_path, "--out", str(tmp_path / "x.csv")]) == 2
+    assert "system.clusters[0].grid: mode 0: tail mass" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["qm-corr", "compare", "nelson-mc", "eps-study", "eigen"])
 def test_json_format_for_csv_command_exit_2(tmp_path, capsys, command):
     cfg_path = write_config(tmp_path, two_oscillator_config(output={"format": "json"}))
@@ -579,7 +608,7 @@ def test_series_json_round_trip():
 # --------------------------------------------------------------------------
 
 COMMANDS = ("qm-corr", "compare", "nelson-mc", "chsh", "eps-study", "eigen")
-SIZE_FIELDS = ("n_paths", "k", "n")  # kept out of the huge values, which would allocate
+SIZE_FIELDS = ("k", "n")  # kept out of the huge values, which would allocate
 FIELD_PATH = re.compile(r"config error: (top level|[A-Za-z_]\w*(\[\d+\])*(\.[A-Za-z_]\w*(\[\d+\])*)*): ")
 MUTATIONS = {
     "wrong type": lambda v: 7 if isinstance(v, str) else "x",

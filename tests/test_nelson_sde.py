@@ -23,7 +23,7 @@ from stochmech import (
     stationarity_distance,
 )
 from stochmech import nelson_sde
-from stochmech.nelson_sde import epsilon_convergence_study
+from stochmech.nelson_sde import epsilon_convergence_study, stationarity_distances
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -191,6 +191,94 @@ def test_sample_matches_density_chi_square(two_oscillator_state):
     assert p_value > 0.01
 
 
+@pytest.fixture(scope="module")
+def three_cluster_product(harmonic_es):
+    return build_composite_state([harmonic_es] * 3, [(1.0, (1, 0, 2))])
+
+
+SAMPLER_STATES = [
+    "excited_state", "ground_product_state", "two_oscillator_state",
+    "box_singlet_state", "three_cluster_product",
+]
+
+
+def dense_max_density(state):
+    """The sampler's envelope from the whole amplitude grid at once."""
+    if state.n_clusters == 1:
+        amp = sum(c * state.clusters[0].eigenfunctions[i].values for c, (i,) in state.terms)
+        return float(np.max(amp * amp))
+    if state.n_clusters == 2:
+        es1, es2 = state.clusters
+        amp = np.zeros((es1.grid.n, es2.grid.n))
+        for c, (i, j) in state.terms:
+            amp += c * np.outer(es1.eigenfunctions[i].values, es2.eigenfunctions[j].values)
+        return float(np.max(amp * amp))
+    ((_, idx),) = state.terms
+    out = 1.0
+    for es, k in zip(state.clusters, idx):
+        out *= float(np.max(es.eigenfunctions[k].values ** 2))
+    return out
+
+
+def reference_sample(state, n, seed):
+    """Plain rejection against a uniform box, |psi|^2 at every proposal."""
+    key = nelson_sde._philox_key(seed, nelson_sde._CTX_INIT)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    envelope = 1.01 * dense_max_density(state)
+    lows = np.array([es.grid.x_min for es in state.clusters])
+    highs = np.array([es.grid.x_max for es in state.clusters])
+    out = np.empty((n, state.n_clusters))
+    filled = 0
+    batch = max(4096, 2 * n)
+    while filled < n:
+        pts = rng.uniform(lows, highs, size=(batch, state.n_clusters))
+        u = rng.uniform(0.0, envelope, size=batch)
+        keep = u <= density(state, pts)
+        take = min(int(np.count_nonzero(keep)), n - filled)
+        out[filled : filled + take] = pts[keep][:take]
+        filled += take
+    return out
+
+
+@pytest.mark.parametrize("name", SAMPLER_STATES)
+def test_sampler_matches_plain_rejection(request, name):
+    state = request.getfixturevalue(name)
+    n = 200 if state.n_clusters == 3 else 3000
+    for seed in (1, 11, 303):
+        assert np.array_equal(sample_stationary(state, n, seed), reference_sample(state, n, seed))
+
+
+@pytest.mark.parametrize("name", SAMPLER_STATES)
+def test_cell_bound_covers_density(request, name):
+    state = request.getfixturevalue(name)
+    grids = [es.grid for es in state.clusters]
+    rng = np.random.default_rng(5)
+    cols = []
+    for g in grids:
+        pts = g.points
+        nodes = rng.choice(pts, 20000)
+        cols.append(np.concatenate([
+            rng.uniform(g.x_min, g.x_max, 20000),  # anywhere
+            nodes,  # on a sample
+            np.minimum(np.nextafter(nodes, np.inf), g.x_max),  # just past a cell edge
+            np.maximum(np.nextafter(nodes, -np.inf), g.x_min),  # just before one
+            [g.x_min, g.x_max],
+        ]))
+    points = np.column_stack(cols)
+    bound = nelson_sde._CellBound(state).squared(points)
+    rho = density(state, points)
+    assert np.all(bound >= rho)
+
+
+@pytest.mark.parametrize("rows", [1, 7, None, 4096])
+@pytest.mark.parametrize("name", SAMPLER_STATES)
+def test_blocked_envelope_equals_dense(monkeypatch, request, name, rows):
+    state = request.getfixturevalue(name)
+    if rows is not None:
+        monkeypatch.setattr(nelson_sde, "ENVELOPE_ROWS", rows)
+    assert nelson_sde._max_density(state) == dense_max_density(state)
+
+
 def test_sample_determinism(two_oscillator_state):
     a = sample_stationary(two_oscillator_state, 500, seed=77)
     b = sample_stationary(two_oscillator_state, 500, seed=77)
@@ -254,11 +342,15 @@ def test_chunking_invariance_nodal_state(monkeypatch, excited_state):
     drift = regularized_drift(excited_state, 1e-3)
     init = sample_stationary(excited_state, 300, seed=6)
     kw = dict(dt=1e-3, times=(0.05, 0.1, 0.15, 0.2), seed=6)
-    a = simulate_ensemble(drift, init, chunk_paths=2048, **kw)
-    b = simulate_ensemble(drift, init, chunk_paths=64, **kw)
-    assert np.array_equal(a.positions, b.positions)
-    # 200 steps are one noise block by default; blocks of 7 continue each stream
+    a = simulate_ensemble(drift, init, **kw)  # the default chunk holds every path
+    for chunk in (1, 64, 300):
+        b = simulate_ensemble(drift, init, chunk_paths=chunk, **kw)
+        assert np.array_equal(a.positions, b.positions)
+        assert b.sign_change_fraction == a.sign_change_fraction
+    # 200 steps are one noise block by default; blocks of 7 continue each
+    # stream, and tiles of 7 paths draw and transpose them in smaller pieces
     monkeypatch.setattr(nelson_sde, "NOISE_BLOCK", 7)
+    monkeypatch.setattr(nelson_sde, "NOISE_TILE", 7)
     c = simulate_ensemble(drift, init, chunk_paths=64, **kw)
     assert np.array_equal(a.positions, c.positions)
 
@@ -348,6 +440,13 @@ def test_ks_statistic_matches_scipy_oracle(ou_ensemble, ground_state_1d):
     gauss_cdf = lambda x: 0.5 * (1.0 + erf(x))  # |psi_0|^2 is N(0, 1/2)
     oracle = ks_1samp(samples, gauss_cdf).statistic
     assert stat == pytest.approx(oracle, abs=1e-5)
+
+
+def test_ks_at_every_stored_time(ou_ensemble, ground_state_1d):
+    every = stationarity_distances(ou_ensemble, ground_state_1d)
+    assert every == [
+        stationarity_distance(ou_ensemble, ground_state_1d, t) for t in ou_ensemble.t_grid
+    ]
 
 
 def test_ks_negative_control_flipped_drift(ground_state_1d):
