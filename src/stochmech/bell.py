@@ -46,6 +46,7 @@ _ATOMS: tuple[tuple[int, int, int, int], ...] = tuple(product((-1, 1), repeat=4)
 _CHSH_PATTERNS: tuple[tuple[int, int, int, int], ...] = tuple(
     p for p in product((-1, 1), repeat=4) if p[0] * p[1] * p[2] * p[3] == -1
 )
+_CHSH_SIGNS = np.array(_CHSH_PATTERNS, dtype=float)
 # moments (1, <s1>, <s2>, <t1>, <t2>, E11, E12, E21, E22) of each atom, one column per atom
 _MOMENTS = np.array(
     [[1, *a, a[0] * a[2], a[0] * a[3], a[1] * a[2], a[1] * a[3]] for a in _ATOMS], dtype=float
@@ -182,9 +183,8 @@ def chsh_value(E) -> float:
 
 def chsh_inequalities(E) -> list[tuple[tuple[int, int, int, int], float]]:
     """All eight sign-variant combinations, each classically bounded by 2."""
-    E = np.asarray(E, dtype=float)
-    flat = E.reshape(4)
-    return [(pat, float(np.dot(pat, flat))) for pat in _CHSH_PATTERNS]
+    values = _CHSH_SIGNS @ np.asarray(E, dtype=float).reshape(4)
+    return list(zip(_CHSH_PATTERNS, values.tolist()))
 
 
 # --------------------------------------------------------------------------
@@ -215,14 +215,15 @@ def classical_realizability(E, marginals=(0.0, 0.0, 0.0, 0.0)) -> RealizabilityR
     marg = np.asarray(marginals, dtype=float)
     if E.shape != (2, 2) or marg.shape != (4,):
         raise ParameterError("need a 2x2 correlation matrix and 4 marginals")
-    if np.max(np.abs(E)) > 1.0 + 1e-12 or np.max(np.abs(marg)) > 1.0 + 1e-12:
-        raise ParameterError("correlations and marginals must lie in [-1, 1]")
     target = np.concatenate(([1.0], marg, E.reshape(4)))
-    pattern, value = max(chsh_inequalities(E), key=lambda pv: pv[1])
+    if np.max(np.abs(target)) > 1.0 + 1e-12:
+        raise ParameterError("correlations and marginals must lie in [-1, 1]")
+    values = _CHSH_SIGNS @ target[5:]
+    best = int(np.argmax(values))
+    if values[best] > 2.0 + _FACET_TOL:
+        return RealizabilityResult(False, None, (_CHSH_PATTERNS[best], float(values[best])), None)
     slack = _POSITIVITY_FACETS @ target
     worst = int(np.argmin(slack))
-    if value > 2.0 + _FACET_TOL:
-        return RealizabilityResult(False, None, (pattern, value), None)
     if slack[worst] < -_FACET_TOL:
         return RealizabilityResult(False, None, None, _POSITIVITY_FACETS[worst].copy())
     try:

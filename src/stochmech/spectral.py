@@ -63,7 +63,8 @@ _PARITY_TOL = 1e-10
 _DEAD_TOL = 1e-9  # samples below this fraction of max|f| count as zero
 _SIGN_SCALE = 1e-12
 # An interval whose ends lie within this many eigensolver steps of an
-# earlier interval's negated ends is that interval's mirror image; a
+# earlier interval's negated ends is that interval's mirror image, and one
+# whose ends lie so close to each other's negation is centred on 0; a
 # tolerance, because the node of an odd state sits within roundoff of 0.
 _MIRROR_TOL = 1e-9
 
@@ -488,32 +489,93 @@ def _fix_sign(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _solve_interior(
-    v_diag: np.ndarray, h: float, k: int, first: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs first .. k-1, in ascending order, of the Dirichlet
-    finite-difference operator.
+def _fd_operator(v_diag: np.ndarray, h: float, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the Dirichlet finite-difference operator.
 
     ``v_diag`` holds potential samples at the interior points; the kinetic
     part is the standard second-order central-difference stencil.
-    Index-selected bisection and inverse iteration compute each pair on its
-    own, so pairs first .. k-1 appended to an earlier call's pairs
-    0 .. first-1 agree with one call for 0 .. k-1 within the bisection
-    tolerance eps * ||T||_1.
     """
     m = v_diag.size
     if k > m:
         raise ParameterError(f"k={k} exceeds the {m} interior grid points")
     if not 0.0 < h * h < math.inf:
         raise ParameterError(f"grid spacing {h:.3g} puts 1/h^2 out of floating-point range")
-    diag = 1.0 / h**2 + v_diag
-    off = np.full(m - 1, -0.5 / h**2)
+    return 1.0 / h**2 + v_diag, np.full(m - 1, -0.5 / h**2)
+
+
+def _eigh_range(diag, off, first: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs first .. stop-1 of a symmetric tridiagonal matrix."""
     try:
-        energies, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(first, k - 1))
+        energies, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(first, stop - 1))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericError(f"tridiagonal eigensolver failed: {exc}") from exc
     if not np.all(np.isfinite(energies)):
         raise NumericError("eigensolver returned non-finite energies")
+    return energies, vecs
+
+
+def _solve_interior(
+    v_diag: np.ndarray, h: float, k: int, first: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs first .. k-1, in ascending order, of the Dirichlet
+    finite-difference operator.
+
+    Index-selected bisection and inverse iteration compute each pair on its
+    own, so pairs first .. k-1 appended to an earlier call's pairs
+    0 .. first-1 agree with one call for 0 .. k-1 within the bisection
+    tolerance eps * ||T||_1.
+    """
+    diag, off = _fd_operator(v_diag, h, k)
+    return _eigh_range(diag, off, first, k)
+
+
+def _solve_parity(
+    v_diag: np.ndarray, h: float, k: int, first: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """_solve_interior for a potential that is even about the centre of
+    the interior points, solved as two half-size problems.
+
+    The reflection splits the operator into an even and an odd block
+    (Cantoni & Butler, Linear Algebra Appl. 13, 275 (1976)), each written
+    on the points from the centre outward and sampled there.  When x = 0 is
+    a point the even block's first coupling is scaled by sqrt(2) and the
+    odd block drops that point; when the mirror sits at +-h/2 the reflected
+    neighbour adds -+1/(2h^2) to the first diagonal entry of the even / odd
+    block.  By the Sturm oscillation theorem level j has parity (-1)^j, so
+    level j is pair j // 2 of the even block for even j and of the odd
+    block for odd j; the levels interleave by index, so a near-degenerate
+    doublet keeps its order.  Each column is one half mirrored, exactly
+    even or odd, and each block extends an earlier call's pairs on its own.
+    """
+    diag, off = _fd_operator(v_diag, h, k)
+    m = diag.size
+    c = m // 2
+    d, e = diag[c:], off[c:]  # centre point (odd m) or first right point, outward
+    if m % 2:
+        even_d, odd_d = d, d[1:]
+        even_e, odd_e = e.copy(), e[1:]
+        even_e[:1] *= math.sqrt(2.0)
+    else:
+        even_d, odd_d = d.copy(), d.copy()
+        even_d[0] -= 0.5 / h**2
+        odd_d[0] += 0.5 / h**2
+        even_e = odd_e = e
+    energies = np.empty(k - first)
+    vecs = np.empty((m, k - first))
+    for p, (bd, be) in enumerate(((even_d, even_e), (odd_d, odd_e))):
+        lo, hi = (first + 1 - p) // 2, (k + 1 - p) // 2
+        if hi <= lo:
+            continue
+        block_e, block_v = _eigh_range(bd, be, lo, hi)
+        cols = 2 * np.arange(lo, hi) + p - first
+        energies[cols] = block_e
+        right = block_v / math.sqrt(2.0)
+        if m % 2 and p == 0:
+            vecs[c, cols], right = block_v[0], right[1:]
+        elif m % 2:
+            vecs[c, cols] = 0.0
+        vecs[m - c:, cols] = right
+        vecs[:c, cols] = (1.0, -1.0)[p] * right[::-1]
     return energies, vecs
 
 
@@ -522,7 +584,9 @@ def solve_eigensystem(potential: Potential, grid: Grid, k: int) -> EigenSystem:
 
     Second-order central differences on the uniform grid; the symmetric
     tridiagonal problem is solved for the k lowest pairs, eigenfunctions
-    are Simpson-normalized and sign-fixed.
+    are Simpson-normalized and sign-fixed.  An even potential on a
+    symmetric grid is solved by parity sector (_solve_parity), and its
+    eigenfunctions are exactly even or odd and carry that parity.
     """
     if k < 1:
         raise ParameterError("k must be at least 1")
@@ -531,12 +595,15 @@ def solve_eigensystem(potential: Potential, grid: Grid, k: int) -> EigenSystem:
     v = potential.sample(grid.points)
     if not np.all(np.isfinite(v[1:-1])):
         raise ParameterError("potential must be finite on the grid interior")
-    energies, vecs = _solve_interior(v[1:-1], grid.h, k)
+    by_parity = potential.symmetric and grid.symmetric
+    solve = _solve_parity if by_parity else _solve_interior
+    energies, vecs = solve(v[1:-1], grid.h, k)
     funcs = []
     for i in range(k):
         full = np.zeros(grid.n)
         full[1:-1] = vecs[:, i]
-        funcs.append(Wavefunction.normalized(grid, _fix_sign(full)))
+        parity = ("even", "odd")[i % 2] if by_parity else None
+        funcs.append(Wavefunction.normalized(grid, _fix_sign(full), parity))
     return EigenSystem(grid, tuple(float(e) for e in energies), tuple(funcs), potential=potential)
 
 
@@ -632,6 +699,9 @@ def interval_dirichlet_modes(
 
     ``solved`` holds the lowest modes from an earlier call on the same
     interval; they are kept and only the modes above them are computed.
+    Under an even potential an interval centred on 0 within _MIRROR_TOL
+    steps is solved by parity sector (_solve_parity), each sector
+    extending its own earlier modes.
     """
     span = b - a
     n = max(51, int(round(span / h_target)) + 1)
@@ -646,7 +716,9 @@ def interval_dirichlet_modes(
         if k <= first:
             return solved
     v = potential.sample(pts)
-    energies, vecs = _solve_interior(v[1:-1], h, k, first)
+    by_parity = potential.symmetric and abs(a + b) <= _MIRROR_TOL * h_target
+    solve = _solve_parity if by_parity else _solve_interior
+    energies, vecs = solve(v[1:-1], h, k, first)
     full = np.zeros((n, k - first))
     full[1:-1, :] = vecs / math.sqrt(h)  # unit norm under sum * h
     for i in range(k - first):

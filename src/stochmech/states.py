@@ -84,11 +84,11 @@ def build_composite_state(clusters, terms) -> CompositeState:
         index_rows.append(idx)
     if len(set(index_rows)) != len(index_rows):
         raise ParameterError("duplicate index tuples across terms")
-    coeffs = np.array(coeffs)
-    norm = float(np.sum(coeffs**2))
+    # hypot scales its arguments, so huge or tiny coefficients neither overflow nor underflow
+    norm = math.hypot(*coeffs)
     if norm <= 0.0:
         raise ParameterError("coefficients must not all vanish")
-    coeffs = coeffs / math.sqrt(norm)
+    coeffs = np.array(coeffs) / norm
     term_energies = [
         sum(clusters[i].energies[k] for i, k in enumerate(idx)) for idx in index_rows
     ]

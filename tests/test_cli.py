@@ -493,6 +493,24 @@ def test_chsh_even_point_grid(tmp_path, clusters):
         assert report.alpha**2 == pytest.approx(2.0 / math.pi, abs=1e-4)
 
 
+@pytest.mark.parametrize("height", [27.0, 28.5, 29.0])
+def test_chsh_high_barrier_fine_grid(tmp_path, height):
+    # the tunnelling doublet is solved by parity sector, so both diagonal
+    # elements vanish to roundoff instead of leaking about 1e-8
+    clusters = [{"kind": "double_well", "barrier_height": height, "well_separation": 1.0,
+                 "k": 2, "grid": {"x_min": -3.5, "x_max": 3.5, "n": 8001}}]
+    cfg = {
+        "system": {"clusters": clusters},
+        "state": {"terms": [{"coefficient": 1.0, "indices": [0]}]},
+        "output": {"format": "json"},
+    }
+    out = tmp_path / "chsh.json"
+    assert main(["chsh", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    report = chsh_report_from_dict(json.loads(out.read_text()))
+    assert max(abs(m) for m in report.marginals) <= 1e-15
+    assert report.alpha > 0.9999
+
+
 @pytest.mark.parametrize("command", ["qm-corr", "compare"])
 @pytest.mark.parametrize("clusters", [(0,), (1, 1)])
 def test_observables_on_one_cluster_exit_2(tmp_path, capsys, command, clusters):

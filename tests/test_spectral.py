@@ -23,7 +23,12 @@ from stochmech import (
     quadrature,
     solve_eigensystem,
 )
-from stochmech.spectral import interval_dirichlet_modes, simpson_weights
+from stochmech.spectral import (
+    _solve_interior,
+    _solve_parity,
+    interval_dirichlet_modes,
+    simpson_weights,
+)
 
 
 # --------------------------------------------------------------------------
@@ -189,6 +194,57 @@ def test_grid_refinement_second_order():
         assert abs(ec - ef) < 4e-4
 
 
+# --------------------------------------------------------------------------
+# parity-sector solver
+# --------------------------------------------------------------------------
+
+EVEN_POTENTIALS = [HarmonicPotential(1.0), DoubleWellPotential(8.0, 1.0)]
+
+
+def _interior(pot, n):
+    x = np.linspace(-3.5, 3.5, n)
+    v = pot.sample(x)[1:-1]
+    # bisection places each energy within eps * ||T||_1 of the exact one
+    return v, x[1] - x[0], np.finfo(float).eps * (2.0 / (x[1] - x[0]) ** 2 + float(np.max(v)))
+
+
+@pytest.mark.parametrize("pot", EVEN_POTENTIALS)
+@pytest.mark.parametrize("n", [401, 400])  # x = 0 on the grid, and the mirror at h/2
+@pytest.mark.parametrize("k", range(1, 8))
+def test_parity_solver_matches_full_solve(pot, n, k):
+    v, h, tol = _interior(pot, n)
+    energies, vecs = _solve_parity(v, h, k)
+    full_energies, _ = _solve_interior(v, h, k)
+    assert np.max(np.abs(energies - full_energies)) <= tol
+    for j in range(k):
+        # level j is exactly even for even j, exactly odd for odd j
+        assert np.array_equal(vecs[:, j], (-1) ** j * vecs[::-1, j])
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(k))) < 1e-12
+
+
+@pytest.mark.parametrize("pot", EVEN_POTENTIALS)
+@pytest.mark.parametrize("n", [401, 400])
+def test_parity_solver_extends_each_sector(pot, n):
+    v, h, tol = _interior(pot, n)
+    one_shot, one_shot_vecs = _solve_parity(v, h, 7)
+    for first in range(1, 7):
+        head, head_vecs = _solve_parity(v, h, first)
+        tail, tail_vecs = _solve_parity(v, h, 7, first)
+        assert np.max(np.abs(np.concatenate([head, tail]) - one_shot)) <= tol
+        assert np.max(np.abs(np.abs(tail_vecs) - np.abs(one_shot_vecs[:, first:]))) < 1e-10
+
+
+@pytest.mark.parametrize("n", [2001, 2000])
+def test_solver_sets_exact_parity(n):
+    es = solve_eigensystem(DoubleWellPotential(29.0, 1.0), Grid(-3.5, 3.5, n), 4)
+    for j, f in enumerate(es.eigenfunctions):
+        assert f.parity == ("even", "odd")[j % 2]
+        assert np.array_equal(f.values, (-1) ** j * f.values[::-1])
+    # an uneven grid keeps the single full solve
+    es = solve_eigensystem(DoubleWellPotential(29.0, 1.0), Grid(-3.5, 3.6, n), 2)
+    assert [f.parity for f in es.eigenfunctions] == [None, None]
+
+
 def test_sturm_node_counts():
     es = harmonic_eigensystem(1.0, 7)
     for n in range(7):
@@ -325,6 +381,23 @@ def test_interval_modes_extend_earlier_solve():
     assert interval_dirichlet_modes(pot, a, b, h_target, 24, solved=first) is first
     with pytest.raises(ParameterError, match="another interval"):
         interval_dirichlet_modes(pot, 0.0, 10.0, h_target, 96, solved=first)
+
+
+def test_parity_interval_modes_extend_earlier_solve():
+    # the whole line is centred on 0, so it is solved by parity sector;
+    # the 5 earlier modes are 3 even + 2 odd, each sector extends its own
+    pot = HarmonicPotential(1.0)
+    a, b, h_target = -10.0, 10.0, 0.0025
+    first = interval_dirichlet_modes(pot, a, b, h_target, 5)
+    extended = interval_dirichlet_modes(pot, a, b, h_target, 24, solved=first)
+    one_shot = interval_dirichlet_modes(pot, a, b, h_target, 24)
+    assert np.array_equal(extended.energies[:5], first.energies)
+    assert np.array_equal(extended.values[:, :5], first.values)
+    norm1 = 2.0 / one_shot.h**2 + float(np.max(pot.sample(one_shot.points)))
+    assert np.max(np.abs(extended.energies - one_shot.energies)) <= np.finfo(float).eps * norm1
+    assert np.max(np.abs(extended.values - one_shot.values)) < 1e-10
+    for j in range(24):
+        assert np.array_equal(one_shot.values[:, j], (-1) ** j * one_shot.values[::-1, j])
 
 
 def test_dirichlet_rejects_unstable_sign_pattern():

@@ -32,6 +32,18 @@ def test_build_normalizes_coefficients(harmonic_es):
     assert state.coefficients == pytest.approx([INV_SQRT2, INV_SQRT2])
 
 
+@pytest.mark.parametrize("scale", [1e300, 1e-200])
+def test_build_normalizes_extreme_coefficients(harmonic_es, scale):
+    # sum(c**2) overflows at 1e300 and underflows to zero at 1e-200
+    terms = [(0.6, (0, 1)), (-0.8, (1, 0))]
+    reference = build_composite_state([harmonic_es, harmonic_es], terms)
+    scaled = build_composite_state(
+        [harmonic_es, harmonic_es], [(c * scale, idx) for c, idx in terms]
+    )
+    assert np.max(np.abs(np.subtract(scaled.coefficients, reference.coefficients))) <= 1e-15
+    assert scaled.coefficients == pytest.approx([0.6, -0.8], abs=1e-15)
+
+
 def test_build_single_term_ground(harmonic_es):
     state = build_composite_state([harmonic_es, harmonic_es], [(1.0, (0, 0))])
     assert state.energy == pytest.approx(1.0)
