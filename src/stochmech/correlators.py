@@ -30,7 +30,14 @@ from .errors import (
     SingularPointError,
     UnsupportedStateError,
 )
-from .spectral import Grid, IntervalModes, nodal_interval_modes, nodal_intervals, quadrature
+from .spectral import (
+    Grid,
+    HarmonicPotential,
+    IntervalModes,
+    nodal_interval_modes,
+    nodal_intervals,
+    quadrature,
+)
 from .states import CompositeState, _amplitude, term_pairs
 
 __all__ = [
@@ -161,6 +168,12 @@ class ModeExpansion:
     independent channels form one extra rate-0 mode.  The rate-0 sector
     is always present (the semigroup fixes constants).  truncation_tail is
     the largest fraction of an observable's norm the kept modes miss.
+
+    Position pairs on a harmonic ground or first-excited channel take
+    their modes from the closed form (_harmonic_position_modes): the rates
+    and weights are exact, and the tail is the exact missing norm of the
+    MODE_CAP kept modes.  Every other channel is solved by finite
+    differences, so its modes also carry O(h^2) discretization error.
     """
 
     rates: tuple[float, ...]
@@ -382,6 +395,35 @@ def _channel_autocorrelation_modes(channel: Channel, f_fn, g_fn) -> _ChannelMode
         n_modes = min(per_cap, n_modes * 4)
 
 
+def _harmonic_position_modes(channel: Channel) -> _ChannelModes:
+    """Exact expansion of E[u(t) u(0)] on a harmonic channel of index 0 or 1.
+
+    With sigma^2 = 1/(2 omega), the ground channel is Ornstein-Uhlenbeck:
+    one mode, rate omega, weight sigma^2.  On the first-excited channel the
+    process never crosses its node and |u| is the radius of a stationary
+    3-D Ornstein-Uhlenbeck process, so E[u(t) u(0)] = (8/pi) sigma^2
+    2F1(-1/2, -1/2; 3/2; exp(-2 omega t)) (DLMF 15.2; Nelson, Phys. Rev.
+    150, 1079 (1966)).  Its series has rates 2 m omega and positive weights
+    (8/pi) sigma^2 ((-1/2)_m)^2 / ((3/2)_m m!); the first MODE_CAP are kept,
+    and the deficit is the exact relative tail (3 sigma^2 - sum w) / (3 sigma^2).
+    """
+    omega = channel.potential.omega
+    var = 0.5 / omega
+    if channel.index == 0:
+        rates = np.array([omega])
+        weights = np.array([var])
+        deficit = 0.0
+    else:
+        weights = np.empty(MODE_CAP)
+        weights[0] = 8.0 / math.pi * var
+        for m in range(1, MODE_CAP):
+            weights[m] = weights[m - 1] * (m - 1.5) ** 2 / ((m + 0.5) * m)
+        rates = 2.0 * omega * np.arange(MODE_CAP)
+        deficit = (3.0 * var - math.fsum(weights)) / (3.0 * var)
+    overlaps = np.sqrt(weights)
+    return _ChannelModes(rates=rates, f_overlaps=overlaps, g_overlaps=overlaps, deficit=deficit)
+
+
 def _assemble_channel_modes(pieces, spline, f_fn, g_fn) -> _ChannelModes:
     # |psi| on each interval's interior points is that interval's rate-0 mode.
     weights = [np.abs(spline(modes.points[1:-1])) for modes in pieces]
@@ -461,10 +503,12 @@ def _channel_terms(
     Product channels are the clusters themselves, so any observable is a
     single channel term.  Rotated channels mix the cluster coordinates, so
     only functions that survive the mixing are exactly expandable:
-    constants, and the coordinate itself, x_j = sum_c R[j, c] u_c.
+    constants, and the coordinate itself, x_j = sum_c R[j, c] u_c.  A
+    position observable is always carried as _identity.
     """
     if np.allclose(dec.rotation, np.eye(dec.n_channels)):
-        return 0.0, [(obs.cluster, obs, 1.0)]
+        fn = _identity if obs.kind == "position" else obs
+        return 0.0, [(obs.cluster, fn, 1.0)]
     vals = obs(state.clusters[obs.cluster].grid.points)
     if float(np.max(vals) - np.min(vals)) == 0.0:
         return float(vals[0]), []
@@ -494,8 +538,11 @@ def nelson_mode_expansion(
     Supported states are those with a channel decomposition: products of
     1D clusters, and real two-term exchange superpositions of identical
     harmonic clusters (position and constant observables only in the
-    rotated case).  Expansions are cached per (state, f, g) for as long as
-    the state is alive.
+    rotated case).  Position pairs on harmonic ground and first-excited
+    channels (every rotated channel, and harmonic clusters of a product
+    state) are exact series; all other channels are finite-difference
+    solves.  Expansions are cached per (state, f, g) for as long as the
+    state is alive.
     """
     key = (id(state), f.key(), g.key())
     with _cache_lock:
@@ -512,10 +559,11 @@ def nelson_mode_expansion(
 def _build_expansion(state: CompositeState, f: Observable, g: Observable) -> ModeExpansion:
     """E[f(t) g(0)] as a bilinear sum over the channel terms of f and g.
 
-    Terms on a shared channel contribute that channel's decaying modes;
-    terms on distinct channels are independent and contribute the product
-    of their means at rate 0, as does a constant side times the other
-    side's mean.
+    Terms on a shared channel contribute that channel's decaying modes:
+    the closed form for the identity on both sides of a harmonic channel
+    of index 0 or 1, the finite-difference solve otherwise.  Terms on
+    distinct channels are independent and contribute the product of their
+    means at rate 0, as does a constant side times the other side's mean.
     """
     _check_clusters(state, [f, g])
     dec = decompose(state)
@@ -527,7 +575,16 @@ def _build_expansion(state: CompositeState, f: Observable, g: Observable) -> Mod
     for c, f_fn, wf in f_terms:
         for d, g_fn, wg in g_terms:
             if c == d:
-                cm = _channel_autocorrelation_modes(dec.channels[c], f_fn, g_fn)
+                channel = dec.channels[c]
+                exact = (
+                    f_fn is _identity and g_fn is _identity
+                    and isinstance(channel.potential, HarmonicPotential)
+                    and channel.index in (0, 1)
+                )
+                if exact:
+                    cm = _harmonic_position_modes(channel)
+                else:
+                    cm = _channel_autocorrelation_modes(channel, f_fn, g_fn)
                 tail = max(tail, cm.deficit)
                 modes.extend(
                     (float(r), float(wf * wg * of * og))

@@ -71,7 +71,10 @@ _MIRROR_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform grid of n points on [x_min, x_max]."""
+    """Uniform grid of n points on [x_min, x_max].
+
+    The points of a symmetric grid are exact mirror images, x[::-1] == -x.
+    """
 
     x_min: float
     x_max: float
@@ -85,6 +88,13 @@ class Grid:
                 f"grid requires x_min < x_max, got [{self.x_min}, {self.x_max}]"
             )
         pts = np.linspace(self.x_min, self.x_max, self.n)
+        if self.symmetric:
+            # mirror the left half so x[::-1] == -x exactly and an odd-n
+            # centre is exactly 0, where linspace can leave roundoff
+            half = self.n // 2
+            pts[self.n - half:] = -pts[half - 1::-1]
+            if self.n % 2:
+                pts[half] = 0.0
         pts.setflags(write=False)
         object.__setattr__(self, "_points", pts)
         w = simpson_weights(self.n, self.h)

@@ -112,9 +112,9 @@ def test_compare_two_oscillators(tmp_path):
     assert summary["equal_time_agreement"] < 1e-6
     assert summary["max_abs_dev_qm_bohm"] > 0.1
     assert summary["max_abs_dev_qm_nelson"] > 0.1
-    # 96 modes on each half of the excited channel, 24 on the ground channel,
-    # one rate-0 product of means
-    assert summary["nelson_modes"] == 217
+    # closed-form series: MODE_CAP = 200 modes on the excited channel, one
+    # on the ground channel, one rate-0 product of means
+    assert summary["nelson_modes"] == 202
     assert 0.0 < summary["nelson_truncation_tail"] < 1e-6
 
 
@@ -509,6 +509,22 @@ def test_chsh_high_barrier_fine_grid(tmp_path, height):
     report = chsh_report_from_dict(json.loads(out.read_text()))
     assert max(abs(m) for m in report.marginals) <= 1e-15
     assert report.alpha > 0.9999
+
+
+def test_chsh_odd_point_grid_centre(tmp_path):
+    # np.linspace(-3.5, 3.5, 401) leaves its centre sample at 4.4e-16, where
+    # sign reads +1; the mirrored grid puts it at exactly 0
+    clusters = [{"kind": "double_well", "barrier_height": 4.0, "well_separation": 1.0,
+                 "k": 2, "grid": {"x_min": -3.5, "x_max": 3.5, "n": 401}}]
+    cfg = {
+        "system": {"clusters": clusters},
+        "state": {"terms": [{"coefficient": 1.0, "indices": [0]}]},
+        "output": {"format": "json"},
+    }
+    out = tmp_path / "chsh.json"
+    assert main(["chsh", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    report = chsh_report_from_dict(json.loads(out.read_text()))
+    assert max(abs(m) for m in report.marginals) < 1e-10
 
 
 @pytest.mark.parametrize("command", ["qm-corr", "compare"])

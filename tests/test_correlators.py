@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 from scipy.interpolate import CubicSpline
+from scipy.special import hyp2f1
 
 from stochmech import (
     CompatibilityError,
     CorrelationSeries,
+    DoubleWellPotential,
     EigenSystem,
     NodeDetectionError,
     Observable,
@@ -29,9 +31,10 @@ from stochmech import (
     qm_two_time_series,
     quadrature,
     regularized_drift,
+    solve_eigensystem,
 )
 from stochmech import correlators, spectral
-from stochmech.channels import Channel
+from stochmech.channels import Channel, dense_harmonic
 from stochmech.spectral import (
     Grid,
     HarmonicPotential,
@@ -207,12 +210,29 @@ def test_mode_expansion_coefficients_match_closed_forms(
     assert groups[4.0] == pytest.approx(ab * C5_SQ, abs=2e-4)
 
 
+def _harmonic_channel_exact(omega, index, lags):
+    """E[u(t) u(0)] of a harmonic channel: Ornstein-Uhlenbeck at index 0,
+    (8/pi) sigma^2 2F1(-1/2, -1/2; 3/2; exp(-2 omega t)) at index 1."""
+    var = 0.5 / omega
+    lags = np.asarray(lags, dtype=float)
+    if index == 0:
+        return var * np.exp(-omega * lags)
+    return 8.0 / math.pi * var * hyp2f1(-0.5, -0.5, 1.5, np.exp(-2.0 * omega * lags))
+
+
+def _channel_values(cm, lags):
+    return np.exp(-np.outer(lags, cm.rates)) @ (cm.f_overlaps * cm.g_overlaps)
+
+
+CLOSED_FORM_LAGS = np.linspace(0.0, 6.25, 26)
+
+
 def test_semigroup_values_against_independent_series(two_oscillator_state, pos0, pos1):
-    # frozen from direct quadrature of the half-line overlaps
-    anchors = {0.5: 0.52480354, 1.0: 0.55910956, 2.0: 0.60473109}
-    for t, ref in anchors.items():
+    # a b (excited - ground channel autocorrelation), a = b = 1/sqrt(2)
+    for t in (0.5, 1.0, 2.0):
+        ref = 0.5 * (_harmonic_channel_exact(1.0, 1, t) - _harmonic_channel_exact(1.0, 0, t))
         val = nelson_semigroup_correlation(two_oscillator_state, pos0, pos1, t)
-        assert val == pytest.approx(ref, abs=5e-5)
+        assert val == pytest.approx(ref, abs=1e-7)
     assert nelson_semigroup_correlation(
         two_oscillator_state, pos0, pos1, 0.0
     ) == pytest.approx(0.5, abs=1e-6)
@@ -256,6 +276,68 @@ def test_ou_channel_autocorrelation(harmonic_es):
     for t in (0.0, 0.5, 1.5):
         val = nelson_semigroup_correlation(state, f, f, t)
         assert val == pytest.approx(math.exp(-t) / 2.0, abs=2e-5)
+
+
+@pytest.mark.parametrize("index", [0, 1])
+@pytest.mark.parametrize("omega", [0.75, 1.0, 2.0])
+def test_harmonic_position_modes_match_hyp2f1(omega, index):
+    channel = Channel(HarmonicPotential(omega), dense_harmonic(omega, 2), index)
+    cm = correlators._harmonic_position_modes(channel)
+    var = 0.5 / omega
+    exact = _harmonic_channel_exact(omega, index, CLOSED_FORM_LAGS)
+    err = np.max(np.abs(_channel_values(cm, CLOSED_FORM_LAGS) - exact))
+    # positive weights: the error peaks at lag 0, where it is the missing tail
+    assert err <= cm.deficit * 3.0 * var + 1e-15
+    assert np.all(cm.f_overlaps > 0) and np.array_equal(cm.f_overlaps, cm.g_overlaps)
+    if index == 0:
+        assert cm.rates.tolist() == [omega] and cm.deficit == 0.0
+    else:
+        assert cm.rates.size == correlators.MODE_CAP
+        assert np.allclose(cm.rates, 2.0 * omega * np.arange(correlators.MODE_CAP))
+        assert cm.deficit == pytest.approx(4.265e-8, rel=1e-3)
+
+
+@pytest.mark.parametrize("index, bound", [(0, 3e-7), (1, 2e-7)])
+@pytest.mark.parametrize("omega", [0.75, 1.0, 2.0])
+def test_finite_difference_channel_modes_match_closed_form(omega, index, bound):
+    # called directly: no harmonic position expansion reaches this path
+    channel = Channel(HarmonicPotential(omega), dense_harmonic(omega, 2), index)
+    f = correlators._identity
+    cm = correlators._channel_autocorrelation_modes(channel, f, f)
+    exact = _harmonic_channel_exact(omega, index, CLOSED_FORM_LAGS)
+    # the O(h^2) rates (0.9999992 omega on the ground channel) bound the error
+    err = np.max(np.abs(_channel_values(cm, CLOSED_FORM_LAGS) - exact))
+    assert err <= bound * exact[0]
+
+
+def test_closed_form_dispatch(harmonic_es, interval_solves):
+    excited = build_composite_state([harmonic_es], [(1.0, (1,))])
+    pos = Observable("position", 0)
+    exp = nelson_mode_expansion(excited, pos, pos)
+    assert interval_solves == []
+    assert len(exp.rates) == correlators.MODE_CAP
+    assert exp.truncation_tail == pytest.approx(4.265e-8, rel=1e-3)
+    # a bounded observable, and higher harmonic states, take the FD path
+    sign = Observable("sign", 0)
+    nelson_mode_expansion(excited, sign, sign)
+    assert interval_solves
+    solves = len(interval_solves)
+    second = build_composite_state([harmonic_es], [(1.0, (2,))])
+    nelson_mode_expansion(second, pos, pos)
+    assert len(interval_solves) > solves
+
+
+def test_non_harmonic_position_expansion_is_finite_difference():
+    es = solve_eigensystem(DoubleWellPotential(4.0, 1.0), Grid(-3.5, 3.5, 2001), 2)
+    state = build_composite_state([es], [(1.0, (1,))])
+    pos = Observable("position", 0)
+    exp = nelson_mode_expansion(state, pos, pos)
+    channel = Channel(es.potential, es, 1)
+    f = correlators._identity
+    cm = correlators._channel_autocorrelation_modes(channel, f, f)
+    assert exp.rates == tuple(float(r) for r in cm.rates)
+    assert exp.coefficients == tuple(float(a * b) for a, b in zip(cm.f_overlaps, cm.g_overlaps))
+    assert exp.truncation_tail == cm.deficit
 
 
 def test_product_state_cross_correlation_constant(ground_product_state):

@@ -45,6 +45,17 @@ def test_grid_invariants():
         Grid(1.0, -1.0, 10)
 
 
+@pytest.mark.parametrize("span, n", [(3.5, 401), (3.5, 400), (10.0, 4001), (1.0, 5), (7.3, 8001)])
+def test_symmetric_grid_points_mirror_exactly(span, n):
+    pts = Grid(-span, span, n).points
+    assert np.array_equal(pts[::-1], -pts)
+    assert pts[0] == -span and pts[-1] == span
+    if n % 2:
+        assert pts[n // 2] == 0.0
+    # still the uniform points, to roundoff
+    assert np.max(np.abs(pts - np.linspace(-span, span, n))) <= 4 * np.finfo(float).eps * span
+
+
 @pytest.mark.parametrize("n", [5, 6, 101, 100])
 def test_simpson_exact_on_cubics(n):
     # composite Simpson integrates cubics exactly on full panels; the odd
