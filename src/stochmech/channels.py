@@ -32,8 +32,8 @@ from .states import CompositeState, is_product
 
 __all__ = ["Channel", "ChannelDecomposition", "decompose", "dense_harmonic"]
 
-# Channels drive drift splines and mode expansions; a finer grid than the
-# eigensolver default keeps interpolation error out of their budgets.
+# Harmonic channels on coarser grids take their drift spline from this many
+# points (nelson_sde._drift_samples), keeping interpolation error out of it.
 CHANNEL_GRID_POINTS = 4001
 
 
@@ -91,7 +91,8 @@ def decompose(state: CompositeState) -> ChannelDecomposition:
     """Split a supported state into independent channels.
 
     Product channels keep their cluster eigensystems and grids, so means
-    agree bit for bit with the quantum matrix elements computed there.
+    agree bit for bit with the quantum matrix elements computed there; both
+    channels of an exchange pair share the first cluster's eigensystem.
     Raises UnsupportedStateError with a diagnostic when no rotation to
     decoupled coordinates is known for the given state.
     """
@@ -119,17 +120,13 @@ def decompose(state: CompositeState) -> ChannelDecomposition:
             if all(isinstance(p, HarmonicPotential) for p in pots) and (
                 abs(pots[0].omega - pots[1].omega) <= 1e-9 * pots[0].omega
             ):
-                omega = pots[0].omega
                 a = by_idx[(0, 1)]
                 b = by_idx[(1, 0)]
                 # psi = (b x_1 + a x_2) * gaussian = psi_1(u1) psi_0(u2)
                 # with u1 = b x_1 + a x_2, u2 = -a x_1 + b x_2.
                 rotation = np.array([[b, -a], [a, b]])
-                dense = dense_harmonic(omega, 2)
-                channels = (
-                    Channel(pots[0], dense, 1),
-                    Channel(pots[0], dense, 0),
-                )
+                es = state.clusters[0]
+                channels = (Channel(pots[0], es, 1), Channel(pots[0], es, 0))
                 return ChannelDecomposition(state, channels, rotation)
         raise UnsupportedStateError(
             "two-term state is not an exchange pair of identical harmonic "

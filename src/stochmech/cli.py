@@ -181,11 +181,16 @@ def cmd_nelson_mc(cfg: RunConfig, args) -> int:
     state = build_state(cfg)
     f, g = _two_observables(cfg, state)
     lags = _require_lags(cfg)
+    steps = {0}  # the stored times, as simulate_ensemble counts them
     for lag in lags:
-        _n_steps(lag, mc.dt, "lags")
+        steps.add(_n_steps(lag, mc.dt, "lags"))
         if not 0.0 <= lag <= mc.horizon + 1e-12:
             raise ConfigError(f"lags: {lag} is outside [0, mc.horizon={mc.horizon}]")
-    _n_steps(mc.horizon, mc.dt, "mc.horizon")
+    steps.add(_n_steps(mc.horizon, mc.dt, "mc.horizon"))
+    try:
+        nelson_sde.check_ensemble_size(mc.n_paths, len(steps), state.n_clusters)
+    except ParameterError as exc:
+        raise ConfigError(f"mc.n_paths: {exc}") from exc
     drift = _checked_drift(state, mc.epsilon, "mc.epsilon")
     init = nelson_sde.sample_stationary(state, mc.n_paths, seed)
     ensemble = nelson_sde.simulate_ensemble(drift, init, mc.dt, [*lags, mc.horizon], seed)

@@ -353,8 +353,7 @@ def bohm_velocity_field(state: CompositeState, points) -> np.ndarray:
 @dataclass(frozen=True)
 class _ChannelModes:
     rates: np.ndarray
-    f_overlaps: np.ndarray
-    g_overlaps: np.ndarray
+    weights: np.ndarray  # <f|n><n|g> for each mode n
     deficit: float
 
 
@@ -420,69 +419,50 @@ def _harmonic_position_modes(channel: Channel) -> _ChannelModes:
             weights[m] = weights[m - 1] * (m - 1.5) ** 2 / ((m + 0.5) * m)
         rates = 2.0 * omega * np.arange(MODE_CAP)
         deficit = (3.0 * var - math.fsum(weights)) / (3.0 * var)
-    overlaps = np.sqrt(weights)
-    return _ChannelModes(rates=rates, f_overlaps=overlaps, g_overlaps=overlaps, deficit=deficit)
+    return _ChannelModes(rates=rates, weights=weights, deficit=deficit)
 
 
 def _assemble_channel_modes(pieces, spline, f_fn, g_fn) -> _ChannelModes:
     # |psi| on each interval's interior points is that interval's rate-0 mode.
-    weights = [np.abs(spline(modes.points[1:-1])) for modes in pieces]
+    amplitudes = [np.abs(spline(modes.points[1:-1])) for modes in pieces]
     # Global h-dot normalization of |psi| over the partitioned grid makes
     # the constant observable map to exactly 1.
-    total = math.fsum(modes.h * float(w @ w) for modes, w in zip(pieces, weights))
+    total = math.fsum(modes.h * float(a @ a) for modes, a in zip(pieces, amplitudes))
     scale = math.sqrt(total)
 
-    rates_all: list[float] = []
-    f_all: list[float] = []
-    g_all: list[float] = []
-    deficit_num_f = 0.0
-    deficit_num_g = 0.0
-    norm_f = 0.0
-    norm_g = 0.0
-    for modes, w_raw in zip(pieces, weights):
-        h, mat, energies = modes.h, modes.values[1:-1, :], modes.energies
-        w = w_raw / scale
+    rates = []
+    overlaps = []  # rows: <f|n>, <g|n>
+    norm = np.zeros(2)  # h-norms of f|psi| and g|psi|
+    missing = np.zeros(2)  # the parts of those norms the kept modes miss
+    for modes, amp in zip(pieces, amplitudes):
+        h, xs = modes.h, modes.points[1:-1]
+        w = amp / scale
         ground = w / math.sqrt(h * float(w @ w))
-        basis = [ground]
-        rates = [0.0]
-        e0 = float(energies[0])
-        for j in range(1, energies.size):
-            v = mat[:, j]
-            v = v - (h * float(ground @ v)) * ground
-            nrm = math.sqrt(h * float(v @ v))
-            if nrm < 1e-12:
-                continue
-            basis.append(v / nrm)
-            rates.append(float(energies[j]) - e0)
-        xs_interior = modes.points[1:-1]
-        wf = f_fn(xs_interior) * w
-        wg = g_fn(xs_interior) * w
-        norm_f += h * float(wf @ wf)
-        norm_g += h * float(wg @ wg)
-        cov_f = 0.0
-        cov_g = 0.0
-        for vec, rate in zip(basis, rates):
-            of = h * float(vec @ wf)
-            og = h * float(vec @ wg)
-            rates_all.append(rate)
-            f_all.append(of)
-            g_all.append(og)
-            cov_f += of * of
-            cov_g += og * og
-        deficit_num_f += max(0.0, h * float(wf @ wf) - cov_f)
-        deficit_num_g += max(0.0, h * float(wg @ wg) - cov_g)
+        # The modes V above the lowest, orthogonalized against ground, are
+        # the columns of (V - ground c^T) / col_norm, never formed.  einsum
+        # keeps the products with V single-threaded: a threaded BLAS product
+        # here has been seen to leave threads spinning into later eigensolves.
+        upper = modes.values[1:-1, 1:]
+        c = h * np.einsum("i,ij->j", ground, upper)
+        col_norm = np.sqrt(np.maximum(0.0, h * np.einsum("ij,ij->j", upper, upper) - c * c))
+        keep = col_norm >= 1e-12
+        obs = np.stack((f_fn(xs), g_fn(xs))) * w
+        over0 = h * np.einsum("ki,i->k", obs, ground)
+        over = h * np.einsum("ki,ij->kj", obs, upper) - np.outer(over0, c)
+        over = np.column_stack((over0, over[:, keep] / col_norm[keep]))
+        e = modes.energies
+        rates.append(np.concatenate(([0.0], e[1:][keep] - e[0])))
+        overlaps.append(over)
+        obs_norm = h * np.einsum("ki,ki->k", obs, obs)
+        norm += obs_norm
+        missing += np.maximum(0.0, obs_norm - np.einsum("kj,kj->k", over, over))
 
-    deficit = 0.0
-    if norm_f > 0:
-        deficit = max(deficit, deficit_num_f / norm_f)
-    if norm_g > 0:
-        deficit = max(deficit, deficit_num_g / norm_g)
-    order = np.argsort(rates_all, kind="stable")
+    deficit = max((m / n for m, n in zip(missing, norm) if n > 0), default=0.0)
+    rates = np.concatenate(rates)
+    f_over, g_over = np.concatenate(overlaps, axis=1)
+    order = np.argsort(rates, kind="stable")
     return _ChannelModes(
-        rates=np.asarray(rates_all)[order],
-        f_overlaps=np.asarray(f_all)[order],
-        g_overlaps=np.asarray(g_all)[order],
-        deficit=float(deficit),
+        rates=rates[order], weights=(f_over * g_over)[order], deficit=float(deficit)
     )
 
 
@@ -587,8 +567,7 @@ def _build_expansion(state: CompositeState, f: Observable, g: Observable) -> Mod
                     cm = _channel_autocorrelation_modes(channel, f_fn, g_fn)
                 tail = max(tail, cm.deficit)
                 modes.extend(
-                    (float(r), float(wf * wg * of * og))
-                    for r, of, og in zip(cm.rates, cm.f_overlaps, cm.g_overlaps)
+                    (float(r), float(wf * wg * w)) for r, w in zip(cm.rates, cm.weights)
                 )
             else:
                 cross.append(
@@ -670,11 +649,7 @@ def compare_theories(
     except UnsupportedStateError as exc:
         warning = str(exc)
     else:
-        nelson = CorrelationSeries(
-            tuple(lags),
-            tuple(float(expansion(abs(t))) for t in lags),
-            "nelson_spectral",
-        )
+        nelson = nelson_two_time_series(state, f, g, lags)
         equal_dev = abs(float(expansion(0.0)) - qm0)
         nelson_dev = float(
             np.max(np.abs(np.asarray(nelson.values) - np.asarray(qm.values)))

@@ -44,6 +44,7 @@ __all__ = [
     "sample_stationary",
     "simulate_ensemble",
     "step_count",
+    "check_ensemble_size",
     "estimate_two_time",
     "estimate_multi_time",
     "stationarity_distance",
@@ -56,9 +57,11 @@ CLAMP_SIGMAS = 10.0  # drift increment cap, |b dt| <= 10 sqrt(dt)
 CLAMP_RATE_LIMIT = 0.01
 _MATCH_TOL = 1e-8
 TABLE_REFINE = 8  # drift-table cells per cell of the channel grid
+CHUNK_PATHS = 4096  # paths stepped together
 NOISE_BLOCK = 256  # steps of noise drawn per path at a time
 NOISE_TILE = 256  # paths whose noise block is drawn, then transposed, together
 MAX_STEPS = 10**8  # most steps of dt one stored time may span
+MAX_ENSEMBLE_BYTES = 4 * 2**30  # most bytes of stored positions in one ensemble
 ENVELOPE_ROWS = 64  # rows of a two-cluster amplitude grid held at once
 BOUND_MARGIN = 1e-9  # relative slack of the sampler's cell bound over |psi|^2
 
@@ -462,13 +465,19 @@ def step_count(t: float, dt: float, dt_name: str = "dt") -> int:
     return k
 
 
+def check_ensemble_size(n_paths: int, n_times: int, n_clusters: int) -> None:
+    """Raise ParameterError when an ensemble would pass MAX_ENSEMBLE_BYTES."""
+    size = 8 * n_paths * n_times * n_clusters
+    if size > MAX_ENSEMBLE_BYTES:
+        raise ParameterError(
+            f"{n_paths} paths x {n_times} stored times x {n_clusters} clusters "
+            f"take {size / 2**30:.3g} GiB, more than MAX_ENSEMBLE_BYTES = "
+            f"{MAX_ENSEMBLE_BYTES / 2**30:g} GiB"
+        )
+
+
 def simulate_ensemble(
-    drift: RegularizedDrift,
-    init: np.ndarray,
-    dt: float,
-    times,
-    seed: int,
-    chunk_paths: int = 4096,
+    drift: RegularizedDrift, init: np.ndarray, dt: float, times, seed: int
 ) -> Ensemble:
     """Euler-Maruyama integration of every channel of the drift.
 
@@ -479,13 +488,16 @@ def simulate_ensemble(
     the last of them is the horizon.  Node crossings are counted at the
     poles of each DriftChannel; a channel given as a bare callable has none.
 
-    Paths run chunk_paths at a time.  A chunk keeps its state channel-major,
+    Paths run CHUNK_PATHS at a time.  A chunk keeps its state channel-major,
     one contiguous row of paths per channel.  Every NOISE_BLOCK steps it
     draws the next block of each path's normals, NOISE_TILE paths at a time
     in stream order, and stores them times sqrt(dt) as (step, channel,
     path) rows, so each step reads one contiguous row per channel; the
-    drift increment goes into one preallocated row as well.  Memory thus
-    grows with chunk_paths, not with n_paths.
+    drift increment goes into one preallocated row as well.  Each stored
+    time goes straight into the one positions array, in cluster
+    coordinates, so memory beyond it grows with CHUNK_PATHS, not with
+    n_paths.  An ensemble larger than MAX_ENSEMBLE_BYTES raises
+    ParameterError before anything is allocated.
     """
     if not dt > 0.0:
         raise ParameterError("dt must be positive")
@@ -500,6 +512,7 @@ def simulate_ensemble(
     if init.ndim != 2 or init.shape[1] != n_ch:
         raise ParameterError(f"init must have shape (n_paths, {n_ch})")
     n_paths = init.shape[0]
+    check_ensemble_size(n_paths, len(steps), n_ch)
     t_grid = np.array(steps) * dt
     sqrt_dt = math.sqrt(dt)
     clamp = CLAMP_SIGMAS * sqrt_dt
@@ -509,15 +522,15 @@ def simulate_ensemble(
     clamped = 0
     crossed = np.zeros((n_ch, n_paths), dtype=bool)
     block = min(NOISE_BLOCK, n_steps)
-    for start in range(0, n_paths, chunk_paths):
-        stop = min(start + chunk_paths, n_paths)
+    for start in range(0, n_paths, CHUNK_PATHS):
+        stop = min(start + CHUNK_PATHS, n_paths)
         m = stop - start
         gens = [_path_generator(seed, start + j) for j in range(m)]
         drawn = np.empty((min(NOISE_TILE, m), block, n_ch))
         noise = np.empty((block, n_ch, m))
         move = np.empty(m)
         u = np.ascontiguousarray(dec.to_channels(init[start:stop]).T)
-        positions[start:stop, 0, :] = u.T
+        positions[start:stop, 0, :] = dec.to_clusters(u.T)
         # which side of each pole a path is on; a crossing flips one
         sides = [[u[c] > z for z in poles[c]] for c in range(n_ch)]
         for s in range(n_steps):
@@ -551,9 +564,7 @@ def simulate_ensemble(
             if col is not None:
                 if not np.all(np.isfinite(u)):
                     raise NumericError(f"non-finite path values at step {s + 1}")
-                positions[start:stop, col, :] = u.T
-    # back to cluster coordinates (no-op for product states)
-    positions = positions @ dec.rotation.T
+                positions[start:stop, col, :] = dec.to_clusters(u.T)
     clamp_rate = clamped / float(n_paths * n_steps * n_ch)
     ensemble = Ensemble(
         n_paths=n_paths,

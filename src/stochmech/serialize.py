@@ -105,9 +105,7 @@ CHSH_CSV_HEADER = [
 ]
 
 
-def write_sidecar(
-    data_path: str | Path, config_path: str | Path | None, argv: list[str]
-) -> None:
+def write_sidecar(data_path: str | Path, config_path: str | Path, argv: list[str]) -> None:
     """Run metadata next to the data file; the only place timestamps live.
 
     ``argv`` is the command line of the run, without the program name.
@@ -116,11 +114,9 @@ def write_sidecar(
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "argv": argv,
         "data_file": str(data_path),
+        "config_file": str(config_path),
+        "config_sha256": hashlib.sha256(Path(config_path).read_bytes()).hexdigest(),
     }
-    if config_path is not None:
-        body = Path(config_path).read_bytes()
-        meta["config_file"] = str(config_path)
-        meta["config_sha256"] = hashlib.sha256(body).hexdigest()
     Path(str(data_path) + ".meta.json").write_text(
         json.dumps(meta, sort_keys=True, indent=2) + "\n"
     )

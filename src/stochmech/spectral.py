@@ -274,7 +274,8 @@ class DoubleWellPotential:
     def sample(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         w = self.well_separation
-        return self.barrier_height * (x * x - w * w) ** 2 / w**4
+        with np.errstate(over="ignore"):  # inf, which the solvers reject as not finite
+            return self.barrier_height * (x * x - w * w) ** 2 / w**4
 
     @property
     def symmetric(self) -> bool:
@@ -318,22 +319,20 @@ Potential = Union[
 ]
 
 
-def default_grid(potential: Potential, n: int | None = None) -> Grid:
+def default_grid(potential: Potential) -> Grid:
     """A grid wide enough that bound-state tails are negligible."""
     if isinstance(potential, HarmonicPotential):
         span = DEFAULT_SPAN_SIGMAS / math.sqrt(potential.omega)
-        return Grid(-span, span, n or DEFAULT_GRID_POINTS)
+        return Grid(-span, span, DEFAULT_GRID_POINTS)
     if isinstance(potential, InfiniteWellPotential):
         L = potential.half_width
-        return Grid(-L, L, n or BOX_DEFAULT_POINTS)
+        return Grid(-L, L, BOX_DEFAULT_POINTS)
     if isinstance(potential, DoubleWellPotential):
         pad = max(2.0 / math.sqrt(potential.well_frequency) * 4.0, 1.0)
         span = potential.well_separation + pad
-        return Grid(-span, span, n or DEFAULT_GRID_POINTS)
+        return Grid(-span, span, DEFAULT_GRID_POINTS)
     if isinstance(potential, TabulatedPotential):
-        if n is None or n == potential.grid.n:
-            return potential.grid
-        return Grid(potential.grid.x_min, potential.grid.x_max, n)
+        return potential.grid
     raise ParameterError(f"unknown potential {potential!r}")
 
 
@@ -398,7 +397,8 @@ def _hermite_functions(omega: float, n_modes: int, x: np.ndarray) -> np.ndarray:
     """Normalized oscillator eigenfunctions via the stable three-term recurrence."""
     u = math.sqrt(omega) * np.asarray(x, dtype=float)
     out = np.empty((n_modes, u.size))
-    phi_prev = (omega / math.pi) ** 0.25 * np.exp(-0.5 * u * u)
+    with np.errstate(over="ignore"):  # u * u = inf far out; exp(-inf) = 0 is the limit
+        phi_prev = (omega / math.pi) ** 0.25 * np.exp(-0.5 * u * u)
     out[0] = phi_prev
     if n_modes == 1:
         return out

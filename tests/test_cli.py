@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -357,6 +358,35 @@ def test_n_paths_above_cap_exit_2(tmp_path, capsys, monkeypatch, command):
     assert f"mc.n_paths: {10**13} is more than {MAX_PATHS} paths" in capsys.readouterr().err
     mc = dict(cfg["mc"], n_paths=MAX_PATHS)
     assert parse_config(dict(cfg, mc=mc)).mc.n_paths == MAX_PATHS
+
+
+def test_ensemble_above_byte_cap_exit_2(tmp_path, capsys, monkeypatch):
+    # 10**7 paths x 41 stored times x 2 clusters x 8 B pass MAX_ENSEMBLE_BYTES
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sample_stationary reached")
+
+    monkeypatch.setattr(nelson_sde, "sample_stationary", no_sampling)
+    cfg = two_oscillator_config(
+        lags={"start": 0.05, "stop": 2.0, "step": 0.05},
+        mc={"n_paths": 10**7, "dt": 1e-3, "seed": 1, "epsilon": 1e-3, "horizon": 2.0},
+    )
+    assert len(parse_config(cfg).lags) == 40
+    cfg_path = write_config(tmp_path, cfg)
+    assert main(["nelson-mc", "--config", cfg_path, "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "mc.n_paths: 10000000 paths x 41 stored times x 2 clusters" in err
+    assert "MAX_ENSEMBLE_BYTES" in err
+
+
+@pytest.mark.parametrize("cluster, field", [(0, "omega"), (1, "barrier_height")])
+def test_overflowing_potential_exit_2_without_warning(tmp_path, capsys, cluster, field):
+    cfg = small_config()
+    cfg["system"]["clusters"][cluster][field] = 1e308
+    cfg_path = write_config(tmp_path, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["compare", "--config", cfg_path, "--out", str(tmp_path / "x.csv")]) == 2
+    assert f"system.clusters[{cluster}]" in capsys.readouterr().err
 
 
 def test_harmonic_grid_too_wide_exit_2(tmp_path, capsys):

@@ -221,7 +221,7 @@ def _harmonic_channel_exact(omega, index, lags):
 
 
 def _channel_values(cm, lags):
-    return np.exp(-np.outer(lags, cm.rates)) @ (cm.f_overlaps * cm.g_overlaps)
+    return np.exp(-np.outer(lags, cm.rates)) @ cm.weights
 
 
 CLOSED_FORM_LAGS = np.linspace(0.0, 6.25, 26)
@@ -288,7 +288,7 @@ def test_harmonic_position_modes_match_hyp2f1(omega, index):
     err = np.max(np.abs(_channel_values(cm, CLOSED_FORM_LAGS) - exact))
     # positive weights: the error peaks at lag 0, where it is the missing tail
     assert err <= cm.deficit * 3.0 * var + 1e-15
-    assert np.all(cm.f_overlaps > 0) and np.array_equal(cm.f_overlaps, cm.g_overlaps)
+    assert np.all(cm.weights > 0)
     if index == 0:
         assert cm.rates.tolist() == [omega] and cm.deficit == 0.0
     else:
@@ -336,7 +336,7 @@ def test_non_harmonic_position_expansion_is_finite_difference():
     f = correlators._identity
     cm = correlators._channel_autocorrelation_modes(channel, f, f)
     assert exp.rates == tuple(float(r) for r in cm.rates)
-    assert exp.coefficients == tuple(float(a * b) for a, b in zip(cm.f_overlaps, cm.g_overlaps))
+    assert exp.coefficients == tuple(float(w) for w in cm.weights)
     assert exp.truncation_tail == cm.deficit
 
 
@@ -443,9 +443,80 @@ def test_mirrored_interval_matches_direct_solve(harmonic_es, interval_solves):
     # matrix eigenvalue, so a rate (a difference of two) agrees within 4x that
     norm1 = 2.0 / direct.h**2 + float(np.max(pot.sample(direct.points)))
     assert np.max(np.abs(mirrored.rates - solved.rates)) <= 4 * np.finfo(float).eps * norm1
-    assert np.max(np.abs(mirrored.f_overlaps - solved.f_overlaps)) < 1e-10
-    assert np.max(np.abs(mirrored.g_overlaps - solved.g_overlaps)) < 1e-10
+    assert np.max(np.abs(mirrored.weights - solved.weights)) < 1e-10
     assert mirrored.deficit == pytest.approx(solved.deficit, abs=1e-12)
+
+
+def _gram_schmidt_modes(pieces, spline, f_fn, g_fn):
+    """Reference assembly: one explicit Gram-Schmidt step per mode.
+
+    Returns (rates, weights, deficit) as _assemble_channel_modes defines them.
+    """
+    amps = [np.abs(spline(modes.points[1:-1])) for modes in pieces]
+    scale = math.sqrt(math.fsum(m.h * float(a @ a) for m, a in zip(pieces, amps)))
+    rates_all, f_all, g_all = [], [], []
+    missing_f = missing_g = norm_f = norm_g = 0.0
+    for modes, amp in zip(pieces, amps):
+        h, mat, energies = modes.h, modes.values[1:-1, :], modes.energies
+        w = amp / scale
+        ground = w / math.sqrt(h * float(w @ w))
+        basis, rates = [ground], [0.0]
+        for j in range(1, energies.size):
+            v = mat[:, j]
+            v = v - (h * float(ground @ v)) * ground
+            nrm = math.sqrt(h * float(v @ v))
+            if nrm < 1e-12:
+                continue
+            basis.append(v / nrm)
+            rates.append(float(energies[j]) - float(energies[0]))
+        xs = modes.points[1:-1]
+        wf, wg = f_fn(xs) * w, g_fn(xs) * w
+        norm_f += h * float(wf @ wf)
+        norm_g += h * float(wg @ wg)
+        cov_f = cov_g = 0.0
+        for vec, rate in zip(basis, rates):
+            of, og = h * float(vec @ wf), h * float(vec @ wg)
+            rates_all.append(rate)
+            f_all.append(of)
+            g_all.append(og)
+            cov_f += of * of
+            cov_g += og * og
+        missing_f += max(0.0, h * float(wf @ wf) - cov_f)
+        missing_g += max(0.0, h * float(wg @ wg) - cov_g)
+    deficit = max(missing_f / norm_f, missing_g / norm_g)
+    order = np.argsort(rates_all, kind="stable")
+    weights = np.asarray(f_all) * np.asarray(g_all)
+    return np.asarray(rates_all)[order], weights[order], deficit
+
+
+@pytest.fixture(scope="module")
+def double_well_es():
+    return solve_eigensystem(DoubleWellPotential(4.0, 1.0), Grid(-3.5, 3.5, 2001), 3)
+
+
+@pytest.mark.parametrize("index", [0, 1, 2])
+@pytest.mark.parametrize(
+    "f, g",
+    [
+        (Observable("position", 0), Observable("indicator", 0, a=-0.4, b=1.3)),
+        (Observable("sign", 0), Observable("position", 0)),
+    ],
+)
+def test_assembly_matches_gram_schmidt_reference(double_well_es, index, f, g):
+    psi = double_well_es.eigenfunctions[index]
+    grid = psi.grid
+    spline = CubicSpline(grid.points, psi.values)
+    intervals = nodal_intervals(psi)
+    assert len(intervals) == index + 1
+    for n_modes in (24, correlators.MODE_CAP // len(intervals)):
+        pieces = spectral.nodal_interval_modes(
+            double_well_es.potential, intervals, grid.h / 2.0, n_modes, {}
+        )
+        cm = correlators._assemble_channel_modes(pieces, spline, f, g)
+        rates, weights, deficit = _gram_schmidt_modes(pieces, spline, f, g)
+        assert np.array_equal(cm.rates, rates)
+        assert np.max(np.abs(cm.weights - weights)) <= 1e-13
+        assert abs(cm.deficit - deficit) <= 1e-13
 
 
 def test_intervals_without_mirror_are_all_solved(interval_solves):

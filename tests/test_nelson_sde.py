@@ -323,13 +323,14 @@ def test_brownian_baseline(ground_state_1d):
     assert abs(var - 1.0) < 3.0 * math.sqrt(2.0 / 10000)
 
 
-def test_bitwise_determinism(two_oscillator_state):
+def test_bitwise_determinism(monkeypatch, two_oscillator_state):
     drift = regularized_drift(two_oscillator_state, 1e-2)
     init = sample_stationary(two_oscillator_state, 300, seed=5)
     kw = dict(dt=1e-3, times=(0.05, 0.1, 0.15, 0.2), seed=5)
     a = simulate_ensemble(drift, init, **kw)
     b = simulate_ensemble(drift, init, **kw)
-    c = simulate_ensemble(drift, init, chunk_paths=64, **kw)
+    monkeypatch.setattr(nelson_sde, "CHUNK_PATHS", 64)
+    c = simulate_ensemble(drift, init, **kw)
     assert np.array_equal(a.positions, b.positions)
     assert np.array_equal(a.positions, c.positions)
     # unordered, repeated and zero times store each requested step once, in order
@@ -344,14 +345,16 @@ def test_chunking_invariance_nodal_state(monkeypatch, excited_state):
     kw = dict(dt=1e-3, times=(0.05, 0.1, 0.15, 0.2), seed=6)
     a = simulate_ensemble(drift, init, **kw)  # the default chunk holds every path
     for chunk in (1, 64, 300):
-        b = simulate_ensemble(drift, init, chunk_paths=chunk, **kw)
+        monkeypatch.setattr(nelson_sde, "CHUNK_PATHS", chunk)
+        b = simulate_ensemble(drift, init, **kw)
         assert np.array_equal(a.positions, b.positions)
         assert b.sign_change_fraction == a.sign_change_fraction
     # 200 steps are one noise block by default; blocks of 7 continue each
     # stream, and tiles of 7 paths draw and transpose them in smaller pieces
     monkeypatch.setattr(nelson_sde, "NOISE_BLOCK", 7)
     monkeypatch.setattr(nelson_sde, "NOISE_TILE", 7)
-    c = simulate_ensemble(drift, init, chunk_paths=64, **kw)
+    monkeypatch.setattr(nelson_sde, "CHUNK_PATHS", 64)
+    c = simulate_ensemble(drift, init, **kw)
     assert np.array_equal(a.positions, c.positions)
 
 
@@ -372,6 +375,15 @@ def test_simulate_validations(ground_state_1d):
             simulate_ensemble(drift, init, dt=1e-3, times=[t], seed=1)
     with pytest.raises(ParameterError):
         simulate_ensemble(drift, np.zeros((10, 2)), dt=1e-3, times=[0.1], seed=1)
+
+
+def test_simulate_rejects_ensemble_above_byte_cap(two_oscillator_state):
+    drift = regularized_drift(two_oscillator_state, 1e-2)
+    # a broadcast view: 10**7 initial points without their memory
+    init = np.broadcast_to(np.zeros(2), (10**7, 2))
+    times = np.arange(1, 41) * 0.05
+    with pytest.raises(ParameterError, match="MAX_ENSEMBLE_BYTES"):
+        simulate_ensemble(drift, init, dt=1e-3, times=times, seed=1)
 
 
 def test_clamp_rate_guard(monkeypatch, excited_state):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -138,6 +139,16 @@ def test_harmonic_grid_preconditions():
         harmonic_eigensystem(1.0, 40, Grid(-8.05, 8.05, 1700))
     with pytest.raises(ParameterError, match="too large"):  # before allocating k rows
         harmonic_eigensystem(1.0, 10**6, Grid(-10.0, 10.0, 2000))
+
+
+def test_overflowing_potentials_raise_without_warning():
+    # u * u and the quartic overflow to inf; both still end in their errors
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainTruncationError):
+            harmonic_eigensystem(1e308, 2, Grid(-10.0, 10.0, 2000))
+        with pytest.raises(ParameterError, match="finite"):
+            solve_eigensystem(DoubleWellPotential(1e308, 1.0), Grid(-3.0, 3.0, 201), 2)
 
 
 def test_box_energies_and_values(box_es):
