@@ -14,33 +14,16 @@ report.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.interpolate import BSpline, make_interp_spline
 
 from .errors import UnsupportedStateError
-from .spectral import (
-    EigenSystem,
-    Grid,
-    HarmonicPotential,
-    Potential,
-    Wavefunction,
-    harmonic_eigensystem,
-)
+from .spectral import EigenSystem, Grid, HarmonicPotential, Potential, Wavefunction
 from .states import CompositeState, is_product
 
-__all__ = ["Channel", "ChannelDecomposition", "decompose", "dense_harmonic"]
-
-# Harmonic channels on coarser grids take their drift spline from this many
-# points (nelson_sde._drift_samples), keeping interpolation error out of it.
-CHANNEL_GRID_POINTS = 4001
-
-
-def dense_harmonic(omega: float, k: int) -> EigenSystem:
-    """The k lowest oscillator states on the channel grid, +/-10 sigma wide."""
-    span = 10.0 / math.sqrt(omega)
-    return harmonic_eigensystem(omega, k, Grid(-span, span, CHANNEL_GRID_POINTS))
+__all__ = ["Channel", "ChannelDecomposition", "decompose"]
 
 
 @dataclass(frozen=True)
@@ -62,6 +45,17 @@ class Channel:
     @property
     def grid(self) -> Grid:
         return self.eigensystem.grid
+
+    def spline(self) -> BSpline:
+        """The interpolating spline through the factor's own samples.
+
+        Quintic with not-a-knot ends; a grid of fewer than six points gets
+        the single polynomial of degree n - 1 through all of them.  The
+        Monte Carlo drift and the finite-difference mode expansion both
+        read the factor through it.
+        """
+        grid = self.grid
+        return make_interp_spline(grid.points, self.factor.values, k=min(5, grid.n - 1))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .channels import Channel, ChannelDecomposition, decompose
 from .errors import (
@@ -378,7 +377,7 @@ def _channel_autocorrelation_modes(channel: Channel, f_fn, g_fn) -> _ChannelMode
     """
     psi = channel.factor
     grid = psi.grid
-    spline = CubicSpline(grid.points, psi.values)
+    spline = channel.spline()
     intervals = nodal_intervals(psi)
     per_cap = max(2, MODE_CAP // len(intervals))
     solved: dict[int, IntervalModes] = {}

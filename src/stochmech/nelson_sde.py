@@ -5,10 +5,13 @@ and diverges at nodes.  Near each node the weight is replaced by a
 strictly positive C^1 cosh patch of width epsilon whose log-derivative is
 bounded; as epsilon shrinks the process converges to the node-respecting
 (Dirichlet) diffusion, which is what the spectral backend computes
-exactly.  Outside the patches the drift is read from a uniform table of
-its smooth part, the log-derivative minus the node poles, so a step
-costs index arithmetic rather than a spline search.  Paths are simulated
-per independent channel with deterministic counter-based noise
+exactly.  Every channel takes its drift by one rule: the log-derivative
+of the quintic spline through the channel factor's own samples, with
+each node at that spline's zero, which is both its pole and the centre
+of its patch.  Outside the patches the drift is read from a uniform
+table of its smooth part, the log-derivative minus the node poles, so a
+step costs index arithmetic rather than a spline search.  Paths are
+simulated per independent channel with deterministic counter-based noise
 substreams, so ensembles are bitwise reproducible and paths could be
 filled in concurrently.
 """
@@ -20,9 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import BSpline
 
-from .channels import CHANNEL_GRID_POINTS, ChannelDecomposition, decompose, dense_harmonic
+from .channels import ChannelDecomposition, decompose
 from .correlators import Observable, nelson_semigroup_correlation
 from .errors import (
     EnvelopeError,
@@ -32,7 +35,7 @@ from .errors import (
     StepSizeError,
     UnsupportedStateError,
 )
-from .spectral import HarmonicPotential, Wavefunction, nodal_intervals
+from .spectral import nodal_intervals
 from .states import CompositeState, density, marginal_density
 
 __all__ = [
@@ -138,19 +141,19 @@ def _solve_patch(node: float, eps: float, value: float, slope: float) -> NodePat
 
 @dataclass(frozen=True)
 class DriftChannel:
-    """Evaluable drift of one 1D channel: residual table, poles and patches.
+    """Evaluable drift of one 1D channel: residual table and node patches.
 
     Near a simple node z the log-derivative of |psi| is 1/(x - z) plus a
-    smooth remainder.  ``residual`` samples the drift minus the pole terms
-    at ``poles`` on a uniform grid over [x_min, x_max], and ``slope`` holds
-    its differences, so evaluation is index arithmetic and one linear
-    interpolation; the pole terms are then added back and the cosh patches
-    replace the sum within epsilon of each node.  Beyond the grid the drift
-    is held at its edge value.
+    smooth remainder.  Each patch is centred on a node, and its centre is
+    the pole; ``residual`` samples the drift minus those pole terms on a
+    uniform grid over [x_min, x_max], and ``slope`` holds its differences,
+    so evaluation is index arithmetic and one linear interpolation; the
+    pole terms are then added back and the cosh patches replace the sum
+    within epsilon of each node.  Beyond the grid the drift is held at its
+    edge value.
     """
 
     residual: np.ndarray
-    poles: tuple[float, ...]
     patches: tuple[NodePatch, ...]
     x_min: float
     x_max: float
@@ -159,6 +162,10 @@ class DriftChannel:
     def __post_init__(self):
         # per-cell slope, bitwise residual[i + 1] - residual[i]
         object.__setattr__(self, "slope", np.diff(self.residual))
+
+    @property
+    def poles(self) -> tuple[float, ...]:
+        return tuple(p.node for p in self.patches)
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -173,11 +180,11 @@ class DriftChannel:
         out = self.slope[i]
         out *= s
         out += self.residual[i]
-        if self.poles:
-            # a pole lies inside its patch, which overwrites the value there
+        if self.patches:
+            # each pole is the centre of its patch, which overwrites the value there
             with np.errstate(divide="ignore"):
-                for z in self.poles:
-                    out += 1.0 / (xc - z)
+                for p in self.patches:
+                    out += 1.0 / (xc - p.node)
         for p in self.patches:
             u = x - p.node
             mask = np.abs(u) <= p.epsilon
@@ -200,19 +207,11 @@ class RegularizedDrift:
         return tuple(p for ch in self.channels for p in ch.patches)
 
 
-def _drift_samples(channel) -> Wavefunction:
-    """Factor samples backing the drift spline, densified when analytic."""
-    psi = channel.factor
-    pot = channel.potential
-    if isinstance(pot, HarmonicPotential) and psi.grid.n < CHANNEL_GRID_POINTS:
-        return dense_harmonic(pot.omega, channel.index + 1).eigenfunctions[channel.index]
-    return psi
+def _spline_zero(spline: BSpline, node: float, epsilon: float) -> float:
+    """The factor spline's own zero next to a node found on the samples (Newton).
 
-
-def _spline_zero(spline: CubicSpline, node: float, epsilon: float) -> float:
-    """The spline's own zero next to a node located on the samples (Newton).
-
-    It must lie inside the node's patch, where the patch replaces its pole.
+    It is both the pole of the drift and the centre of the node's patch,
+    so it must lie within epsilon of the sample node.
     """
     z = node
     for _ in range(4):
@@ -222,7 +221,7 @@ def _spline_zero(spline: CubicSpline, node: float, epsilon: float) -> float:
     return z
 
 
-def _residual_table(spline: CubicSpline, poles, grid) -> np.ndarray:
+def _residual_table(spline: BSpline, poles, grid) -> np.ndarray:
     """Drift minus its pole terms on a grid TABLE_REFINE times finer than the samples."""
     x = np.linspace(grid.x_min, grid.x_max, TABLE_REFINE * (grid.n - 1) + 1)
     den = spline(x)
@@ -230,11 +229,13 @@ def _residual_table(spline: CubicSpline, poles, grid) -> np.ndarray:
     np.divide(spline(x, 1), den, out=res, where=np.abs(den) > 0.0)
     near = [np.abs(x - z) < x[1] - x[0] for z in poles]
     for z, m in zip(poles, near):
-        # on the spline piece at z, psi = c1 u + c2 u^2 + c3 u^3 with u = x - z,
-        # and psi'/psi - 1/u has this closed form, free of cancellation
-        c1, c2, c3 = (float(spline(z, k)) / math.factorial(k) for k in (1, 2, 3))
+        # on the spline piece at z, psi = sum_{j=1..k} c_j u^j with u = x - z,
+        # and psi'/psi - 1/u = sum_{j>=2} (j - 1) c_j u^(j-2) / sum_{j>=1} c_j u^(j-1),
+        # free of cancellation
+        c = [float(spline(z, j)) / math.factorial(j) for j in range(1, spline.k + 1)]
         u = x[m] - z
-        res[m] = (c2 + 2.0 * c3 * u) / (c1 + (c2 + c3 * u) * u)
+        num = [(j - 1) * c[j - 1] for j in range(spline.k, 1, -1)]
+        res[m] = np.polyval(num, u) / np.polyval(c[::-1], u)
     for z, m in zip(poles, near):
         res[~m] -= 1.0 / (x[~m] - z)
     return res
@@ -244,49 +245,45 @@ def regularized_drift(state: CompositeState, epsilon: float) -> RegularizedDrift
     """Build the cosh-patched drift for every channel of the state.
 
     epsilon must stay below half the smallest spacing between nodes (or
-    from a node to the grid edge).  Outside the patches the drift is the
-    log-derivative of the cubic spline through the factor samples, read
-    from a residual table sampled off that spline (see DriftChannel); the
-    spline also supplies the edge values and slopes the patches match.
+    from a node to the grid edge).  Each channel's drift is the
+    log-derivative of its factor spline (Channel.spline), read from a
+    residual table sampled off that spline (see DriftChannel).  Each node
+    is put at the spline's own zero, which is both its pole and its patch
+    centre; the spline also supplies the edge values and slopes the
+    patches match.
     """
     if not epsilon > 0.0:
         raise ParameterError("epsilon must be positive")
     dec = decompose(state)
     channels = []
     for ch in dec.channels:
-        psi = _drift_samples(ch)
-        grid = psi.grid
-        spline = CubicSpline(grid.points, psi.values)
-        deriv = spline.derivative()
-        intervals = nodal_intervals(psi)
-        nodes = [b for _, b in intervals[:-1]]
+        spline = ch.spline()
+        intervals = nodal_intervals(ch.factor)
         bound = 0.5 * min(b - a for a, b in intervals)
-        if nodes and epsilon >= bound:
+        if len(intervals) > 1 and epsilon >= bound:
             raise ParameterError(f"epsilon {epsilon} exceeds half the node separation {bound:.4g}")
         patches = []
-        for z in nodes:
-            vp = abs(float(spline(z + epsilon)))
-            vm = abs(float(spline(z - epsilon)))
-            sp = float(np.sign(spline(z + epsilon)) * deriv(z + epsilon))
-            sm = float(-np.sign(spline(z - epsilon)) * deriv(z - epsilon))
-            patch = _solve_patch(z, epsilon, 0.5 * (vp + vm), 0.5 * (sp + sm))
-            mismatch = max(
-                abs(float(patch.g(epsilon)) - vp),
-                abs(float(patch.g(epsilon)) - vm),
-                abs(float(patch.a * patch.b * math.sinh(patch.b * epsilon)) - sp),
-                abs(float(patch.a * patch.b * math.sinh(patch.b * epsilon)) - sm),
-            )
+        for _, node in intervals[:-1]:
+            z = _spline_zero(spline, node, epsilon)
+            # |psi| and its outward slope at the left and right patch edges
+            edges = np.array([z - epsilon, z + epsilon])
+            sign = np.sign(spline(edges))
+            value = sign * spline(edges)
+            slope = sign * spline(edges, 1) * [-1.0, 1.0]
+            patch = _solve_patch(z, epsilon, float(value.mean()), float(slope.mean()))
+            g = float(patch.g(epsilon))
+            dg = patch.a * patch.b * math.sinh(patch.b * epsilon)
+            mismatch = max(np.max(np.abs(value - g)), np.max(np.abs(slope - dg)))
             if mismatch > _MATCH_TOL:
                 raise RegularizationError(
                     f"patch at node {z:.4g} misses C1 matching by {mismatch:.2e}; "
                     f"reduce epsilon"
                 )
             patches.append(patch)
-        poles = tuple(_spline_zero(spline, z, epsilon) for z in nodes)
+        grid = ch.grid
         channels.append(
             DriftChannel(
-                residual=_residual_table(spline, poles, grid),
-                poles=poles,
+                residual=_residual_table(spline, [p.node for p in patches], grid),
                 patches=tuple(patches),
                 x_min=grid.x_min,
                 x_max=grid.x_max,

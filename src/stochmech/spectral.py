@@ -634,20 +634,19 @@ def find_nodes(f: Wavefunction) -> list[float]:
     if scale == 0.0:
         return []
     live = np.nonzero(np.abs(v) > _DEAD_TOL * scale)[0]
-    if live.size < 2:
-        return []
+    # sign changes between consecutive live samples, placed by linear
+    # interpolation between the two of them
+    a, b = live[:-1], live[1:]
+    cross = v[a] * v[b] < 0.0
+    a, b = a[cross], b[cross]
+    crossings = x[a] - v[a] * (x[b] - x[a]) / (v[b] - v[a])
     nodes: list[float] = []
-    for a, b in zip(live[:-1], live[1:]):
-        va, vb = v[a], v[b]
-        if va * vb >= 0.0:
-            continue
-        # linear interpolation between the two flanking live samples
-        xn = x[a] - va * (x[b] - x[a]) / (vb - va)
+    for xn in crossings.tolist():
         if xn <= x[0] + h or xn >= x[-1] - h:
             continue
         if nodes and xn - nodes[-1] < 2.0 * h:
             continue
-        nodes.append(float(xn))
+        nodes.append(xn)
     return nodes
 
 

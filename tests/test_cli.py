@@ -285,6 +285,41 @@ def test_nelson_mc_epsilon_beyond_nodes_exit_2(tmp_path, capsys):
         assert "mc.epsilon:" in capsys.readouterr().err
 
 
+def _single_cluster_mc_config(cluster, index):
+    return {
+        "system": {"clusters": [cluster]},
+        "state": {"terms": [{"coefficient": 1.0, "indices": [index]}]},
+        "observables": [{"kind": "position", "cluster": 0}],
+        "lags": [0.25],
+        "mc": {"n_paths": 100, "dt": 1e-3, "seed": 1, "epsilon": 1e-3, "horizon": 0.5},
+    }
+
+
+def test_nelson_mc_on_five_point_grid_exit_0(tmp_path):
+    # the drift spline takes degree n - 1 = 4 here: one polynomial through all five samples
+    cfg = _single_cluster_mc_config({
+        "kind": "double_well", "barrier_height": 4.0, "well_separation": 1.0, "k": 1,
+        "grid": {"x_min": -3.5, "x_max": 3.5, "n": 5},
+    }, 0)
+    out = tmp_path / "x.csv"
+    assert main(["nelson-mc", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    assert len(read_rows(out)[1]) == 1
+
+
+def test_nelson_mc_patches_an_off_centre_node_exit_0(tmp_path):
+    # the first excited state of a bumped oscillator has its node between two
+    # samples, 4e-8 off the spline's zero; a patch centred on the sampled node
+    # missed C1 matching by 4.07e-8, one centred on the zero matches
+    x = np.linspace(-4.0, 4.0, 801)
+    cfg = _single_cluster_mc_config({
+        "kind": "tabulated", "k": 2, "grid": {"x_min": -4.0, "x_max": 4.0, "n": 801},
+        "values": (0.5 * x**2 + 0.3 * np.exp(-((x - 0.4) ** 2))).tolist(),
+    }, 1)
+    out = tmp_path / "x.csv"
+    assert main(["nelson-mc", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    assert len(read_rows(out)[1]) == 1
+
+
 def test_nelson_mc_stores_lags_and_horizon(tmp_path, ensembles):
     cfg = two_oscillator_config(
         lags=[0.0, 0.001, 0.2],

@@ -34,7 +34,7 @@ from stochmech import (
     solve_eigensystem,
 )
 from stochmech import correlators, spectral
-from stochmech.channels import Channel, dense_harmonic
+from stochmech.channels import Channel
 from stochmech.spectral import (
     Grid,
     HarmonicPotential,
@@ -227,6 +227,13 @@ def _channel_values(cm, lags):
 CLOSED_FORM_LAGS = np.linspace(0.0, 6.25, 26)
 
 
+def _dense_harmonic_channel(omega, index):
+    """An oscillator channel on 4001 points over +/-10/sqrt(omega)."""
+    span = 10.0 / math.sqrt(omega)
+    es = harmonic_eigensystem(omega, 2, Grid(-span, span, 4001))
+    return Channel(HarmonicPotential(omega), es, index)
+
+
 def test_semigroup_values_against_independent_series(two_oscillator_state, pos0, pos1):
     # a b (excited - ground channel autocorrelation), a = b = 1/sqrt(2)
     for t in (0.5, 1.0, 2.0):
@@ -281,7 +288,7 @@ def test_ou_channel_autocorrelation(harmonic_es):
 @pytest.mark.parametrize("index", [0, 1])
 @pytest.mark.parametrize("omega", [0.75, 1.0, 2.0])
 def test_harmonic_position_modes_match_hyp2f1(omega, index):
-    channel = Channel(HarmonicPotential(omega), dense_harmonic(omega, 2), index)
+    channel = _dense_harmonic_channel(omega, index)
     cm = correlators._harmonic_position_modes(channel)
     var = 0.5 / omega
     exact = _harmonic_channel_exact(omega, index, CLOSED_FORM_LAGS)
@@ -301,7 +308,7 @@ def test_harmonic_position_modes_match_hyp2f1(omega, index):
 @pytest.mark.parametrize("omega", [0.75, 1.0, 2.0])
 def test_finite_difference_channel_modes_match_closed_form(omega, index, bound):
     # called directly: no harmonic position expansion reaches this path
-    channel = Channel(HarmonicPotential(omega), dense_harmonic(omega, 2), index)
+    channel = _dense_harmonic_channel(omega, index)
     f = correlators._identity
     cm = correlators._channel_autocorrelation_modes(channel, f, f)
     exact = _harmonic_channel_exact(omega, index, CLOSED_FORM_LAGS)

@@ -15,6 +15,7 @@ from stochmech import (
     density,
     estimate_multi_time,
     estimate_two_time,
+    harmonic_eigensystem,
     nelson_semigroup_correlation,
     regularized_drift,
     sample_stationary,
@@ -91,25 +92,49 @@ def test_patch_matching_and_curvature(excited_state, harmonic_es):
     assert 0.1 / eps < patch.b < 10.0 / eps
 
 
+def _hermite_log_derivative(omega, index, x):
+    """d/dx log|psi_index| of the oscillator, index 0-2, in closed form."""
+    if index == 0:
+        return -omega * x
+    if index == 1:
+        return 1.0 / x - omega * x
+    return 4.0 * omega * x / (2.0 * omega * x * x - 1.0) - omega * x
+
+
+# bound on the drift error by (index, eps), about 5x the largest measured
+# over the three frequencies
+DRIFT_BOUNDS = {
+    (0, 1e-3): 1e-9, (0, 1e-4): 1e-9,
+    (1, 1e-3): 1e-9, (1, 1e-4): 1e-9,
+    (2, 1e-3): 5e-9, (2, 1e-4): 3e-7,
+}
+
+
 @pytest.mark.parametrize("eps", [1e-3, 1e-4])  # wider and narrower than a table cell
-def test_drift_table_matches_exact_excited_state(excited_state, eps):
-    channel = regularized_drift(excited_state, eps).channels[0]
-    xs = np.linspace(-5.0, 5.0, 200001)
-    xs = xs[np.abs(xs) > eps]
-    assert np.max(np.abs(channel(xs) - (1.0 / xs - xs))) < 1e-6
+def test_drift_table_matches_exact_excited_state(eps):
+    # the ground and the two lowest excited oscillator states at three frequencies
+    for omega in (0.75, 1.0, 2.0):
+        es = harmonic_eigensystem(omega, 3)
+        reach = 5.0 / math.sqrt(omega)
+        for index in (0, 1, 2):
+            state = build_composite_state([es], [(1.0, (index,))])
+            channel = regularized_drift(state, eps).channels[0]
+            xs = np.linspace(-reach, reach, 200001)
+            for p in channel.patches:
+                xs = xs[np.abs(xs - p.node) > p.epsilon]
+            err = np.max(np.abs(channel(xs) - _hermite_log_derivative(omega, index, xs)))
+            assert err < DRIFT_BOUNDS[index, eps], (omega, index, err)
 
 
 # the off-centre grid puts the sampled node 3e-9 off the spline's zero
 @pytest.mark.parametrize("grid", [None, Grid(-4.0, 4.5, 2001)])
 def test_drift_table_matches_spline_double_well(grid):
-    from scipy.interpolate import CubicSpline
-
     pot = DoubleWellPotential(barrier_height=4.0, well_separation=1.0)
     es = solve_eigensystem(pot, grid or default_grid(pot), 2)
     state = build_composite_state([es], [(1.0, (1,))])
-    channel = regularized_drift(state, 1e-3).channels[0]
-    psi = es.eigenfunctions[1]
-    spline = CubicSpline(psi.grid.points, psi.values)
+    drift = regularized_drift(state, 1e-3)
+    channel = drift.channels[0]
+    spline = drift.decomposition.channels[0].spline()
     xs = np.linspace(-3.0, 3.0, 120001)
     for p in channel.patches:
         xs = xs[np.abs(xs - p.node) > p.epsilon]
@@ -120,6 +145,26 @@ def test_drift_table_matches_spline_double_well(grid):
     inner = np.abs(xs) <= 2.0
     assert np.max(err[inner]) < 1e-6
     assert np.max(err / np.maximum(1.0, np.abs(exact))) < 1e-6
+
+
+def test_patch_nodes_are_the_poles(harmonic_es):
+    pot = DoubleWellPotential(barrier_height=4.0, well_separation=1.0)
+    dw = solve_eigensystem(pot, Grid(-4.0, 4.5, 2001), 2)
+    for es, index in [(harmonic_es, 1), (harmonic_es, 3), (dw, 1)]:
+        state = build_composite_state([es], [(1.0, (index,))])
+        drift = regularized_drift(state, 1e-3)
+        (channel,) = drift.channels
+        spline = drift.decomposition.channels[0].spline()
+        assert len(channel.patches) == index
+        assert channel.poles == tuple(p.node for p in channel.patches)
+        for p in channel.patches:
+            # the spline's own zero, to Newton's last step
+            assert abs(float(spline(p.node))) <= 1e-15 * abs(float(spline(p.node, 1)))
+    pair = regularized_drift(
+        build_composite_state([harmonic_es] * 2, [(0.6, (0, 1)), (0.8, (1, 0))]), 1e-3
+    )
+    assert [len(ch.poles) for ch in pair.channels] == [1, 0]
+    assert pair.channels[0].poles == (pair.channels[0].patches[0].node,)
 
 
 def test_drift_finite_at_node_and_beyond_grid(excited_state):

@@ -300,6 +300,48 @@ def test_find_nodes_ignores_noise_below_tolerance(harmonic_es):
     assert find_nodes(f) == []
 
 
+def _find_nodes_loop(f):
+    """Reference: find_nodes as one Python step per pair of live samples."""
+    x, v, h = f.grid.points, f.values, f.grid.h
+    scale = float(np.max(np.abs(v)))
+    if scale == 0.0:
+        return []
+    live = np.nonzero(np.abs(v) > 1e-9 * scale)[0]
+    nodes = []
+    for a, b in zip(live[:-1], live[1:]):
+        va, vb = v[a], v[b]
+        if va * vb >= 0.0:
+            continue
+        xn = x[a] - va * (x[b] - x[a]) / (vb - va)
+        if xn <= x[0] + h or xn >= x[-1] - h:
+            continue
+        if nodes and xn - nodes[-1] < 2.0 * h:
+            continue
+        nodes.append(float(xn))
+    return nodes
+
+
+def test_find_nodes_matches_loop_reference():
+    funcs = list(harmonic_eigensystem(1.0, 6).eigenfunctions)
+    funcs += box_eigensystem(1.0, 4).eigenfunctions
+    for n in (401, 2001, 8001):
+        grid = Grid(-3.5, 3.5, n)
+        for height in (1.0, 8.0):
+            funcs += solve_eigensystem(DoubleWellPotential(height, 1.0), grid, 3).eigenfunctions
+    grid = Grid(-1.0, 1.0, 41)
+    # sign flips at every sample (the 2h rule) and just inside the ends (the edge rule)
+    flips = np.where(np.arange(grid.n) % 2 == 0, 1.0, -1.0)
+    flips[10:20] = 1.0
+    funcs.append(Wavefunction.normalized(grid, flips))
+    edges = np.cos(0.49 * math.pi * grid.points)
+    edges[[0, -1]] = -1.0
+    funcs.append(Wavefunction.normalized(grid, edges))
+    assert len(funcs) == 30
+    for f in funcs:
+        assert find_nodes(f) == _find_nodes_loop(f)
+    assert len(find_nodes(funcs[-2])) > 0 and find_nodes(funcs[-1]) == []
+
+
 # --------------------------------------------------------------------------
 # node-restricted spectra
 # --------------------------------------------------------------------------
