@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import BSpline, make_interp_spline
 
 from .errors import UnsupportedStateError
 from .spectral import EigenSystem, Grid, HarmonicPotential, Potential, Wavefunction
@@ -39,23 +38,8 @@ class Channel:
         return self.eigensystem.eigenfunctions[self.index]
 
     @property
-    def energy(self) -> float:
-        return self.eigensystem.energies[self.index]
-
-    @property
     def grid(self) -> Grid:
         return self.eigensystem.grid
-
-    def spline(self) -> BSpline:
-        """The interpolating spline through the factor's own samples.
-
-        Quintic with not-a-knot ends; a grid of fewer than six points gets
-        the single polynomial of degree n - 1 through all of them.  The
-        Monte Carlo drift and the finite-difference mode expansion both
-        read the factor through it.
-        """
-        grid = self.grid
-        return make_interp_spline(grid.points, self.factor.values, k=min(5, grid.n - 1))
 
 
 @dataclass(frozen=True)

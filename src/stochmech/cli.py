@@ -68,11 +68,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _writable(path, field: str) -> Path:
+    """The output path, rejected before any work if no file can be created there."""
+    path = Path(path)
+    if path.is_dir():
+        raise ConfigError(f"{field}: {path} is a directory")
+    if not path.parent.is_dir():
+        raise ConfigError(f"{field}: directory {path.parent} does not exist")
+    return path
+
+
 def _resolve_out(cfg: RunConfig, args) -> Path:
     path = args.out or cfg.output_path
     if path is None:
         raise ConfigError("output.path: required (or pass --out)")
-    return Path(path)
+    return _writable(path, "--out" if args.out else "output.path")
 
 
 def _two_observables(cfg: RunConfig, state: CompositeState):
@@ -177,6 +187,8 @@ def _checked_drift(state: CompositeState, epsilon: float, path: str):
 
 def cmd_nelson_mc(cfg: RunConfig, args) -> int:
     out = _resolve_out(cfg, args)
+    if args.dump_paths:
+        _writable(args.dump_paths, "--dump-paths")
     mc, seed = _mc_plan(cfg, args)
     state = build_state(cfg)
     f, g = _two_observables(cfg, state)

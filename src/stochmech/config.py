@@ -275,10 +275,12 @@ def parse_config(raw: dict) -> RunConfig:
 
 def load_config(path: str | Path) -> RunConfig:
     p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file {p} does not exist")
     try:
-        raw = json.loads(p.read_text())
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
+        raise ConfigError(f"config file {p} cannot be read: {exc}") from exc
+    try:
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return parse_config(raw)

@@ -363,11 +363,11 @@ def _channel_autocorrelation_modes(channel: Channel, f_fn, g_fn) -> _ChannelMode
     with Dirichlet conditions at the nodes of the state factor, so each
     nodal subinterval is diagonalized independently by
     spectral.nodal_interval_modes, the solver behind
-    dirichlet_restricted_eigensystem; the per-interval restriction of
-    |psi| itself is kept as the exact rate-0 mode and the
-    finite-difference modes above it are orthogonalized against it.  A
-    factor whose sign is unstable between its nodes raises
-    NodeDetectionError.
+    dirichlet_restricted_eigensystem, walled at the Monte Carlo's poles;
+    the per-interval restriction of |psi|, read off psi.spline(), is kept
+    as the exact rate-0 mode and the finite-difference modes above it are
+    orthogonalized against it.  A factor whose sign is unstable between
+    its nodes raises NodeDetectionError.
 
     Starting from 24 modes per interval, the count grows fourfold until
     the truncation deficit meets DEFICIT_TOL or the per-interval share of
@@ -377,7 +377,7 @@ def _channel_autocorrelation_modes(channel: Channel, f_fn, g_fn) -> _ChannelMode
     """
     psi = channel.factor
     grid = psi.grid
-    spline = channel.spline()
+    spline = psi.spline()
     intervals = nodal_intervals(psi)
     per_cap = max(2, MODE_CAP // len(intervals))
     solved: dict[int, IntervalModes] = {}

@@ -6,11 +6,13 @@ strictly positive C^1 cosh patch of width epsilon whose log-derivative is
 bounded; as epsilon shrinks the process converges to the node-respecting
 (Dirichlet) diffusion, which is what the spectral backend computes
 exactly.  Every channel takes its drift by one rule: the log-derivative
-of the quintic spline through the channel factor's own samples, with
-each node at that spline's zero, which is both its pole and the centre
-of its patch.  Outside the patches the drift is read from a uniform
-table of its smooth part, the log-derivative minus the node poles, so a
-step costs index arithmetic rather than a spline search.  Paths are
+of the quintic spline through the channel factor's own samples
+(Wavefunction.spline).  Each node is that spline's zero as
+spectral.find_nodes places it, so it is at once the pole, the centre of
+its patch and the Dirichlet wall of the spectral reference.  Outside the
+patches the drift is read from a uniform table of its smooth part, the
+log-derivative minus the node poles, so a step costs index arithmetic
+rather than a spline search.  Paths are
 simulated per independent channel with deterministic counter-based noise
 substreams, so ensembles are bitwise reproducible and paths could be
 filled in concurrently.
@@ -24,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import cumulative_simpson
 from scipy.interpolate import BSpline
+from scipy.optimize import brentq
 
 from .channels import ChannelDecomposition, decompose
 from .correlators import Observable, nelson_semigroup_correlation
@@ -113,28 +116,23 @@ class NodePatch:
 
 
 def _solve_patch(node: float, eps: float, value: float, slope: float) -> NodePatch:
-    """Match a cosh to outward value/slope at the patch edge by bisection."""
+    """Match a cosh to outward value/slope at the patch edge.
+
+    With s = b eps the slope condition reads s tanh(s) = eps slope / value,
+    solved by Brent's method for s in [0.1, 100].
+    """
     if value <= 0.0 or slope <= 0.0:
         raise RegularizationError(
             f"cannot patch node {node:.4g}: non-positive edge value/slope"
         )
     target = eps * slope / value
-
-    def mismatch(b: float) -> float:
-        return b * eps * math.tanh(b * eps) - target
-
-    lo, hi = 1.0 / (10.0 * eps), 100.0 / eps
-    if mismatch(lo) > 0.0 or mismatch(hi) < 0.0:
+    try:
+        s = brentq(lambda s: s * math.tanh(s) - target, 0.1, 100.0)
+    except ValueError:
         raise RegularizationError(
             f"no bracket for the patch slope equation at node {node:.4g}"
-        )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mismatch(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    b = 0.5 * (lo + hi)
+        ) from None
+    b = s / eps
     a = value / math.cosh(b * eps)
     return NodePatch(node=node, epsilon=eps, a=a, b=b)
 
@@ -207,20 +205,6 @@ class RegularizedDrift:
         return tuple(p for ch in self.channels for p in ch.patches)
 
 
-def _spline_zero(spline: BSpline, node: float, epsilon: float) -> float:
-    """The factor spline's own zero next to a node found on the samples (Newton).
-
-    It is both the pole of the drift and the centre of the node's patch,
-    so it must lie within epsilon of the sample node.
-    """
-    z = node
-    for _ in range(4):
-        z -= float(spline(z)) / float(spline(z, 1))
-    if not abs(z - node) < epsilon:
-        raise RegularizationError(f"no spline zero within epsilon of node {node:.4g}")
-    return z
-
-
 def _residual_table(spline: BSpline, poles, grid) -> np.ndarray:
     """Drift minus its pole terms on a grid TABLE_REFINE times finer than the samples."""
     x = np.linspace(grid.x_min, grid.x_max, TABLE_REFINE * (grid.n - 1) + 1)
@@ -246,25 +230,24 @@ def regularized_drift(state: CompositeState, epsilon: float) -> RegularizedDrift
 
     epsilon must stay below half the smallest spacing between nodes (or
     from a node to the grid edge).  Each channel's drift is the
-    log-derivative of its factor spline (Channel.spline), read from a
+    log-derivative of its factor spline (Wavefunction.spline), read from a
     residual table sampled off that spline (see DriftChannel).  Each node
-    is put at the spline's own zero, which is both its pole and its patch
-    centre; the spline also supplies the edge values and slopes the
-    patches match.
+    is taken from spectral.nodal_intervals, the spline's own zero, and is
+    both its pole and its patch centre; the spline also supplies the edge
+    values and slopes the patches match.
     """
     if not epsilon > 0.0:
         raise ParameterError("epsilon must be positive")
     dec = decompose(state)
     channels = []
     for ch in dec.channels:
-        spline = ch.spline()
+        spline = ch.factor.spline()
         intervals = nodal_intervals(ch.factor)
         bound = 0.5 * min(b - a for a, b in intervals)
         if len(intervals) > 1 and epsilon >= bound:
             raise ParameterError(f"epsilon {epsilon} exceeds half the node separation {bound:.4g}")
         patches = []
-        for _, node in intervals[:-1]:
-            z = _spline_zero(spline, node, epsilon)
+        for _, z in intervals[:-1]:
             # |psi| and its outward slope at the left and right patch edges
             edges = np.array([z - epsilon, z + epsilon])
             sign = np.sign(spline(edges))

@@ -4,7 +4,8 @@ Analytic eigensystems for the harmonic oscillator and the infinite well,
 a second-order finite-difference solver for general bounded-below
 potentials (double wells, tabulated data), node location, and
 node-restricted eigensystems where the operator carries Dirichlet
-conditions on the zeros of a given eigenfunction.  Everything is real:
+conditions on the zeros of a given eigenfunction: the zeros of its
+spline, which every consumer reads from find_nodes.  Everything is real:
 eigenfunctions are sampled on uniform grids and inner products are
 composite-Simpson quadratures.
 
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import BSpline, CubicSpline, make_interp_spline
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
@@ -212,6 +213,11 @@ class Wavefunction:
 
     def __call__(self, x) -> np.ndarray:
         return np.interp(x, self.grid.points, self.values)
+
+    def spline(self) -> BSpline:
+        """The quintic not-a-knot interpolating spline through the samples;
+        below six points, the polynomial of degree n - 1 through them all."""
+        return make_interp_spline(self.grid.points, self.values, k=min(5, self.grid.n - 1))
 
 
 # --------------------------------------------------------------------------
@@ -622,10 +628,12 @@ def solve_eigensystem(potential: Potential, grid: Grid, k: int) -> EigenSystem:
 # --------------------------------------------------------------------------
 
 def find_nodes(f: Wavefunction) -> list[float]:
-    """Interior zero crossings by sign change plus linear interpolation.
+    """Interior zeros of the spline through f, one per kept sign change.
 
-    Samples below _DEAD_TOL relative to max|f| count as dead; endpoints are
-    never reported and reported nodes are at least 2h apart.
+    Sign changes between consecutive live samples (above _DEAD_TOL of
+    max|f|) are placed linearly; those within h of an end, or within 2h of
+    the last one kept, are dropped.  Four Newton steps on f.spline() refine
+    the rest, and a zero leaving its sample cell raises NodeDetectionError.
     """
     x = f.grid.points
     v = f.values
@@ -640,13 +648,19 @@ def find_nodes(f: Wavefunction) -> list[float]:
     cross = v[a] * v[b] < 0.0
     a, b = a[cross], b[cross]
     crossings = x[a] - v[a] * (x[b] - x[a]) / (v[b] - v[a])
+    kept: list[int] = []
+    for i, xn in enumerate(crossings.tolist()):
+        if x[0] + h < xn < x[-1] - h and not (kept and xn - crossings[kept[-1]] < 2.0 * h):
+            kept.append(i)
+    spline = f.spline() if kept else None
     nodes: list[float] = []
-    for xn in crossings.tolist():
-        if xn <= x[0] + h or xn >= x[-1] - h:
-            continue
-        if nodes and xn - nodes[-1] < 2.0 * h:
-            continue
-        nodes.append(xn)
+    for i in kept:
+        z = float(crossings[i])
+        for _ in range(4):
+            z -= float(spline(z)) / float(spline(z, 1))
+        if not x[a[i]] < z < x[b[i]]:
+            raise NodeDetectionError(f"spline zero near {crossings[i]:.4g} leaves its sample cell")
+        nodes.append(z)
     return nodes
 
 

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from stochmech import cli, nelson_sde
 from stochmech.errors import NumericError
 from stochmech.cli import main
-from stochmech.config import MAX_PATHS, parse_config
+from stochmech.config import MAX_PATHS, build_observable, build_state, parse_config
+from stochmech.correlators import nelson_semigroup_correlation
 from stochmech.serialize import (
     chsh_report_from_dict,
     chsh_report_to_dict,
@@ -200,6 +201,50 @@ def test_nelson_mc_dump_paths(tmp_path, mc_config, ensembles):
     assert all(len(line.split(" ")) == n_times * n_clusters for line in lines)
     parsed = np.array([[float(v) for v in line.split(" ")] for line in lines])
     assert np.array_equal(parsed, ens.positions.reshape(n_paths, -1))
+
+
+@pytest.fixture()
+def no_sampling(monkeypatch):
+    """Fails the run if it gets as far as sampling the initial positions."""
+    def fail(*args, **kwargs):
+        raise AssertionError("sampled before the output paths were checked")
+
+    monkeypatch.setattr(nelson_sde, "sample_stationary", fail)
+
+
+@pytest.mark.parametrize("flag", ["--out", "--dump-paths"])
+def test_nelson_mc_output_in_missing_directory_exit_2(tmp_path, capsys, mc_config, no_sampling, flag):
+    paths = {"--out": str(tmp_path / "mc.csv"), "--dump-paths": str(tmp_path / "paths.txt")}
+    paths[flag] = str(tmp_path / "missing" / "x.csv")
+    argv = ["nelson-mc", "--config", mc_config]
+    assert main(argv + [arg for pair in paths.items() for arg in pair]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {flag}: directory ") and "Traceback" not in err
+    assert not (tmp_path / "mc.csv").exists()
+
+
+@pytest.mark.parametrize("field", ["--out", "output.path"])
+def test_output_is_a_directory_exit_2(tmp_path, capsys, field):
+    cfg = two_oscillator_config()
+    argv = ["qm-corr", "--config"]
+    if field == "--out":
+        argv += [write_config(tmp_path, cfg), "--out", str(tmp_path)]
+    else:
+        cfg["output"]["path"] = str(tmp_path)
+        argv += [write_config(tmp_path, cfg)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error: {field}: {tmp_path} is a directory\n"
+
+
+@pytest.mark.parametrize("case", ["a directory", "not UTF-8"])
+def test_unreadable_config_exit_2(tmp_path, capsys, case):
+    if case == "a directory":
+        cfg_path = tmp_path
+    else:
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_bytes(json.dumps(two_oscillator_config()).encode("utf-16"))
+    assert main(["eigen", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: config file {cfg_path} cannot be read: ")
 
 
 def test_nelson_mc_seed_override_changes_bytes(tmp_path, mc_config):
@@ -646,6 +691,28 @@ def test_eps_study_table(tmp_path):
     assert header == ["epsilon", "value", "stderr", "spectral_ref", "abs_dev"]
     assert len(rows) == 2
     assert float(rows[0][0]) == pytest.approx(0.1)
+
+
+def test_eps_study_sign_reference_is_the_spectral_value(tmp_path):
+    # the oscillator's second excited state under sign(x): the reference comes
+    # from the finite-difference expansion, walled at the nodes the patches use
+    cfg = {
+        "system": {"clusters": [{"kind": "harmonic", "omega": 1.0, "k": 3}]},
+        "state": {"terms": [{"coefficient": 1.0, "indices": [2]}]},
+        "observables": [{"kind": "sign", "cluster": 0}],
+        "lags": [0.1],
+        "mc": {"n_paths": 500, "dt": 1e-3, "seed": 5, "epsilon": 1e-3, "horizon": 0.1},
+        "eps_study": {"epsilons": [1e-3, 3e-4], "lag": 0.1},
+    }
+    out = tmp_path / "eps.csv"
+    assert main(["eps-study", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    header, rows = read_rows(out)
+    assert [float(row[0]) for row in rows] == [1e-3, 3e-4]
+    state = build_state(parse_config(cfg))
+    sign = build_observable(cfg["observables"][0], state.clusters, 0)
+    spectral = nelson_semigroup_correlation(state, sign, sign, 0.1)
+    ref = header.index("spectral_ref")
+    assert [float(row[ref]) for row in rows] == [spectral, spectral]
 
 
 def test_eps_study_empty_list_exit_2(tmp_path):

@@ -12,6 +12,7 @@ from stochmech import (
     StepSizeError,
     build_composite_state,
     default_grid,
+    dirichlet_restricted_eigensystem,
     density,
     estimate_multi_time,
     estimate_two_time,
@@ -25,6 +26,7 @@ from stochmech import (
 )
 from stochmech import nelson_sde
 from stochmech.nelson_sde import epsilon_convergence_study, stationarity_distances
+from stochmech.spectral import nodal_intervals
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -134,7 +136,7 @@ def test_drift_table_matches_spline_double_well(grid):
     state = build_composite_state([es], [(1.0, (1,))])
     drift = regularized_drift(state, 1e-3)
     channel = drift.channels[0]
-    spline = drift.decomposition.channels[0].spline()
+    spline = drift.decomposition.channels[0].factor.spline()
     xs = np.linspace(-3.0, 3.0, 120001)
     for p in channel.patches:
         xs = xs[np.abs(xs - p.node) > p.epsilon]
@@ -154,7 +156,7 @@ def test_patch_nodes_are_the_poles(harmonic_es):
         state = build_composite_state([es], [(1.0, (index,))])
         drift = regularized_drift(state, 1e-3)
         (channel,) = drift.channels
-        spline = drift.decomposition.channels[0].spline()
+        spline = drift.decomposition.channels[0].factor.spline()
         assert len(channel.patches) == index
         assert channel.poles == tuple(p.node for p in channel.patches)
         for p in channel.patches:
@@ -165,6 +167,20 @@ def test_patch_nodes_are_the_poles(harmonic_es):
     )
     assert [len(ch.poles) for ch in pair.channels] == [1, 0]
     assert pair.channels[0].poles == (pair.channels[0].patches[0].node,)
+
+
+def test_walls_and_poles_are_the_same_nodes(harmonic_es, two_oscillator_state):
+    dw = solve_eigensystem(DoubleWellPotential(4.0, 1.0), Grid(-3.5, 3.5, 4001), 3)
+    states = [build_composite_state([harmonic_es], [(1.0, (i,))]) for i in (1, 2, 3)]
+    states += [build_composite_state([dw], [(1.0, (i,))]) for i in (1, 2)]
+    for state in [*states, two_oscillator_state]:
+        drift = regularized_drift(state, 1e-3)
+        channel = drift.decomposition.channels[0]
+        walls = tuple(b for _, b in nodal_intervals(channel.factor)[:-1])
+        restricted = dirichlet_restricted_eigensystem(
+            channel.potential, channel.factor, channel.grid, 2
+        )
+        assert walls and drift.channels[0].poles == walls == restricted.nodes
 
 
 def test_drift_finite_at_node_and_beyond_grid(excited_state):
