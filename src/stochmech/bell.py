@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .correlators import Observable
 from .errors import NumericError, ParameterError
@@ -226,6 +225,8 @@ def classical_realizability(E, marginals=(0.0, 0.0, 0.0, 0.0)) -> RealizabilityR
     worst = int(np.argmin(slack))
     if slack[worst] < -_FACET_TOL:
         return RealizabilityResult(False, None, None, _POSITIVITY_FACETS[worst].copy())
+    from scipy.optimize import nnls
+
     try:
         x, _ = nnls(_MOMENTS, target)
     except RuntimeError as exc:

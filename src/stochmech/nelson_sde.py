@@ -22,11 +22,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.interpolate import BSpline
-from scipy.optimize import brentq
 
 from .channels import ChannelDecomposition, decompose
 from .correlators import Observable, nelson_semigroup_correlation
@@ -40,6 +38,9 @@ from .errors import (
 )
 from .spectral import nodal_intervals
 from .states import CompositeState, density, marginal_density
+
+if TYPE_CHECKING:
+    from scipy.interpolate import BSpline
 
 __all__ = [
     "NodePatch",
@@ -121,6 +122,8 @@ def _solve_patch(node: float, eps: float, value: float, slope: float) -> NodePat
     With s = b eps the slope condition reads s tanh(s) = eps slope / value,
     solved by Brent's method for s in [0.1, 100].
     """
+    from scipy.optimize import brentq
+
     if value <= 0.0 or slope <= 0.0:
         raise RegularizationError(
             f"cannot patch node {node:.4g}: non-positive edge value/slope"
@@ -601,6 +604,8 @@ def estimate_multi_time(ensemble: Ensemble, observables, times) -> tuple[float, 
 
 def _marginal_cdfs(state: CompositeState) -> list[np.ndarray]:
     """Each cluster's |psi|^2 marginal CDF on its grid, scaled to end at 1."""
+    from scipy.integrate import cumulative_simpson
+
     cdfs = []
     for c, es in enumerate(state.clusters):
         cdf = cumulative_simpson(marginal_density(state, c), dx=es.grid.h, initial=0.0)

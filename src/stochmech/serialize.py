@@ -11,8 +11,12 @@ from __future__ import annotations
 import hashlib
 import json
 from datetime import datetime, timezone
+from functools import cache
 from pathlib import Path
 
+import numpy
+
+from . import __version__
 from .bell import ChshReport
 from .correlators import CorrelationSeries
 
@@ -105,6 +109,24 @@ CHSH_CSV_HEADER = [
 ]
 
 
+@cache
+def _versions() -> dict:
+    """Versions of the packages a run depends on, read once per process.
+
+    SciPy's comes from its top-level package, which loads no subpackage.
+    """
+    import platform
+
+    import scipy
+
+    return {
+        "stochmech": __version__,
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "python": platform.python_version(),
+    }
+
+
 def write_sidecar(data_path: str | Path, config_path: str | Path, argv: list[str]) -> None:
     """Run metadata next to the data file; the only place timestamps live.
 
@@ -116,6 +138,7 @@ def write_sidecar(data_path: str | Path, config_path: str | Path, argv: list[str
         "data_file": str(data_path),
         "config_file": str(config_path),
         "config_sha256": hashlib.sha256(Path(config_path).read_bytes()).hexdigest(),
+        "versions": _versions(),
     }
     Path(str(data_path) + ".meta.json").write_text(
         json.dumps(meta, sort_keys=True, indent=2) + "\n"

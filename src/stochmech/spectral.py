@@ -17,11 +17,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
 import numpy as np
-from scipy.interpolate import BSpline, CubicSpline, make_interp_spline
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
     DomainTruncationError,
@@ -30,6 +28,9 @@ from .errors import (
     NumericError,
     ParameterError,
 )
+
+if TYPE_CHECKING:
+    from scipy.interpolate import BSpline
 
 __all__ = [
     "Grid",
@@ -217,6 +218,8 @@ class Wavefunction:
     def spline(self) -> BSpline:
         """The quintic not-a-knot interpolating spline through the samples;
         below six points, the polynomial of degree n - 1 through them all."""
+        from scipy.interpolate import make_interp_spline
+
         return make_interp_spline(self.grid.points, self.values, k=min(5, self.grid.n - 1))
 
 
@@ -521,6 +524,8 @@ def _fd_operator(v_diag: np.ndarray, h: float, k: int) -> tuple[np.ndarray, np.n
 
 def _eigh_range(diag, off, first: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs first .. stop-1 of a symmetric tridiagonal matrix."""
+    from scipy.linalg import eigh_tridiagonal
+
     try:
         energies, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(first, stop - 1))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -792,6 +797,8 @@ def nodal_interval_modes(potential, intervals, h_target, n_modes, solved) -> lis
 
 
 def _resample_to_grid(modes: IntervalModes, col: int, grid: Grid) -> np.ndarray:
+    from scipy.interpolate import CubicSpline
+
     spline = CubicSpline(modes.points, modes.values[:, col])
     out = np.zeros(grid.n)
     sel = (grid.points > modes.a) & (grid.points < modes.b)

@@ -26,7 +26,6 @@ from stochmech import (
     run_chsh,
     solve_eigensystem,
 )
-from stochmech import bell
 from stochmech.bell import ArrangementDistribution
 
 SQRT2 = math.sqrt(2.0)
@@ -217,7 +216,7 @@ def _nnls_iteration_limit(A, b):
 
 @pytest.mark.parametrize("fake_nnls", [_nnls_wrong_model, _nnls_iteration_limit])
 def test_model_failure_raises_numeric_error(monkeypatch, fake_nnls):
-    monkeypatch.setattr(bell, "nnls", fake_nnls)
+    monkeypatch.setattr("scipy.optimize.nnls", fake_nnls)
     with pytest.raises(NumericError):
         classical_realizability(np.zeros((2, 2)))
 

@@ -2,14 +2,17 @@ import contextlib
 import io
 import json
 import math
+import platform
 import re
 import warnings
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import stochmech
 from stochmech import cli, nelson_sde
 from stochmech.errors import NumericError
 from stochmech.cli import main
@@ -73,6 +76,13 @@ def test_qm_corr_table(tmp_path):
     # the sidecar records the command line given to main, not the interpreter's
     meta = json.loads((tmp_path / "qm.csv.meta.json").read_text())
     assert meta["argv"] == argv
+    # and the versions of the packages the numbers came from
+    assert meta["versions"] == {
+        "stochmech": stochmech.__version__,
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "python": platform.python_version(),
+    }
 
 
 def test_missing_state_block_exits_2(tmp_path, capsys):
