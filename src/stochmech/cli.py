@@ -17,6 +17,7 @@ Exit codes: 0 success, 2 configuration problem, 3 numeric backend error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -35,6 +36,7 @@ EXIT_NUMERIC = 3
 EXIT_DIAGNOSTIC = 4
 
 
+@functools.cache  # one parser per process; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stochmech",

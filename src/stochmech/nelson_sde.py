@@ -14,13 +14,17 @@ patches the drift is read from a uniform table of its smooth part, the
 log-derivative minus the node poles, so a step costs index arithmetic
 rather than a spline search.  Paths are
 simulated per independent channel with deterministic counter-based noise
-substreams, so ensembles are bitwise reproducible and paths could be
-filled in concurrently.
+substreams, one per path, so ensembles are bitwise reproducible and do
+not depend on how the paths are split: simulate_ensemble steps disjoint
+ranges of them in forked worker processes, one per usable CPU, writing
+into one shared map.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
+import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -67,6 +71,10 @@ TABLE_REFINE = 8  # drift-table cells per cell of the channel grid
 CHUNK_PATHS = 4096  # paths stepped together
 NOISE_BLOCK = 256  # steps of noise drawn per path at a time
 NOISE_TILE = 256  # paths whose noise block is drawn, then transposed, together
+# least channel-steps (paths x steps x channels) per process worth a forked
+# worker: two ranges broke even near 4.5e5 channel-steps in all and saved
+# 10-25% from 1e6 up (2-core Xeon, exchange pair)
+FORK_MIN_WORK = 5 * 10**5
 MAX_STEPS = 10**8  # most steps of dt one stored time may span
 MAX_ENSEMBLE_BYTES = 4 * 2**30  # most bytes of stored positions in one ensemble
 ENVELOPE_ROWS = 64  # rows of a two-cluster amplitude grid held at once
@@ -459,54 +467,27 @@ def check_ensemble_size(n_paths: int, n_times: int, n_clusters: int) -> None:
         )
 
 
-def simulate_ensemble(
-    drift: RegularizedDrift, init: np.ndarray, dt: float, times, seed: int
-) -> Ensemble:
-    """Euler-Maruyama integration of every channel of the drift.
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
-    x <- x + b(x) dt + sqrt(dt) xi with per-path deterministic noise;
-    drift increments are clamped at 10 sqrt(dt) and the clamp rate is a
-    diagnostic (error above 1%: shrink dt or grow epsilon).  Positions are
-    stored at t = 0 and at each of ``times``, each a whole number of steps;
-    the last of them is the horizon.  Node crossings are counted at the
-    poles of each DriftChannel; a channel given as a bare callable has none.
 
-    Paths run CHUNK_PATHS at a time.  A chunk keeps its state channel-major,
-    one contiguous row of paths per channel.  Every NOISE_BLOCK steps it
-    draws the next block of each path's normals, NOISE_TILE paths at a time
-    in stream order, and stores them times sqrt(dt) as (step, channel,
-    path) rows, so each step reads one contiguous row per channel; the
-    drift increment goes into one preallocated row as well.  Each stored
-    time goes straight into the one positions array, in cluster
-    coordinates, so memory beyond it grows with CHUNK_PATHS, not with
-    n_paths.  An ensemble larger than MAX_ENSEMBLE_BYTES raises
-    ParameterError before anything is allocated.
-    """
-    if not dt > 0.0:
-        raise ParameterError("dt must be positive")
-    steps = sorted({0, *(step_count(t, dt) for t in times)})
-    n_steps = steps[-1]
-    if n_steps < 1:
-        raise ParameterError("need a time at least one step after 0")
-    column = {k: j for j, k in enumerate(steps)}
-    init = np.asarray(init, dtype=float)
+def _simulate_range(
+    drift, init, dt, n_steps, column, seed, start_path, stop_path, positions, crossed
+) -> int:
+    """Step paths start_path..stop_path-1 into their rows; return the clamp count."""
     dec = drift.decomposition
     n_ch = dec.n_channels
-    if init.ndim != 2 or init.shape[1] != n_ch:
-        raise ParameterError(f"init must have shape (n_paths, {n_ch})")
-    n_paths = init.shape[0]
-    check_ensemble_size(n_paths, len(steps), n_ch)
-    t_grid = np.array(steps) * dt
     sqrt_dt = math.sqrt(dt)
     clamp = CLAMP_SIGMAS * sqrt_dt
     poles = [tuple(getattr(ch, "poles", ())) for ch in drift.channels]
-
-    positions = np.empty((n_paths, len(steps), n_ch))
     clamped = 0
-    crossed = np.zeros((n_ch, n_paths), dtype=bool)
     block = min(NOISE_BLOCK, n_steps)
-    for start in range(0, n_paths, CHUNK_PATHS):
-        stop = min(start + CHUNK_PATHS, n_paths)
+    for start in range(start_path, stop_path, CHUNK_PATHS):
+        stop = min(start + CHUNK_PATHS, stop_path)
         m = stop - start
         gens = [_path_generator(seed, start + j) for j in range(m)]
         drawn = np.empty((min(NOISE_TILE, m), block, n_ch))
@@ -548,7 +529,147 @@ def simulate_ensemble(
                 if not np.all(np.isfinite(u)):
                     raise NumericError(f"non-finite path values at step {s + 1}")
                 positions[start:stop, col, :] = dec.to_clusters(u.T)
-    clamp_rate = clamped / float(n_paths * n_steps * n_ch)
+    return clamped
+
+
+def _fork_range(run, lo: int, hi: int, clamped: np.ndarray, r: int):
+    """Run paths lo..hi-1 in a forked worker; return its pid and the read end of its pipe.
+
+    The worker writes its rows and its clamp count (slot r) into the shared
+    map; an exception it raises comes back pickled through the pipe.
+    """
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            clamped[r] = run(lo, hi)
+            code = 0
+        except BaseException as exc:
+            import pickle
+
+            try:
+                data = pickle.dumps(exc)
+                pickle.loads(data)
+            except Exception:
+                data = pickle.dumps(NumericError(f"{type(exc).__name__}: {exc}"))
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(data)
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, os.fdopen(read_fd, "rb")
+
+
+def _worker_error(data: bytes, status: int, lo: int, hi: int) -> Exception | None:
+    """The exception a worker sent, or NumericError if it died without one."""
+    if data:
+        import pickle
+
+        return pickle.loads(data)
+    code = os.waitstatus_to_exitcode(status)
+    if code < 0:
+        return NumericError(f"worker for paths {lo}-{hi - 1} killed by signal {-code}")
+    if code != 0:
+        return NumericError(f"worker for paths {lo}-{hi - 1} exited with status {code}")
+    return None
+
+
+def simulate_ensemble(
+    drift: RegularizedDrift, init: np.ndarray, dt: float, times, seed: int
+) -> Ensemble:
+    """Euler-Maruyama integration of every channel of the drift.
+
+    x <- x + b(x) dt + sqrt(dt) xi with per-path deterministic noise;
+    drift increments are clamped at 10 sqrt(dt) and the clamp rate is a
+    diagnostic (error above 1%: shrink dt or grow epsilon).  Positions are
+    stored at t = 0 and at each of ``times``, each a whole number of steps;
+    the last of them is the horizon.  Node crossings are counted at the
+    poles of each DriftChannel; a channel given as a bare callable has none.
+
+    The paths are split into W contiguous ranges, W the smaller of the
+    usable CPUs and n_paths * n_steps * n_channels // FORK_MIN_WORK (1
+    without os.fork).  Range 0 runs in the calling process and each other
+    range in a worker forked for it; every range writes its rows of
+    positions, its crossing flags and its clamp count into one anonymous
+    shared mmap, which backs the returned positions.  A worker's exception
+    is re-raised here, a worker killed by a signal raises NumericError,
+    and every worker is reaped (killed first if this call fails) before
+    the call returns.  Noise streams are per path, so the ensemble is
+    bitwise the same for every W.
+
+    Within a range paths run CHUNK_PATHS at a time.  A chunk keeps its
+    state channel-major, one contiguous row of paths per channel.  Every
+    NOISE_BLOCK steps it draws the next block of each path's normals,
+    NOISE_TILE paths at a time in stream order, and stores them times
+    sqrt(dt) as (step, channel, path) rows, so each step reads one
+    contiguous row per channel; the drift increment goes into one
+    preallocated row as well.  Each stored time goes straight into the
+    shared positions, in cluster coordinates, so memory beyond them grows
+    with CHUNK_PATHS per process, not with n_paths.  An ensemble larger
+    than MAX_ENSEMBLE_BYTES raises ParameterError before anything is
+    allocated.
+    """
+    if not dt > 0.0:
+        raise ParameterError("dt must be positive")
+    steps = sorted({0, *(step_count(t, dt) for t in times)})
+    n_steps = steps[-1]
+    if n_steps < 1:
+        raise ParameterError("need a time at least one step after 0")
+    column = {k: j for j, k in enumerate(steps)}
+    init = np.asarray(init, dtype=float)
+    n_ch = drift.decomposition.n_channels
+    if init.ndim != 2 or init.shape[1] != n_ch:
+        raise ParameterError(f"init must have shape (n_paths, {n_ch})")
+    n_paths = init.shape[0]
+    check_ensemble_size(n_paths, len(steps), n_ch)
+    t_grid = np.array(steps) * dt
+    poles = [tuple(getattr(ch, "poles", ())) for ch in drift.channels]
+
+    n_ranges = 1
+    if hasattr(os, "fork"):
+        work = n_paths * n_steps * n_ch
+        n_ranges = max(1, min(_usable_cpus(), work // FORK_MIN_WORK, n_paths))
+    bounds = [n_paths * r // n_ranges for r in range(n_ranges + 1)]
+    # one shared map: positions, then the clamp count of each range, then crossing flags
+    pos_bytes = 8 * n_paths * len(steps) * n_ch
+    shared = mmap.mmap(-1, pos_bytes + 8 * n_ranges + n_ch * n_paths)
+    positions = np.ndarray((n_paths, len(steps), n_ch), buffer=shared)
+    clamped = np.ndarray(n_ranges, dtype=np.int64, buffer=shared, offset=pos_bytes)
+    crossed = np.ndarray(
+        (n_ch, n_paths), dtype=bool, buffer=shared, offset=pos_bytes + 8 * n_ranges
+    )
+
+    def run(lo, hi):
+        return _simulate_range(
+            drift, init, dt, n_steps, column, seed, lo, hi, positions, crossed
+        )
+
+    workers = []  # (pid, pipe, range) of every worker not yet reaped
+    try:
+        for r in range(1, n_ranges):
+            workers.append((*_fork_range(run, bounds[r], bounds[r + 1], clamped, r), r))
+        clamped[0] = run(bounds[0], bounds[1])
+        while workers:
+            pid, pipe, r = workers[0]
+            data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del workers[0]
+            pipe.close()
+            error = _worker_error(data, status, bounds[r], bounds[r + 1])
+            if error is not None:
+                raise error
+    finally:
+        if workers:
+            import signal
+
+            for pid, _, _ in workers:
+                os.kill(pid, signal.SIGKILL)
+            for pid, pipe, _ in workers:
+                pipe.close()
+                os.waitpid(pid, 0)
+    clamp_rate = int(clamped.sum()) / float(n_paths * n_steps * n_ch)
     ensemble = Ensemble(
         n_paths=n_paths,
         dt=float(dt),

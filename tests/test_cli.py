@@ -130,6 +130,27 @@ def test_compare_two_oscillators(tmp_path):
     assert 0.0 < summary["nelson_truncation_tail"] < 1e-6
 
 
+def test_one_parser_serves_successive_calls(tmp_path, capsys):
+    # the parser is built once per process; a rejected argv leaves it usable
+    assert cli.build_parser() is cli.build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["qm-corr", "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
+    cfg_path = write_config(tmp_path, two_oscillator_config())
+    qm, cmp = tmp_path / "qm.csv", tmp_path / "cmp.csv"
+    assert main(["qm-corr", "--config", cfg_path, "--out", str(qm)]) == 0
+    header, rows = read_rows(qm)
+    assert header == ["lag", "value", "method"]
+    assert float(rows[0][1]) == pytest.approx(0.5, abs=1e-9)
+    assert main(["compare", "--config", cfg_path, "--out", str(cmp)]) == 0
+    header, rows = read_rows(cmp)
+    assert header == ["lag", "qm", "bohm", "nelson"]
+    assert len(rows) == 9
+    assert json.loads((tmp_path / "cmp.csv.meta.json").read_text())["argv"][0] == "compare"
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_compare_product_state(tmp_path):
     cfg = two_oscillator_config()
     cfg["state"] = {"terms": [{"coefficient": 1.0, "indices": [0, 0]}]}

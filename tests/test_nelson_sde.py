@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from scipy.stats import chi2
 from stochmech import (
     DoubleWellPotential,
     Grid,
+    NumericError,
     Observable,
     ParameterError,
     StepSizeError,
@@ -384,15 +388,56 @@ def test_brownian_baseline(ground_state_1d):
     assert abs(var - 1.0) < 3.0 * math.sqrt(2.0 / 10000)
 
 
-def test_bitwise_determinism(monkeypatch, two_oscillator_state):
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture()
+def worker_count(monkeypatch):
+    """Split every ensemble into the given number of ranges; count the forks."""
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+
+    def set_workers(n):
+        monkeypatch.setattr(nelson_sde, "FORK_MIN_WORK", 1)
+        monkeypatch.setattr(nelson_sde, "_usable_cpus", lambda: n)
+        forks.clear()
+        return forks
+
+    return set_workers
+
+
+def _forbid_fork():
+    raise AssertionError("forked below FORK_MIN_WORK")
+
+
+def test_bitwise_determinism(monkeypatch, worker_count, two_oscillator_state):
     drift = regularized_drift(two_oscillator_state, 1e-2)
     init = sample_stationary(two_oscillator_state, 300, seed=5)
     kw = dict(dt=1e-3, times=(0.05, 0.1, 0.15, 0.2), seed=5)
-    a = simulate_ensemble(drift, init, **kw)
-    b = simulate_ensemble(drift, init, **kw)
+    with monkeypatch.context() as m:
+        # 300 paths x 200 steps x 2 channels are below the fork threshold
+        m.setattr(os, "fork", _forbid_fork)
+        a = simulate_ensemble(drift, init, **kw)
+        b = simulate_ensemble(drift, init, **kw)
+    assert np.array_equal(a.positions, b.positions)
+    # 1, 2 and 3 ranges (100 paths each, more workers than cores on 2 CPUs)
+    for workers in (1, 2, 3):
+        forks = worker_count(workers)
+        w = simulate_ensemble(drift, init, **kw)
+        assert len(forks) == workers - 1
+        _assert_no_children()
+        assert np.array_equal(a.positions, w.positions)
+        assert (w.clamp_rate, w.sign_change_fraction) == (a.clamp_rate, a.sign_change_fraction)
     monkeypatch.setattr(nelson_sde, "CHUNK_PATHS", 64)
     c = simulate_ensemble(drift, init, **kw)
-    assert np.array_equal(a.positions, b.positions)
     assert np.array_equal(a.positions, c.positions)
     # unordered, repeated and zero times store each requested step once, in order
     d = simulate_ensemble(drift, init, dt=1e-3, times=(0.2, 0.0, 0.1, 0.1), seed=5)
@@ -400,23 +445,73 @@ def test_bitwise_determinism(monkeypatch, two_oscillator_state):
     assert np.array_equal(d.positions, a.positions[:, [0, 2, 4], :])
 
 
-def test_chunking_invariance_nodal_state(monkeypatch, excited_state):
+def test_chunking_invariance_nodal_state(monkeypatch, worker_count, excited_state):
+    # a clamp at one sigma engages near the node, so clamp counts are compared too
+    monkeypatch.setattr(nelson_sde, "CLAMP_SIGMAS", 1.0)
     drift = regularized_drift(excited_state, 1e-3)
-    init = sample_stationary(excited_state, 300, seed=6)
+    init = sample_stationary(excited_state, 301, seed=6)
     kw = dict(dt=1e-3, times=(0.05, 0.1, 0.15, 0.2), seed=6)
     a = simulate_ensemble(drift, init, **kw)  # the default chunk holds every path
-    for chunk in (1, 64, 300):
+    assert a.clamp_rate > 0.0 and a.sign_change_fraction[0] > 0.0
+    for chunk in (1, 64, 301):
         monkeypatch.setattr(nelson_sde, "CHUNK_PATHS", chunk)
         b = simulate_ensemble(drift, init, **kw)
         assert np.array_equal(a.positions, b.positions)
-        assert b.sign_change_fraction == a.sign_change_fraction
+        assert (b.clamp_rate, b.sign_change_fraction) == (a.clamp_rate, a.sign_change_fraction)
+    # uneven ranges of 100, 100 and 101 paths, each in chunks of 64 and a rest
+    monkeypatch.setattr(nelson_sde, "CHUNK_PATHS", 64)
+    for workers in (2, 3):
+        forks = worker_count(workers)
+        b = simulate_ensemble(drift, init, **kw)
+        assert len(forks) == workers - 1
+        _assert_no_children()
+        assert np.array_equal(a.positions, b.positions)
+        assert (b.clamp_rate, b.sign_change_fraction) == (a.clamp_rate, a.sign_change_fraction)
     # 200 steps are one noise block by default; blocks of 7 continue each
     # stream, and tiles of 7 paths draw and transpose them in smaller pieces
     monkeypatch.setattr(nelson_sde, "NOISE_BLOCK", 7)
     monkeypatch.setattr(nelson_sde, "NOISE_TILE", 7)
-    monkeypatch.setattr(nelson_sde, "CHUNK_PATHS", 64)
     c = simulate_ensemble(drift, init, **kw)
     assert np.array_equal(a.positions, c.positions)
+
+
+def test_worker_failure_reaches_the_caller(worker_count, ground_state_1d):
+    base = regularized_drift(ground_state_1d, 1e-3)
+    # paths 20-29, the third of three ranges, start far out
+    init = np.zeros((30, 1))
+    init[20:] = 50.0
+    worker_count(3)
+
+    def simulate(channel):
+        drift = dataclasses.replace(base, channels=(channel,))
+        return simulate_ensemble(drift, init, dt=1e-3, times=[0.01], seed=1)
+
+    def nan_far_out(x):
+        return np.where(x > 40.0, np.nan, -x)
+
+    with pytest.raises(NumericError, match="non-finite path values"):
+        simulate(nan_far_out)
+    _assert_no_children()
+
+    def killed_far_out(x):
+        if np.any(x > 40.0):
+            os.kill(os.getpid(), signal.SIGKILL)
+        return -x
+
+    with pytest.raises(NumericError, match="paths 20-29 killed by signal"):
+        simulate(killed_far_out)
+    _assert_no_children()
+
+    def fails_near_zero(x):  # range 0 fails in the caller, which kills its workers
+        if np.any(np.abs(x) < 1.0):
+            raise ParameterError("range 0")
+        return -x
+
+    with pytest.raises(ParameterError, match="range 0"):
+        simulate(fails_near_zero)
+    _assert_no_children()
+    assert np.all(simulate(lambda x: -x).positions[20:, -1] > 40.0)
+    _assert_no_children()
 
 
 def test_simulate_validations(ground_state_1d):
