@@ -29,7 +29,6 @@ from .correlators import (
     Observable,
     TrigDecomposition,
     bohm_multitime_correlation,
-    bohm_velocity_field,
     compare_theories,
     nelson_mode_expansion,
     nelson_semigroup_correlation,
@@ -49,7 +48,6 @@ from .errors import (
     NumericError,
     ParameterError,
     RegularizationError,
-    SingularPointError,
     StepSizeError,
     StochMechError,
     UnsupportedStateError,

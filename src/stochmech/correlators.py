@@ -26,7 +26,6 @@ from .errors import (
     CompatibilityError,
     NumericError,
     ParameterError,
-    SingularPointError,
     UnsupportedStateError,
 )
 from .spectral import (
@@ -37,7 +36,7 @@ from .spectral import (
     nodal_intervals,
     quadrature,
 )
-from .states import CompositeState, _amplitude, term_pairs
+from .states import CompositeState, term_pairs
 
 __all__ = [
     "Observable",
@@ -48,7 +47,6 @@ __all__ = [
     "qm_multitime_correlation",
     "qm_two_time_series",
     "bohm_multitime_correlation",
-    "bohm_velocity_field",
     "nelson_mode_expansion",
     "nelson_semigroup_correlation",
     "nelson_two_time_series",
@@ -314,35 +312,6 @@ def bohm_multitime_correlation(state: CompositeState, observables, times) -> flo
         raise ParameterError("need one time per observable")
     return qm_multitime_correlation(state, observables, [0.0] * len(observables))
 
-
-def bohm_velocity_field(state: CompositeState, points) -> np.ndarray:
-    """Velocity field Im d/dx_i log psi at configuration points.
-
-    Identically zero for the real states this package builds; computed by
-    centered differences so the claim is testable rather than assumed.
-    """
-    pts = np.asarray(points, dtype=float)
-    amp = _amplitude(state, pts)
-    scale = sum(
-        abs(c) * np.prod([
-            float(np.max(np.abs(state.clusters[i].eigenfunctions[k].values)))
-            for i, k in enumerate(idx)
-        ])
-        for c, idx in state.terms
-    )
-    if np.any(np.abs(amp) <= 1e-8 * scale):
-        raise SingularPointError("velocity field evaluated at a nodal point")
-    out = np.zeros(pts.shape)
-    for i in range(state.n_clusters):
-        delta = state.clusters[i].grid.h / 2.0
-        up = pts.copy()
-        up[..., i] += delta
-        dn = pts.copy()
-        dn[..., i] -= delta
-        deriv = (_amplitude(state, up) - _amplitude(state, dn)) / (2.0 * delta)
-        ratio = deriv.astype(complex) / amp.astype(complex)
-        out[..., i] = ratio.imag
-    return out
 
 
 # --------------------------------------------------------------------------

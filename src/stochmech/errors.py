@@ -41,10 +41,6 @@ class NodeDetectionError(StochMechError):
     """Sign pattern of a wavefunction too noisy to locate nodes reliably."""
 
 
-class SingularPointError(StochMechError):
-    """Evaluation requested at a node where a log-derivative diverges."""
-
-
 class RegularizationError(StochMechError):
     """Construction of the smooth node patch failed."""
 

@@ -18,14 +18,11 @@ import numpy
 
 from . import __version__
 from .bell import ChshReport
-from .correlators import CorrelationSeries
 
 __all__ = [
     "fmt",
     "write_csv",
     "write_json",
-    "series_to_dict",
-    "series_from_dict",
     "chsh_report_to_dict",
     "chsh_report_from_dict",
     "write_sidecar",
@@ -49,26 +46,6 @@ def write_csv(path: str | Path, header, rows) -> None:
 
 def write_json(path: str | Path, obj) -> None:
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
-
-
-def series_to_dict(series: CorrelationSeries) -> dict:
-    out = {
-        "method": series.method,
-        "lags": list(series.lags),
-        "values": list(series.values),
-    }
-    if series.stderr is not None:
-        out["stderr"] = list(series.stderr)
-    return out
-
-
-def series_from_dict(raw: dict) -> CorrelationSeries:
-    return CorrelationSeries(
-        lags=tuple(raw["lags"]),
-        values=tuple(raw["values"]),
-        method=raw["method"],
-        stderr=tuple(raw["stderr"]) if "stderr" in raw else None,
-    )
 
 
 def chsh_report_to_dict(report: ChshReport) -> dict:

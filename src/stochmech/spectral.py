@@ -69,6 +69,13 @@ _SIGN_SCALE = 1e-12
 # whose ends lie so close to each other's negation is centred on 0; a
 # tolerance, because the node of an odd state sits within roundoff of 0.
 _MIRROR_TOL = 1e-9
+# The certified lowest pair of a tridiagonal block: inverse-iteration steps
+# at the potential floor, the most Rayleigh-quotient steps allowed, and the
+# largest entry of the opposite sign, as a fraction of max|v|, that a
+# one-signed vector may carry.
+_FLOOR_STEPS = 2
+_RQI_STEPS = 8
+_ONE_SIGN_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -522,8 +529,78 @@ def _fd_operator(v_diag: np.ndarray, h: float, k: int) -> tuple[np.ndarray, np.n
     return 1.0 / h**2 + v_diag, np.full(m - 1, -0.5 / h**2)
 
 
-def _eigh_range(diag, off, first: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs first .. stop-1 of a symmetric tridiagonal matrix."""
+def _ground_pair(diag, off, floor: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """The lowest eigenpair of a symmetric tridiagonal matrix T with negative
+    couplings, or None when it cannot be certified.
+
+    Inverse iteration from a positive vector at ``floor``, where T - floor*I
+    is positive definite, heads for the ground pair; Rayleigh-quotient
+    iteration then polishes it until the residual r = ||Tv - rho v|| is at
+    most 2 eps ||T||_1 (Parlett, The Symmetric Eigenvalue Problem, ch. 4).
+    The quotient is summed as rho = sum_i s_i v_i^2 - sum_i e_i (v_i+1 -
+    v_i)^2 with row sums s, whose terms carry the potential and kinetic
+    energies apart, so it does not lose digits to the 1/h^2 stencil as
+    v^T T v does.
+
+    The pair is kept only when T - (rho - 2r - eps ||T||_1) I factors as
+    positive definite, so no eigenvalue lies below the residual window, and
+    v is one-signed, which of the eigenvectors of such a Jacobi matrix only
+    the ground vector is (Gantmacher & Krein, Oscillation Matrices and
+    Kernels).
+    """
+    from scipy.linalg.lapack import dgtsv, dptsv, dpttrf
+
+    col = np.abs(diag)
+    col[:-1] -= off
+    col[1:] -= off
+    slack = np.finfo(float).eps * float(col.max())  # eps * ||T||_1
+    rowsum = diag.copy()
+    rowsum[:-1] += off
+    rowsum[1:] += off
+
+    v = np.ones(diag.size)
+    for _ in range(_FLOOR_STEPS):
+        *_, x, info = dptsv(diag - floor, off, v[:, None])
+        if info:
+            return None
+        v = x[:, 0] / np.linalg.norm(x)
+    for _ in range(_RQI_STEPS):
+        rho = float(rowsum @ (v * v) - off @ np.square(np.diff(v)))
+        shifted = diag - rho
+        res = shifted * v
+        res[:-1] += off * v[1:]
+        res[1:] += off * v[:-1]
+        r = float(np.linalg.norm(res))
+        if r <= 2.0 * slack:
+            break
+        *_, x, info = dgtsv(off, shifted, off, v[:, None])
+        if info:
+            return None
+        v = x[:, 0] / np.linalg.norm(x)
+    else:
+        return None
+    v *= math.copysign(1.0, float(v.sum()))
+    if v.min() < -_ONE_SIGN_TOL * float(np.abs(v).max()):
+        return None
+    if dpttrf(diag - (rho - 2.0 * r - slack), off)[2]:
+        return None
+    return np.array([rho]), v[:, None]
+
+
+def _eigh_range(diag, off, first: int, stop: int, floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs first .. stop-1 of a symmetric tridiagonal matrix T with
+    negative couplings, where T - floor*I is a kinetic stencil plus a
+    non-negative potential and so positive definite.
+
+    A block of two or more points asked only for its lowest pair takes
+    _ground_pair; any other range, and a lowest pair that _ground_pair
+    cannot certify, takes eigh_tridiagonal's index-selected bisection and
+    inverse iteration.
+    """
+    if (first, stop) == (0, 1) and diag.size > 1:
+        pair = _ground_pair(diag, off, floor)
+        if pair is not None:
+            return pair
     from scipy.linalg import eigh_tridiagonal
 
     try:
@@ -541,20 +618,22 @@ def _solve_interior(
     """Eigenpairs first .. k-1, in ascending order, of the Dirichlet
     finite-difference operator.
 
-    Index-selected bisection and inverse iteration compute each pair on its
-    own, so pairs first .. k-1 appended to an earlier call's pairs
-    0 .. first-1 agree with one call for 0 .. k-1 within the bisection
-    tolerance eps * ||T||_1.
+    A call for the ground pair alone (first 0, k 1) takes _eigh_range's
+    certified inverse iteration from the floor min(v_diag).  Any other
+    range is computed by index-selected bisection and inverse iteration,
+    each pair on its own, so pairs first .. k-1 appended to an earlier
+    call's pairs 0 .. first-1 agree with one call for 0 .. k-1 within the
+    bisection tolerance eps * ||T||_1; the certified pair meets that
+    tolerance too.
     """
     diag, off = _fd_operator(v_diag, h, k)
-    return _eigh_range(diag, off, first, k)
+    return _eigh_range(diag, off, first, k, float(v_diag.min()))
 
 
-def _solve_parity(
-    v_diag: np.ndarray, h: float, k: int, first: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """_solve_interior for a potential that is even about the centre of
-    the interior points, solved as two half-size problems.
+def _parity_blocks(v_diag: np.ndarray, h: float, k: int) -> tuple[tuple, tuple]:
+    """The even and odd blocks (diagonal, couplings, potential samples) of
+    the Dirichlet finite-difference operator of a potential that is even
+    about the centre of the interior points.
 
     The reflection splits the operator into an even and an odd block
     (Cantoni & Butler, Linear Algebra Appl. 13, 275 (1976)), each written
@@ -562,11 +641,7 @@ def _solve_parity(
     a point the even block's first coupling is scaled by sqrt(2) and the
     odd block drops that point; when the mirror sits at +-h/2 the reflected
     neighbour adds -+1/(2h^2) to the first diagonal entry of the even / odd
-    block.  By the Sturm oscillation theorem level j has parity (-1)^j, so
-    level j is pair j // 2 of the even block for even j and of the odd
-    block for odd j; the levels interleave by index, so a near-degenerate
-    doublet keeps its order.  Each column is one half mirrored, exactly
-    even or odd, and each block extends an earlier call's pairs on its own.
+    block.
     """
     diag, off = _fd_operator(v_diag, h, k)
     m = diag.size
@@ -581,13 +656,34 @@ def _solve_parity(
         even_d[0] -= 0.5 / h**2
         odd_d[0] += 0.5 / h**2
         even_e = odd_e = e
+    return (even_d, even_e, v_diag[c:]), (odd_d, odd_e, v_diag[c + m % 2:])
+
+
+def _solve_parity(
+    v_diag: np.ndarray, h: float, k: int, first: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """_solve_interior for a potential that is even about the centre of
+    the interior points, solved as its two half-size _parity_blocks.
+
+    By the Sturm oscillation theorem level j has parity (-1)^j, so level j
+    is pair j // 2 of the even block for even j and of the odd block for
+    odd j; the levels interleave by index, so a near-degenerate doublet
+    keeps its order.  Each column is one half mirrored, exactly even or
+    odd, and each block extends an earlier call's pairs on its own.  A
+    block asked only for its lowest pair (both blocks of a k <= 2 solve,
+    the odd block of k = 3) takes _eigh_range's certified inverse
+    iteration from the minimum of the block's potential samples; every
+    other block range takes index-selected bisection and inverse iteration.
+    """
+    m = v_diag.size
+    c = m // 2
     energies = np.empty(k - first)
     vecs = np.empty((m, k - first))
-    for p, (bd, be) in enumerate(((even_d, even_e), (odd_d, odd_e))):
+    for p, (bd, be, bv) in enumerate(_parity_blocks(v_diag, h, k)):
         lo, hi = (first + 1 - p) // 2, (k + 1 - p) // 2
         if hi <= lo:
             continue
-        block_e, block_v = _eigh_range(bd, be, lo, hi)
+        block_e, block_v = _eigh_range(bd, be, lo, hi, float(bv.min()))
         cols = 2 * np.arange(lo, hi) + p - first
         energies[cols] = block_e
         right = block_v / math.sqrt(2.0)
@@ -607,7 +703,10 @@ def solve_eigensystem(potential: Potential, grid: Grid, k: int) -> EigenSystem:
     tridiagonal problem is solved for the k lowest pairs, eigenfunctions
     are Simpson-normalized and sign-fixed.  An even potential on a
     symmetric grid is solved by parity sector (_solve_parity), and its
-    eigenfunctions are exactly even or odd and carry that parity.
+    eigenfunctions are exactly even or odd and carry that parity.  The
+    lowest pair of each block that needs only that pair (every block when
+    k <= 2 under parity, the full operator when k = 1 without) comes from
+    certified inverse iteration; the rest from index-selected bisection.
     """
     if k < 1:
         raise ParameterError("k must be at least 1")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
+from scipy.integrate import trapezoid
 
 from stochmech import (
     ChshReport,
@@ -273,7 +274,7 @@ def test_product_model_from_binned_positions(ground_product_state):
         masses = []
         for lo, hi in zip(edges[:-1], edges[1:]):
             sel = (es.grid.points >= lo) & (es.grid.points < hi)
-            masses.append(float(np.trapezoid(psi[sel], es.grid.points[sel])))
+            masses.append(float(trapezoid(psi[sel], es.grid.points[sel])))
         masses = np.array(masses)
         masses /= masses.sum()
         dists.append(

@@ -21,8 +21,6 @@ from stochmech.correlators import nelson_semigroup_correlation
 from stochmech.serialize import (
     chsh_report_from_dict,
     chsh_report_to_dict,
-    series_from_dict,
-    series_to_dict,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -787,17 +785,6 @@ def test_eigen_export(tmp_path):
     header, rows = read_rows(out)
     assert header == ["x", "psi_0", "psi_1"]
     assert len(rows) == 2000
-
-
-def test_series_json_round_trip():
-    raw = {"method": "qm", "lags": [0.0, 1.0], "values": [0.5, 0.2]}
-    series = series_from_dict(raw)
-    assert series.method == "qm"
-    assert series.values == (0.5, 0.2)
-    assert series_to_dict(series) == raw
-    mc = {"method": "nelson_mc", "lags": [0.5], "values": [0.3], "stderr": [0.01]}
-    assert series_to_dict(series_from_dict(mc)) == mc
-    assert json.loads(json.dumps(series_to_dict(series))) == raw
 
 
 # --------------------------------------------------------------------------

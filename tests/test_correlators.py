@@ -16,11 +16,9 @@ from stochmech import (
     NodeDetectionError,
     Observable,
     ParameterError,
-    SingularPointError,
     UnsupportedStateError,
     Wavefunction,
     bohm_multitime_correlation,
-    bohm_velocity_field,
     build_composite_state,
     compare_theories,
     harmonic_eigensystem,
@@ -175,18 +173,6 @@ def test_bohm_equals_qm_on_product(ground_product_state, harmonic_es):
         qm = qm_multitime_correlation(ground_product_state, [f, g], times)
         bohm = bohm_multitime_correlation(ground_product_state, [f, g], times)
         assert qm == pytest.approx(bohm, abs=1e-12)
-
-
-def test_velocity_field_vanishes(two_oscillator_state):
-    pts = np.array([[0.5, -0.3], [1.0, 1.0], [-2.0, 0.4]])
-    v = bohm_velocity_field(two_oscillator_state, pts)
-    assert np.max(np.abs(v)) < 1e-12
-
-
-def test_velocity_field_singular_at_node(two_oscillator_state):
-    # the node set of (|01> + |10>)/sqrt(2) is the anti-diagonal x1 = -x2
-    with pytest.raises(SingularPointError):
-        bohm_velocity_field(two_oscillator_state, np.array([[1.0, -1.0]]))
 
 
 # --------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 from numpy.polynomial.hermite import hermroots
 from scipy.interpolate import make_interp_spline
+from scipy.linalg import eigh_tridiagonal
 
 from stochmech import (
     DomainTruncationError,
@@ -27,6 +29,10 @@ from stochmech import (
     solve_eigensystem,
 )
 from stochmech.spectral import (
+    _eigh_range,
+    _fd_operator,
+    _ground_pair,
+    _parity_blocks,
     _solve_interior,
     _solve_parity,
     interval_dirichlet_modes,
@@ -256,6 +262,117 @@ def test_parity_solver_extends_each_sector(pot, n):
         tail, tail_vecs = _solve_parity(v, h, 7, first)
         assert np.max(np.abs(np.concatenate([head, tail]) - one_shot)) <= tol
         assert np.max(np.abs(np.abs(tail_vecs) - np.abs(one_shot_vecs[:, first:]))) < 1e-10
+
+
+# --------------------------------------------------------------------------
+# certified lowest pair of a tridiagonal block
+# --------------------------------------------------------------------------
+
+def _norm1(d, e):
+    col = np.abs(d)
+    col[:-1] += np.abs(e)
+    col[1:] += np.abs(e)
+    return float(col.max())
+
+
+def _residual(d, e, energy, vec):
+    tv = d * vec
+    tv[:-1] += e * vec[1:]
+    tv[1:] += e * vec[:-1]
+    return float(np.linalg.norm(tv - energy * vec))
+
+
+@pytest.mark.parametrize("barrier", [0.5, 4.0, 30.0])
+@pytest.mark.parametrize("n", [401, 400, 2001, 2000, 8001])
+def test_ground_pair_matches_bisection(barrier, n):
+    v, h, tol = _interior(DoubleWellPotential(barrier, 1.0), n)
+    for d, e, block_v in _parity_blocks(v, h, 2):
+        pair = _ground_pair(d, e, float(block_v.min()))
+        assert pair is not None  # certified: the block takes this route
+        energy, vec = float(pair[0][0]), pair[1][:, 0]
+        ref_e, ref_v = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
+        ref_v = ref_v[:, 0] * np.sign(ref_v[:, 0].sum())
+        assert abs(energy - ref_e[0]) <= tol
+        assert np.max(np.abs(vec - ref_v)) < 1e-10
+        assert _residual(d, e, energy, vec) <= 2.0 * np.finfo(float).eps * _norm1(d, e)
+
+
+def _mp_ground_energy(d, e, shift, steps=4):
+    """The eigenvalue nearest ``shift`` of the tridiagonal matrix with the
+    float entries d, e, by inverse iteration in 40 digits."""
+    with mpmath.workdps(40):
+        shift = mpmath.mpf(shift)
+        a = [mpmath.mpf(x) - shift for x in d]  # mpf of a float is exact
+        b = [mpmath.mpf(x) for x in e]
+        n = len(a)
+        v = [mpmath.mpf(1)] * n
+        for _ in range(steps):
+            c, z = [mpmath.mpf(0)] * n, [mpmath.mpf(0)] * n
+            for i in range(n):  # forward elimination, then back substitution
+                piv = a[i] - (b[i - 1] * c[i - 1] if i else 0)
+                c[i] = b[i] / piv if i < n - 1 else 0
+                z[i] = (v[i] - (b[i - 1] * z[i - 1] if i else 0)) / piv
+            for i in range(n - 2, -1, -1):
+                z[i] -= c[i] * z[i + 1]
+            norm = mpmath.sqrt(mpmath.fsum(x * x for x in z))
+            v = [x / norm for x in z]
+        tv = [
+            a[i] * v[i] + (b[i] * v[i + 1] if i < n - 1 else 0) + (b[i - 1] * v[i - 1] if i else 0)
+            for i in range(n)
+        ]
+        return shift + mpmath.fsum(x * y for x, y in zip(v, tv))
+
+
+def test_ground_pair_splitting_against_mpmath():
+    # the barrier-30 doublet on +-3: E1 - E0 = 4.04e-3 against E0 = 7.47.
+    # Bisection on the same blocks is 4.2e-13 off, the quotient v^T T v
+    # 4.9e-14; the row-sum form of the quotient reads 1.7e-16.
+    pot, grid = DoubleWellPotential(30.0, 1.0), Grid(-3.0, 3.0, 401)
+    es = solve_eigensystem(pot, grid, 2)
+    blocks = _parity_blocks(pot.sample(grid.points)[1:-1], grid.h, 2)
+    ref = [_mp_ground_energy(d, e, es.energies[p]) for p, (d, e, _) in enumerate(blocks)]
+    splitting = es.energies[1] - es.energies[0]
+    assert abs(float(mpmath.mpf(splitting) - (ref[1] - ref[0]))) <= 1e-14
+
+
+def test_ground_pair_falls_back_to_bisection():
+    # a floor above the ground level: T - floor*I is not positive definite
+    v, h, _ = _interior(DoubleWellPotential(4.0, 1.0), 401)
+    d, e, _ = _parity_blocks(v, h, 2)[0]
+    ref_e, ref_v = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
+    above = float(ref_e[0]) + 1e-3
+    assert _ground_pair(d, e, above) is None
+    energies, vecs = _eigh_range(d, e, 0, 1, above)
+    assert np.array_equal(energies, ref_e) and np.array_equal(vecs, ref_v)
+
+
+def test_ground_pair_rejects_an_excited_level():
+    # a tilted barrier-30 well: the Rayleigh-quotient steps settle on the
+    # level of the upper well, whose vector changes sign and lies above
+    # the ground level, so the certificate sends the solve to bisection
+    x = Grid(-3.5, 3.5, 2001).points
+    v = DoubleWellPotential(30.0, 1.0).sample(x)[1:-1] + 0.03 * x[1:-1]
+    h = x[1] - x[0]
+    d, e = _fd_operator(v, h, 1)
+    assert _ground_pair(d, e, float(v.min())) is None
+    energies, vecs = _solve_interior(v, h, 1)
+    ref_e, ref_v = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
+    assert np.array_equal(energies, ref_e) and np.array_equal(vecs, ref_v)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_tiny_grids_match_bisection(n):
+    # parity blocks of one, two or three points
+    x = Grid(-1.5, 1.5, n).points
+    v, h = DoubleWellPotential(4.0, 1.0).sample(x)[1:-1], x[1] - x[0]
+    d, e = _fd_operator(v, h, 1)
+    # bisection of the full operator and either route each place an
+    # energy within about eps * ||T||_1 of the exact one
+    tol = 2.0 * np.finfo(float).eps * _norm1(d, e)
+    for k in range(1, n - 1):
+        ref = eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))[0]
+        for solve in (_solve_parity, _solve_interior):
+            assert np.max(np.abs(solve(v, h, k)[0] - ref)) <= tol
 
 
 @pytest.mark.parametrize("n", [2001, 2000])
