@@ -12,12 +12,12 @@ spectral.find_nodes places it, so it is at once the pole, the centre of
 its patch and the Dirichlet wall of the spectral reference.  Outside the
 patches the drift is read from a uniform table of its smooth part, the
 log-derivative minus the node poles, so a step costs index arithmetic
-rather than a spline search.  Paths are
-simulated per independent channel with deterministic counter-based noise
-substreams, one per path, so ensembles are bitwise reproducible and do
-not depend on how the paths are split: simulate_ensemble steps disjoint
-ranges of them in forked worker processes, one per usable CPU, writing
-into one shared map.
+rather than a spline search, and one drift evaluation reads every
+channel's table at once.  Paths are simulated in independent channel
+coordinates with deterministic counter-based noise substreams, one per
+path, so ensembles are bitwise reproducible and do not depend on how the
+paths are split: simulate_ensemble steps disjoint ranges of them in
+forked worker processes, one per usable CPU, writing into one shared map.
 """
 
 from __future__ import annotations
@@ -72,13 +72,14 @@ CHUNK_PATHS = 4096  # paths stepped together
 NOISE_BLOCK = 256  # steps of noise drawn per path at a time
 NOISE_TILE = 256  # paths whose noise block is drawn, then transposed, together
 # least channel-steps (paths x steps x channels) per process worth a forked
-# worker: two ranges broke even near 4.5e5 channel-steps in all and saved
-# 10-25% from 1e6 up (2-core Xeon, exchange pair)
-FORK_MIN_WORK = 5 * 10**5
+# worker: two ranges broke even near 2e5 channel-steps in all, saved 10-18%
+# from 4e5 to 1e6 and a third at 2e6 (2-core Xeon, exchange pair, 500 steps)
+FORK_MIN_WORK = 2 * 10**5
 MAX_STEPS = 10**8  # most steps of dt one stored time may span
 MAX_ENSEMBLE_BYTES = 4 * 2**30  # most bytes of stored positions in one ensemble
 ENVELOPE_ROWS = 64  # rows of a two-cluster amplitude grid held at once
 BOUND_MARGIN = 1e-9  # relative slack of the sampler's cell bound over |psi|^2
+KS_TIMES = 16  # stored times whose KS statistics are computed together
 
 _CTX_INIT = 1  # Philox key contexts
 _CTX_PATHS = 2
@@ -159,7 +160,9 @@ class DriftChannel:
     so evaluation is index arithmetic and one linear interpolation; the
     pole terms are then added back and the cosh patches replace the sum
     within epsilon of each node.  Beyond the grid the drift is held at its
-    edge value.
+    edge value.  The step loop does not call a channel: _StackedDrift
+    evaluates every channel in one pass by the same arithmetic
+    (_table_drift, then _add_patches), bitwise equal to this call.
     """
 
     residual: np.ndarray
@@ -178,27 +181,104 @@ class DriftChannel:
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        xc = np.maximum(x, self.x_min)
-        np.minimum(xc, self.x_max, out=xc)
         cells = self.slope.size
-        s = xc - self.x_min
-        s *= cells / (self.x_max - self.x_min)
-        i = s.astype(np.intp)
-        np.minimum(i, cells - 1, out=i)
-        s -= i
-        out = self.slope[i]
-        out *= s
-        out += self.residual[i]
+        out, xc = _table_drift(
+            x, self.x_min, self.x_max, cells / (self.x_max - self.x_min), cells - 1,
+            self.residual, self.slope,
+        )
         if self.patches:
-            # each pole is the centre of its patch, which overwrites the value there
             with np.errstate(divide="ignore"):
-                for p in self.patches:
-                    out += 1.0 / (xc - p.node)
-        for p in self.patches:
-            u = x - p.node
-            mask = np.abs(u) <= p.epsilon
-            if mask.any():
-                out[mask] = p.drift(u[mask])
+                _add_patches(out, x, xc, self.patches)
+        return out
+
+
+def _table_drift(x, x_min, x_max, scale, last, residual, slope, offset=None):
+    """Residual table read at x held to [x_min, x_max]; returns it and the held x.
+
+    The cell is (x - x_min) * scale truncated and capped at ``last``, and
+    the value is linear between the cell's two samples.  For one channel
+    the bounds are scalars; for channels stacked as rows they are arrays of
+    the state's shape, and ``offset`` is where each row's cells start in
+    the tables laid end to end.  Cell numbers stay floats until the
+    lookup: they are whole and far below 2^53, so this is exact.
+    """
+    xc = np.maximum(x, x_min)
+    np.minimum(xc, x_max, out=xc)
+    s = xc - x_min
+    s *= scale
+    cell = np.trunc(s)
+    np.minimum(cell, last, out=cell)
+    s -= cell
+    if offset is not None:
+        cell += offset
+    i = cell.astype(np.intp)
+    out = slope[i]
+    out *= s
+    out += residual[i]
+    return out, xc
+
+
+def _add_patches(out, x, xc, patches) -> None:
+    """Add each node's pole term at the held xc, then its cosh patch within epsilon of x.
+
+    Each pole is the centre of its patch, which overwrites the infinite
+    value there; the caller ignores the division by zero.
+    """
+    for p in patches:
+        out += 1.0 / (xc - p.node)
+    for p in patches:
+        u = x - p.node
+        mask = np.abs(u) <= p.epsilon
+        if mask.any():
+            out[mask] = p.drift(u[mask])
+
+
+class _StackedDrift:
+    """The drift of every channel in one pass over a (n_ch, width) state.
+
+    The DriftChannel tables are laid end to end, and each row's x_min,
+    x_max, scale, last cell and offset fill that row of an array of the
+    state's shape (a binary operation between two such arrays runs about
+    twice as fast as one that broadcasts a column), so one _table_drift
+    call reads every row; the pole terms and cosh patches then run on the
+    nodal rows, channel by channel in patch order.  The result is bitwise
+    each channel's DriftChannel.__call__ on its row.  Division by zero at a
+    pole is the caller's to ignore.  A channel given as a bare callable has
+    no table: then every row is its own channel's call.
+    """
+
+    def __init__(self, channels, width: int):
+        self.calls = None
+        if not all(isinstance(ch, DriftChannel) for ch in channels):
+            self.calls = tuple(channels)
+            return
+
+        def rows(values):
+            return np.repeat(np.array(values, dtype=float)[:, None], width, axis=1)
+
+        cells = [ch.slope.size for ch in channels]
+        self.x_min = rows([ch.x_min for ch in channels])
+        self.x_max = rows([ch.x_max for ch in channels])
+        self.scale = rows([n / (ch.x_max - ch.x_min) for n, ch in zip(cells, channels)])
+        self.last = rows([n - 1 for n in cells])
+        self.offset = rows(np.cumsum([0, *cells[:-1]]))
+        # a cell reads residual[i] and slope[i] for i < cells, never residual[cells]
+        self.residual = np.concatenate([ch.residual[:-1] for ch in channels])
+        self.slope = np.concatenate([ch.slope for ch in channels])
+        self.nodal = [(c, ch.patches) for c, ch in enumerate(channels) if ch.patches]
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        if self.calls is not None:
+            out = np.empty_like(u)
+            for c, channel in enumerate(self.calls):
+                out[c] = channel(u[c])
+            return out
+        out, uc = _table_drift(
+            u, self.x_min, self.x_max, self.scale, self.last,
+            self.residual, self.slope, self.offset,
+        )
+        for c, patches in self.nodal:
+            _add_patches(out[c], u[c], uc[c], patches)
         return out
 
 
@@ -298,10 +378,22 @@ def _max_density(state: CompositeState) -> float:
             amp += c * es.eigenfunctions[idx[0]].values
         return float(np.max(amp * amp))
     if state.n_clusters == 2:
-        # the amplitude grid a block of rows at a time, never all n1 x n2 of it
+        # the amplitude grid a block of rows at a time, never all n1 x n2 of it,
+        # blocks in decreasing order of a bound on their |amplitude|; once a
+        # block's bound squared is below the maximum so far, no later block
+        # can raise it
         es1, es2 = state.clusters
+        starts = np.arange(0, es1.grid.n, ENVELOPE_ROWS)
+        bound = np.zeros(starts.size)
+        for c, idx in state.terms:
+            peaks = np.maximum.reduceat(np.abs(es1.eigenfunctions[idx[0]].values), starts)
+            bound += abs(c) * peaks * float(np.max(np.abs(es2.eigenfunctions[idx[1]].values)))
+        bound *= 1.0 + BOUND_MARGIN
         top = 0.0
-        for r in range(0, es1.grid.n, ENVELOPE_ROWS):
+        for k in np.argsort(-bound, kind="stable"):
+            if bound[k] * bound[k] < top:
+                break
+            r = starts[k]
             amp = np.zeros((min(ENVELOPE_ROWS, es1.grid.n - r), es2.grid.n))
             for c, idx in state.terms:
                 amp += c * np.outer(
@@ -483,52 +575,54 @@ def _simulate_range(
     n_ch = dec.n_channels
     sqrt_dt = math.sqrt(dt)
     clamp = CLAMP_SIGMAS * sqrt_dt
-    poles = [tuple(getattr(ch, "poles", ())) for ch in drift.channels]
+    poles = [(c, ch.poles) for c, ch in enumerate(drift.channels) if getattr(ch, "poles", ())]
     clamped = 0
     block = min(NOISE_BLOCK, n_steps)
-    for start in range(start_path, stop_path, CHUNK_PATHS):
-        stop = min(start + CHUNK_PATHS, stop_path)
-        m = stop - start
-        gens = [_path_generator(seed, start + j) for j in range(m)]
-        drawn = np.empty((min(NOISE_TILE, m), block, n_ch))
-        noise = np.empty((block, n_ch, m))
-        move = np.empty(m)
-        u = np.ascontiguousarray(dec.to_channels(init[start:stop]).T)
-        positions[start:stop, 0, :] = dec.to_clusters(u.T)
-        # which side of each pole a path is on; a crossing flips one
-        sides = [[u[c] > z for z in poles[c]] for c in range(n_ch)]
-        for s in range(n_steps):
-            i = s % NOISE_BLOCK
-            if i == 0:
-                # block by block, each path's normals continue its one stream
-                n_block = min(NOISE_BLOCK, n_steps - s)
-                for t0 in range(0, m, NOISE_TILE):
-                    tile = gens[t0 : t0 + NOISE_TILE]
-                    for j, gen in enumerate(tile):
-                        gen.standard_normal(out=drawn[j, :n_block])
-                    np.multiply(
-                        drawn[: len(tile), :n_block].transpose(1, 2, 0),
-                        sqrt_dt,
-                        out=noise[:n_block, :, t0 : t0 + len(tile)],
-                    )
-            for c in range(n_ch):
-                x = u[c]
-                np.multiply(drift.channels[c](x), dt, out=move)
+    # one errstate per range: a path exactly on a pole is inside its patch
+    with np.errstate(divide="ignore"):
+        for start in range(start_path, stop_path, CHUNK_PATHS):
+            stop = min(start + CHUNK_PATHS, stop_path)
+            m = stop - start
+            gens = [_path_generator(seed, start + j) for j in range(m)]
+            drawn = np.empty((min(NOISE_TILE, m), block, n_ch))
+            noise = np.empty((block, n_ch, m))
+            u = np.ascontiguousarray(dec.to_channels(init[start:stop]).T)
+            stacked = _StackedDrift(drift.channels, m)
+            positions[start:stop, 0, :] = dec.to_clusters(u.T)
+            # which side of each pole a path is on; a crossing flips one
+            sides = {c: [u[c] > z for z in zs] for c, zs in poles}
+            for s in range(n_steps):
+                i = s % NOISE_BLOCK
+                if i == 0:
+                    # block by block, each path's normals continue its one stream
+                    n_block = min(NOISE_BLOCK, n_steps - s)
+                    for t0 in range(0, m, NOISE_TILE):
+                        tile = gens[t0 : t0 + NOISE_TILE]
+                        for j, gen in enumerate(tile):
+                            gen.standard_normal(out=drawn[j, :n_block])
+                        np.multiply(
+                            drawn[: len(tile), :n_block].transpose(1, 2, 0),
+                            sqrt_dt,
+                            out=noise[:n_block, :, t0 : t0 + len(tile)],
+                        )
+                move = stacked(u)
+                move *= dt
                 if not (-clamp <= move.min() and move.max() <= clamp):
                     clamped += int(np.count_nonzero(np.abs(move) > clamp))
                     np.maximum(move, -clamp, out=move)
                     np.minimum(move, clamp, out=move)
-                move += noise[i, c]
-                x += move
-                for k, z in enumerate(poles[c]):
-                    now = x > z
-                    crossed[c, start:stop] |= now != sides[c][k]
-                    sides[c][k] = now
-            col = column.get(s + 1)
-            if col is not None:
-                if not np.all(np.isfinite(u)):
-                    raise NumericError(f"non-finite path values at step {s + 1}")
-                positions[start:stop, col, :] = dec.to_clusters(u.T)
+                move += noise[i]
+                u += move
+                for c, zs in poles:
+                    for k, z in enumerate(zs):
+                        now = u[c] > z
+                        crossed[c, start:stop] |= now != sides[c][k]
+                        sides[c][k] = now
+                col = column.get(s + 1)
+                if col is not None:
+                    if not np.all(np.isfinite(u)):
+                        raise NumericError(f"non-finite path values at step {s + 1}")
+                    positions[start:stop, col, :] = dec.to_clusters(u.T)
     return clamped
 
 
@@ -587,6 +681,9 @@ def simulate_ensemble(
     stored at t = 0 and at each of ``times``, each a whole number of steps;
     the last of them is the horizon.  Node crossings are counted at the
     poles of each DriftChannel; a channel given as a bare callable has none.
+    Each step evaluates the drift of every channel in one pass over the
+    (channel, path) state (_StackedDrift), then clamps, adds the noise and
+    updates that whole state at once.
 
     The paths are split into W contiguous ranges, W the smaller of the
     usable CPUs and n_paths * n_steps * n_channels // FORK_MIN_WORK (1
@@ -604,8 +701,7 @@ def simulate_ensemble(
     NOISE_BLOCK steps it draws the next block of each path's normals,
     NOISE_TILE paths at a time in stream order, and stores them times
     sqrt(dt) as (step, channel, path) rows, so each step reads one
-    contiguous row per channel; the drift increment goes into one
-    preallocated row as well.  Each stored time goes straight into the
+    contiguous row per channel.  Each stored time goes straight into the
     shared positions, in cluster coordinates, so memory beyond them grows
     with CHUNK_PATHS per process, not with n_paths.  An ensemble larger
     than MAX_ENSEMBLE_BYTES raises ParameterError before anything is
@@ -735,17 +831,27 @@ def _marginal_cdfs(state: CompositeState) -> list[np.ndarray]:
     return cdfs
 
 
-def _ks_stats(positions: np.ndarray, state: CompositeState, cdfs) -> tuple[float, ...]:
-    """Per-cluster KS statistic of positions (n_paths, n_clusters) against the CDFs."""
-    stats = []
+def _ks_stats(positions: np.ndarray, state: CompositeState, cdfs) -> list[tuple[float, ...]]:
+    """Per-cluster KS statistics of positions (n_paths, n_times, n_clusters), one tuple a time.
+
+    Each cluster's samples are sorted, placed on its CDF and reduced
+    KS_TIMES stored times at a time, so the temporaries hold at most
+    KS_TIMES x n_paths numbers each.
+    """
+    n, n_times = positions.shape[:2]
+    above = np.arange(1, n + 1) / n  # the empirical CDF just after each sorted sample
+    below = np.arange(0, n) / n  # and just before it
+    stats = [[] for _ in range(n_times)]
     for c, cdf in enumerate(cdfs):
-        samples = np.sort(positions[:, c])
-        fvals = np.interp(samples, state.clusters[c].grid.points, cdf)
-        n = samples.size
-        upper = np.max(np.arange(1, n + 1) / n - fvals)
-        lower = np.max(fvals - np.arange(0, n) / n)
-        stats.append(float(max(upper, lower)))
-    return tuple(stats)
+        points = state.clusters[c].grid.points
+        for t0 in range(0, n_times, KS_TIMES):
+            samples = np.sort(positions[:, t0 : t0 + KS_TIMES, c].T, axis=1)
+            fvals = np.interp(samples, points, cdf)
+            upper = np.max(above - fvals, axis=1)
+            lower = np.max(fvals - below, axis=1)
+            for j, d in enumerate(np.maximum(upper, lower)):
+                stats[t0 + j].append(float(d))
+    return [tuple(s) for s in stats]
 
 
 def stationarity_distance(
@@ -753,7 +859,8 @@ def stationarity_distance(
 ) -> tuple[float, ...]:
     """Per-cluster KS statistic of the time-t marginal against |psi|^2."""
     it = ensemble.time_index(float(t))
-    return _ks_stats(ensemble.positions[:, it], state, _marginal_cdfs(state))
+    (stats,) = _ks_stats(ensemble.positions[:, it : it + 1], state, _marginal_cdfs(state))
+    return stats
 
 
 def stationarity_distances(
@@ -761,13 +868,10 @@ def stationarity_distances(
 ) -> list[tuple[float, ...]]:
     """stationarity_distance at every stored time, in t_grid order.
 
-    Each cluster's marginal CDF is built once for all the times.
+    Each cluster's marginal CDF is built once for all the times, and the
+    times are sorted and compared KS_TIMES at a time.
     """
-    cdfs = _marginal_cdfs(state)
-    return [
-        _ks_stats(ensemble.positions[:, it], state, cdfs)
-        for it in range(ensemble.t_grid.size)
-    ]
+    return _ks_stats(ensemble.positions, state, _marginal_cdfs(state))
 
 
 def dump_paths(ensemble: Ensemble, path) -> None:

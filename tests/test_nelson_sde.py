@@ -14,6 +14,7 @@ from stochmech import (
     Observable,
     ParameterError,
     StepSizeError,
+    TabulatedPotential,
     build_composite_state,
     default_grid,
     dirichlet_restricted_eigensystem,
@@ -43,6 +44,14 @@ def excited_state(harmonic_es):
 @pytest.fixture(scope="module")
 def ground_state_1d(harmonic_es):
     return build_composite_state([harmonic_es], [(1.0, (0,))])
+
+
+@pytest.fixture(scope="module")
+def dw_oscillator_product(harmonic_es):
+    """Double-well psi_1 times the oscillator ground state: two channels on different grids."""
+    pot = DoubleWellPotential(barrier_height=4.0, well_separation=1.0)
+    dw = solve_eigensystem(pot, default_grid(pot), 2)
+    return build_composite_state([dw, harmonic_es], [(1.0, (1, 0))])
 
 
 @pytest.fixture(scope="module")
@@ -198,6 +207,61 @@ def test_drift_finite_at_node_and_beyond_grid(excited_state):
     assert channel(np.array([channel.x_max + 1.0]))[0] == channel(np.array([channel.x_max]))[0]
 
 
+def _integer_cell_drift(channel, x):
+    """A channel's drift with integer cell numbers, as the table was first read."""
+    xc = np.minimum(np.maximum(x, channel.x_min), channel.x_max)
+    cells = channel.slope.size
+    s = (xc - channel.x_min) * (cells / (channel.x_max - channel.x_min))
+    i = np.minimum(s.astype(np.intp), cells - 1)
+    s -= i
+    out = channel.slope[i] * s + channel.residual[i]
+    with np.errstate(divide="ignore"):
+        for p in channel.patches:
+            out += 1.0 / (xc - p.node)
+    for p in channel.patches:
+        u = x - p.node
+        mask = np.abs(u) <= p.epsilon
+        out[mask] = p.drift(u[mask])
+    return out
+
+
+@pytest.mark.parametrize("name", ["exchange_pair", "dw_oscillator_product", "oscillator_psi3"])
+def test_stacked_drift_equals_each_channel(request, harmonic_es, name):
+    if name == "exchange_pair":
+        state = build_composite_state([harmonic_es] * 2, [(0.6, (0, 1)), (0.8, (1, 0))])
+    elif name == "oscillator_psi3":  # three poles in one channel
+        state = build_composite_state([harmonic_es], [(1.0, (3,))])
+    else:
+        state = request.getfixturevalue(name)
+    drift = regularized_drift(state, 1e-3)
+    rng = np.random.default_rng(3)
+    rows = []
+    for ch in drift.channels:
+        span = ch.x_max - ch.x_min
+        near = [
+            p.node + np.concatenate([
+                rng.uniform(-p.epsilon, p.epsilon, 50),
+                [0.0, -p.epsilon, p.epsilon],
+                [np.nextafter(p.epsilon, 0.0), np.nextafter(p.epsilon, 1.0)],
+            ])
+            for p in ch.patches
+        ]
+        edges = [ch.x_min, ch.x_max, np.nextafter(ch.x_max, -np.inf)]
+        beyond = [ch.x_min - 1e-9, ch.x_min - span, ch.x_max + 1e-9, ch.x_max + span, -1e6, 1e6]
+        rows.append(np.concatenate([rng.uniform(ch.x_min, ch.x_max, 400), edges, beyond, *near]))
+    width = max(r.size for r in rows)
+    u = np.array([np.pad(r, (0, width - r.size), mode="wrap") for r in rows])
+    before = u.copy()
+    with np.errstate(divide="ignore"):
+        stacked = nelson_sde._StackedDrift(drift.channels, width)(u)
+    assert np.array_equal(u, before)
+    each = np.array([ch(u[c]) for c, ch in enumerate(drift.channels)])
+    assert np.all(np.isfinite(each))
+    assert np.array_equal(stacked, each)
+    reference = np.array([_integer_cell_drift(ch, u[c]) for c, ch in enumerate(drift.channels)])
+    assert np.array_equal(each, reference)
+
+
 def test_epsilon_bound_against_node_separation(excited_state):
     with pytest.raises(ParameterError):
         regularized_drift(excited_state, 6.0)  # node-to-edge gap is 10
@@ -261,9 +325,25 @@ def three_cluster_product(harmonic_es):
     return build_composite_state([harmonic_es] * 3, [(1.0, (1, 0, 2))])
 
 
+@pytest.fixture(scope="module")
+def edge_peaked_product(harmonic_es):
+    """A ground state peaked in the last 64-row block of its grid, times the oscillator's."""
+    grid = Grid(-3.5, 3.5, 401)
+    well = solve_eigensystem(TabulatedPotential(grid, 200.0 * (grid.points - 3.4) ** 2), grid, 1)
+    assert np.argmax(np.abs(well.eigenfunctions[0].values)) >= 384
+    return build_composite_state([well, harmonic_es], [(1.0, (0, 0))])
+
+
+@pytest.fixture(scope="module")
+def three_term_pair(harmonic_es):
+    return build_composite_state(
+        [harmonic_es] * 2, [(0.6, (0, 2)), (-0.48, (1, 1)), (0.64, (2, 0))]
+    )
+
+
 SAMPLER_STATES = [
     "excited_state", "ground_product_state", "two_oscillator_state",
-    "box_singlet_state", "three_cluster_product",
+    "box_singlet_state", "three_cluster_product", "edge_peaked_product", "three_term_pair",
 ]
 
 
@@ -445,34 +525,47 @@ def test_bitwise_determinism(monkeypatch, worker_count, two_oscillator_state):
     assert np.array_equal(d.positions, a.positions[:, [0, 2, 4], :])
 
 
-def test_chunking_invariance_nodal_state(monkeypatch, worker_count, excited_state):
+def test_chunking_invariance_nodal_state(
+    monkeypatch, worker_count, excited_state, dw_oscillator_product
+):
     # a clamp at one sigma engages near the node, so clamp counts are compared too
     monkeypatch.setattr(nelson_sde, "CLAMP_SIGMAS", 1.0)
-    drift = regularized_drift(excited_state, 1e-3)
-    init = sample_stationary(excited_state, 301, seed=6)
-    kw = dict(dt=1e-3, times=(0.05, 0.1, 0.15, 0.2), seed=6)
-    a = simulate_ensemble(drift, init, **kw)  # the default chunk holds every path
-    assert a.clamp_rate > 0.0 and a.sign_change_fraction[0] > 0.0
-    for chunk in (1, 64, 301):
-        monkeypatch.setattr(nelson_sde, "CHUNK_PATHS", chunk)
-        b = simulate_ensemble(drift, init, **kw)
-        assert np.array_equal(a.positions, b.positions)
-        assert (b.clamp_rate, b.sign_change_fraction) == (a.clamp_rate, a.sign_change_fraction)
-    # uneven ranges of 100, 100 and 101 paths, each in chunks of 64 and a rest
-    monkeypatch.setattr(nelson_sde, "CHUNK_PATHS", 64)
-    for workers in (2, 3):
-        forks = worker_count(workers)
-        b = simulate_ensemble(drift, init, **kw)
-        assert len(forks) == workers - 1
-        _assert_no_children()
-        assert np.array_equal(a.positions, b.positions)
-        assert (b.clamp_rate, b.sign_change_fraction) == (a.clamp_rate, a.sign_change_fraction)
-    # 200 steps are one noise block by default; blocks of 7 continue each
-    # stream, and tiles of 7 paths draw and transpose them in smaller pieces
-    monkeypatch.setattr(nelson_sde, "NOISE_BLOCK", 7)
-    monkeypatch.setattr(nelson_sde, "NOISE_TILE", 7)
-    c = simulate_ensemble(drift, init, **kw)
-    assert np.array_equal(a.positions, c.positions)
+    defaults = {k: getattr(nelson_sde, k) for k in ("CHUNK_PATHS", "NOISE_BLOCK", "NOISE_TILE")}
+    # one nodal channel, then a nodal and a nodeless channel on different grids
+    for state in (excited_state, dw_oscillator_product):
+        for k, v in defaults.items():
+            monkeypatch.setattr(nelson_sde, k, v)
+        drift = regularized_drift(state, 1e-3)
+        init = sample_stationary(state, 301, seed=6)
+        kw = dict(dt=1e-3, times=(0.05, 0.1, 0.15, 0.2), seed=6)
+        forks = worker_count(1)
+        a = simulate_ensemble(drift, init, **kw)  # the default chunk holds every path
+        assert not forks
+        assert a.clamp_rate > 0.0 and a.sign_change_fraction[0] > 0.0
+        for chunk in (1, 64, 301):
+            monkeypatch.setattr(nelson_sde, "CHUNK_PATHS", chunk)
+            b = simulate_ensemble(drift, init, **kw)
+            assert np.array_equal(a.positions, b.positions)
+            assert (b.clamp_rate, b.sign_change_fraction) == (a.clamp_rate, a.sign_change_fraction)
+        # one range, then uneven ranges of 100, 100 and 101 paths, each in
+        # chunks of 64 and a rest, then of 7
+        for chunk in (64, 7):
+            monkeypatch.setattr(nelson_sde, "CHUNK_PATHS", chunk)
+            for workers in (1, 2, 3):
+                forks = worker_count(workers)
+                b = simulate_ensemble(drift, init, **kw)
+                assert len(forks) == workers - 1
+                _assert_no_children()
+                assert np.array_equal(a.positions, b.positions)
+                assert (b.clamp_rate, b.sign_change_fraction) == (
+                    a.clamp_rate, a.sign_change_fraction
+                )
+        # 200 steps are one noise block by default; blocks of 7 continue each
+        # stream, and tiles of 7 paths draw and transpose them in smaller pieces
+        monkeypatch.setattr(nelson_sde, "NOISE_BLOCK", 7)
+        monkeypatch.setattr(nelson_sde, "NOISE_TILE", 7)
+        c = simulate_ensemble(drift, init, **kw)
+        assert np.array_equal(a.positions, c.positions)
 
 
 def test_worker_failure_reaches_the_caller(worker_count, ground_state_1d):
@@ -610,11 +703,36 @@ def test_ks_statistic_matches_scipy_oracle(ou_ensemble, ground_state_1d):
     assert stat == pytest.approx(oracle, abs=1e-5)
 
 
-def test_ks_at_every_stored_time(ou_ensemble, ground_state_1d):
+def _ks_one_time(positions, state):
+    """The KS statistic of each cluster at one stored time, by the textbook formula."""
+    cdfs = nelson_sde._marginal_cdfs(state)
+    stats = []
+    for c, cdf in enumerate(cdfs):
+        samples = np.sort(positions[:, c])
+        fvals = np.interp(samples, state.clusters[c].grid.points, cdf)
+        n = samples.size
+        upper = np.max(np.arange(1, n + 1) / n - fvals)
+        lower = np.max(fvals - np.arange(0, n) / n)
+        stats.append(float(max(upper, lower)))
+    return tuple(stats)
+
+
+def test_ks_at_every_stored_time(ou_ensemble, ground_state_1d, ground_product_state):
     every = stationarity_distances(ou_ensemble, ground_state_1d)
     assert every == [
         stationarity_distance(ou_ensemble, ground_state_1d, t) for t in ou_ensemble.t_grid
     ]
+    # two full blocks of stored times and a part block, on two clusters
+    n_times = 2 * nelson_sde.KS_TIMES + 3
+    drift = regularized_drift(ground_product_state, 1e-3)
+    init = sample_stationary(ground_product_state, 500, seed=4)
+    ens = simulate_ensemble(drift, init, dt=1e-3, times=np.arange(1, n_times) * 1e-3, seed=4)
+    assert ens.t_grid.size == n_times
+    every = stationarity_distances(ens, ground_product_state)
+    assert every == [
+        _ks_one_time(ens.positions[:, it], ground_product_state) for it in range(n_times)
+    ]
+    assert every == [stationarity_distance(ens, ground_product_state, t) for t in ens.t_grid]
 
 
 def test_ks_negative_control_flipped_drift(ground_state_1d):
