@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import mmap
 import os
+import pickle
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -567,16 +568,25 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _simulate_range(
-    drift, init, dt, n_steps, column, seed, start_path, stop_path, positions, crossed
-) -> int:
-    """Step paths start_path..stop_path-1 into their rows; return the clamp count."""
+def _simulate_range(drift, init, dt, n_steps, column, seed, start_path, stop_path, positions):
+    """Step paths start_path..stop_path-1 into their rows of positions.
+
+    Returns the number of clamped drift increments and, per channel, the
+    number of paths that crossed a pole.  A path's side of pole z flips at
+    some step exactly when the lowest of its positions, the start
+    included, is <= z and the highest is > z, so a chunk keeps the running
+    low and high of its nodal rows and compares them with the poles once,
+    after the last step.
+    """
     dec = drift.decomposition
     n_ch = dec.n_channels
     sqrt_dt = math.sqrt(dt)
     clamp = CLAMP_SIGMAS * sqrt_dt
     poles = [(c, ch.poles) for c, ch in enumerate(drift.channels) if getattr(ch, "poles", ())]
+    # the rows from the first nodal channel to the last
+    nodal = slice(poles[0][0], poles[-1][0] + 1) if poles else slice(0)
     clamped = 0
+    crossed = np.zeros(n_ch, dtype=np.int64)
     block = min(NOISE_BLOCK, n_steps)
     # one errstate per range: a path exactly on a pole is inside its patch
     with np.errstate(divide="ignore"):
@@ -589,8 +599,9 @@ def _simulate_range(
             u = np.ascontiguousarray(dec.to_channels(init[start:stop]).T)
             stacked = _StackedDrift(drift.channels, m)
             positions[start:stop, 0, :] = dec.to_clusters(u.T)
-            # which side of each pole a path is on; a crossing flips one
-            sides = {c: [u[c] > z for z in zs] for c, zs in poles}
+            rows = u[nodal]  # a view: u is updated in place
+            low = rows.copy()
+            high = rows.copy()
             for s in range(n_steps):
                 i = s % NOISE_BLOCK
                 if i == 0:
@@ -613,24 +624,24 @@ def _simulate_range(
                     np.minimum(move, clamp, out=move)
                 move += noise[i]
                 u += move
-                for c, zs in poles:
-                    for k, z in enumerate(zs):
-                        now = u[c] > z
-                        crossed[c, start:stop] |= now != sides[c][k]
-                        sides[c][k] = now
+                np.minimum(low, rows, out=low)
+                np.maximum(high, rows, out=high)
                 col = column.get(s + 1)
                 if col is not None:
                     if not np.all(np.isfinite(u)):
                         raise NumericError(f"non-finite path values at step {s + 1}")
                     positions[start:stop, col, :] = dec.to_clusters(u.T)
-    return clamped
+            for c, zs in poles:
+                lo, hi = low[c - nodal.start], high[c - nodal.start]
+                crossed[c] += np.count_nonzero(np.any([(lo <= z) & (hi > z) for z in zs], axis=0))
+    return clamped, crossed
 
 
-def _fork_range(run, lo: int, hi: int, clamped: np.ndarray, r: int):
+def _fork_range(run, lo: int, hi: int):
     """Run paths lo..hi-1 in a forked worker; return its pid and the read end of its pipe.
 
-    The worker writes its rows and its clamp count (slot r) into the shared
-    map; an exception it raises comes back pickled through the pipe.
+    The worker writes its rows into the shared positions and pickles onto
+    the pipe what run returned, or the exception it raised.
     """
     read_fd, write_fd = os.pipe()
     pid = os.fork()
@@ -638,36 +649,21 @@ def _fork_range(run, lo: int, hi: int, clamped: np.ndarray, r: int):
         code = 1
         try:
             os.close(read_fd)
-            clamped[r] = run(lo, hi)
-            code = 0
-        except BaseException as exc:
-            import pickle
-
             try:
-                data = pickle.dumps(exc)
-                pickle.loads(data)
-            except Exception:
-                data = pickle.dumps(NumericError(f"{type(exc).__name__}: {exc}"))
+                result = run(lo, hi)
+            except BaseException as exc:
+                result = exc
+                try:
+                    pickle.loads(pickle.dumps(exc))
+                except Exception:
+                    result = NumericError(f"{type(exc).__name__}: {exc}")
             with os.fdopen(write_fd, "wb") as pipe:
-                pipe.write(data)
+                pickle.dump(result, pipe)
+            code = 0
         finally:
             os._exit(code)
     os.close(write_fd)
     return pid, os.fdopen(read_fd, "rb")
-
-
-def _worker_error(data: bytes, status: int, lo: int, hi: int) -> Exception | None:
-    """The exception a worker sent, or NumericError if it died without one."""
-    if data:
-        import pickle
-
-        return pickle.loads(data)
-    code = os.waitstatus_to_exitcode(status)
-    if code < 0:
-        return NumericError(f"worker for paths {lo}-{hi - 1} killed by signal {-code}")
-    if code != 0:
-        return NumericError(f"worker for paths {lo}-{hi - 1} exited with status {code}")
-    return None
 
 
 def simulate_ensemble(
@@ -679,22 +675,28 @@ def simulate_ensemble(
     drift increments are clamped at 10 sqrt(dt) and the clamp rate is a
     diagnostic (error above 1%: shrink dt or grow epsilon).  Positions are
     stored at t = 0 and at each of ``times``, each a whole number of steps;
-    the last of them is the horizon.  Node crossings are counted at the
-    poles of each DriftChannel; a channel given as a bare callable has none.
-    Each step evaluates the drift of every channel in one pass over the
-    (channel, path) state (_StackedDrift), then clamps, adds the noise and
-    updates that whole state at once.
+    the last of them is the horizon.  Each step evaluates the drift of
+    every channel in one pass over the (channel, path) state
+    (_StackedDrift), then clamps, adds the noise and updates that whole
+    state at once.  sign_change_fraction is, per channel, the fraction of
+    paths whose lowest position over the steps, the start included, is at
+    or below one of the channel's poles and whose highest is above it:
+    exactly the paths that change side of a pole at some step.  The poles
+    are those of each DriftChannel; a channel given as a bare callable has
+    none and reads 0.0.
 
     The paths are split into W contiguous ranges, W the smaller of the
     usable CPUs and n_paths * n_steps * n_channels // FORK_MIN_WORK (1
     without os.fork).  Range 0 runs in the calling process and each other
-    range in a worker forked for it; every range writes its rows of
-    positions, its crossing flags and its clamp count into one anonymous
-    shared mmap, which backs the returned positions.  A worker's exception
-    is re-raised here, a worker killed by a signal raises NumericError,
-    and every worker is reaped (killed first if this call fails) before
-    the call returns.  Noise streams are per path, so the ensemble is
-    bitwise the same for every W.
+    range in a worker forked for it.  Every range writes its rows of
+    positions into one anonymous shared mmap, which holds positions only
+    and backs the returned array; a worker sends its clamp and crossing
+    counts, or the exception it raised, pickled on its pipe, and the
+    exception is re-raised here.  A worker that dies before its result is
+    complete raises NumericError naming its paths, and every worker is
+    reaped (killed first if this call fails) before the call returns.
+    Noise streams are per path, so the ensemble is bitwise the same for
+    every W.
 
     Within a range paths run CHUNK_PATHS at a time.  A chunk keeps its
     state channel-major, one contiguous row of paths per channel.  Every
@@ -721,41 +723,42 @@ def simulate_ensemble(
     n_paths = init.shape[0]
     check_ensemble_size(n_paths, len(steps), n_ch)
     t_grid = np.array(steps) * dt
-    poles = [tuple(getattr(ch, "poles", ())) for ch in drift.channels]
 
     n_ranges = 1
     if hasattr(os, "fork"):
         work = n_paths * n_steps * n_ch
         n_ranges = max(1, min(_usable_cpus(), work // FORK_MIN_WORK, n_paths))
     bounds = [n_paths * r // n_ranges for r in range(n_ranges + 1)]
-    # one shared map: positions, then the clamp count of each range, then crossing flags
-    pos_bytes = 8 * n_paths * len(steps) * n_ch
-    shared = mmap.mmap(-1, pos_bytes + 8 * n_ranges + n_ch * n_paths)
+    shared = mmap.mmap(-1, 8 * n_paths * len(steps) * n_ch)
     positions = np.ndarray((n_paths, len(steps), n_ch), buffer=shared)
-    clamped = np.ndarray(n_ranges, dtype=np.int64, buffer=shared, offset=pos_bytes)
-    crossed = np.ndarray(
-        (n_ch, n_paths), dtype=bool, buffer=shared, offset=pos_bytes + 8 * n_ranges
-    )
 
     def run(lo, hi):
-        return _simulate_range(
-            drift, init, dt, n_steps, column, seed, lo, hi, positions, crossed
-        )
+        return _simulate_range(drift, init, dt, n_steps, column, seed, lo, hi, positions)
 
     workers = []  # (pid, pipe, range) of every worker not yet reaped
     try:
         for r in range(1, n_ranges):
-            workers.append((*_fork_range(run, bounds[r], bounds[r + 1], clamped, r), r))
-        clamped[0] = run(bounds[0], bounds[1])
+            workers.append((*_fork_range(run, bounds[r], bounds[r + 1]), r))
+        clamped, crossed = run(bounds[0], bounds[1])
         while workers:
             pid, pipe, r = workers[0]
             data = pipe.read()
             _, status = os.waitpid(pid, 0)
             del workers[0]
             pipe.close()
-            error = _worker_error(data, status, bounds[r], bounds[r + 1])
-            if error is not None:
-                raise error
+            try:
+                result = pickle.loads(data)
+            except Exception:
+                code = os.waitstatus_to_exitcode(status)
+                how = f"killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                raise NumericError(
+                    f"worker for paths {bounds[r]}-{bounds[r + 1] - 1} {how} "
+                    f"before its result was sent"
+                ) from None
+            if isinstance(result, BaseException):
+                raise result
+            clamped += result[0]
+            crossed += result[1]
     finally:
         if workers:
             import signal
@@ -765,7 +768,7 @@ def simulate_ensemble(
             for pid, pipe, _ in workers:
                 pipe.close()
                 os.waitpid(pid, 0)
-    clamp_rate = int(clamped.sum()) / float(n_paths * n_steps * n_ch)
+    clamp_rate = clamped / float(n_paths * n_steps * n_ch)
     ensemble = Ensemble(
         n_paths=n_paths,
         dt=float(dt),
@@ -774,10 +777,7 @@ def simulate_ensemble(
         seed=int(seed),
         epsilon=drift.epsilon,
         clamp_rate=float(clamp_rate),
-        sign_change_fraction=tuple(
-            float(np.mean(crossed[c])) if poles[c] else 0.0
-            for c in range(n_ch)
-        ),
+        sign_change_fraction=tuple((crossed / n_paths).tolist()),
     )
     if clamp_rate > CLAMP_RATE_LIMIT:
         raise StepSizeError(

@@ -607,6 +607,54 @@ def test_worker_failure_reaches_the_caller(worker_count, ground_state_1d):
     _assert_no_children()
 
 
+class _DiesWhilePickled:
+    def __reduce__(self):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+def test_worker_dying_mid_result_names_its_paths(monkeypatch, worker_count, ground_state_1d):
+    drift = regularized_drift(ground_state_1d, 1e-3)
+    init = np.zeros((30, 1))
+    caller = os.getpid()
+    simulate_range = nelson_sde._simulate_range
+
+    def truncated(*args):
+        result = simulate_range(*args)
+        if os.getpid() == caller:
+            return result
+        # 800 kB reach the pipe before the worker dies: a truncated pickle
+        return np.zeros(10**5), _DiesWhilePickled()
+
+    monkeypatch.setattr(nelson_sde, "_simulate_range", truncated)
+    worker_count(2)
+    with pytest.raises(NumericError, match="paths 15-29 killed by signal"):
+        simulate_ensemble(drift, init, dt=1e-3, times=[0.01], seed=1)
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sign_change_fraction_is_the_crossing_rule(worker_count, harmonic_es, workers):
+    # psi_3 (three poles in one channel), then the exchange pair (a nodal and
+    # a nodeless channel); dt 4e-3 makes paths hop a node within 300 steps
+    pair = build_composite_state([harmonic_es] * 2, [(0.6, (0, 1)), (0.8, (1, 0))])
+    for state in (build_composite_state([harmonic_es], [(1.0, (3,))]), pair):
+        drift = regularized_drift(state, 1e-3)
+        init = sample_stationary(state, 200, seed=9)
+        forks = worker_count(workers)
+        dt = 4e-3
+        ens = simulate_ensemble(drift, init, dt=dt, times=dt * np.arange(1, 301), seed=9)
+        assert len(forks) == workers - 1
+        _assert_no_children()
+        u = drift.decomposition.to_channels(ens.positions)  # every step, t = 0 too
+        exact = []
+        for c, ch in enumerate(drift.channels):
+            both_sides = [np.any(u[:, :, c] > z, axis=1) & np.any(u[:, :, c] <= z, axis=1)
+                          for z in ch.poles]
+            exact.append(np.count_nonzero(np.any(both_sides, axis=0)) / 200 if ch.poles else 0.0)
+        assert ens.sign_change_fraction == tuple(exact)
+        assert ens.sign_change_fraction[0] > 0.0
+
+
 def test_simulate_validations(ground_state_1d):
     drift = regularized_drift(ground_state_1d, 1e-3)
     init = np.zeros((10, 1))
