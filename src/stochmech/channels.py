@@ -59,10 +59,22 @@ class ChannelDecomposition:
         return len(self.channels)
 
     def to_clusters(self, u: np.ndarray) -> np.ndarray:
-        return u @ self.rotation.T
+        return _combine(u, self.rotation)
 
     def to_channels(self, x: np.ndarray) -> np.ndarray:
-        return x @ self.rotation
+        return _combine(x, self.rotation.T)
+
+
+def _combine(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """v @ m.T as the sum over j of v[..., j] times column j of m, in order of j.
+
+    Every row rounds the same whatever the number of rows, which a BLAS
+    matrix product does not promise.
+    """
+    out = np.multiply.outer(v[..., 0], m[:, 0])
+    for j in range(1, m.shape[1]):
+        out += np.multiply.outer(v[..., j], m[:, j])
+    return out
 
 
 def decompose(state: CompositeState) -> ChannelDecomposition:

@@ -17,7 +17,8 @@ channel's table at once.  Paths are simulated in independent channel
 coordinates with deterministic counter-based noise substreams, one per
 path, so ensembles are bitwise reproducible and do not depend on how the
 paths are split: simulate_ensemble steps disjoint ranges of them in
-forked worker processes, one per usable CPU, writing into one shared map.
+forked worker processes, one per usable CPU, which write positions into
+one shared map and send their tallies back on a pipe.
 """
 
 from __future__ import annotations
@@ -161,9 +162,8 @@ class DriftChannel:
     so evaluation is index arithmetic and one linear interpolation; the
     pole terms are then added back and the cosh patches replace the sum
     within epsilon of each node.  Beyond the grid the drift is held at its
-    edge value.  The step loop does not call a channel: _StackedDrift
-    evaluates every channel in one pass by the same arithmetic
-    (_table_drift, then _add_patches), bitwise equal to this call.
+    edge value.  A call evaluates the channel as a one-row _StackedDrift,
+    the evaluator the step loop runs over every channel at once.
     """
 
     residual: np.ndarray
@@ -182,26 +182,19 @@ class DriftChannel:
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        cells = self.slope.size
-        out, xc = _table_drift(
-            x, self.x_min, self.x_max, cells / (self.x_max - self.x_min), cells - 1,
-            self.residual, self.slope,
-        )
-        if self.patches:
-            with np.errstate(divide="ignore"):
-                _add_patches(out, x, xc, self.patches)
-        return out
+        with np.errstate(divide="ignore"):
+            return _StackedDrift([self], x.size)(x.reshape(1, -1)).reshape(x.shape)
 
 
-def _table_drift(x, x_min, x_max, scale, last, residual, slope, offset=None):
+def _table_drift(x, x_min, x_max, scale, last, residual, slope, offset):
     """Residual table read at x held to [x_min, x_max]; returns it and the held x.
 
     The cell is (x - x_min) * scale truncated and capped at ``last``, and
-    the value is linear between the cell's two samples.  For one channel
-    the bounds are scalars; for channels stacked as rows they are arrays of
-    the state's shape, and ``offset`` is where each row's cells start in
-    the tables laid end to end.  Cell numbers stay floats until the
-    lookup: they are whole and far below 2^53, so this is exact.
+    the value is linear between the cell's two samples.  The bounds are
+    arrays of the state's shape, one channel a row, and ``offset`` is
+    where each row's cells start in the tables laid end to end.  Cell
+    numbers stay floats until the lookup: they are whole and far below
+    2^53, so this is exact.
     """
     xc = np.maximum(x, x_min)
     np.minimum(xc, x_max, out=xc)
@@ -210,8 +203,7 @@ def _table_drift(x, x_min, x_max, scale, last, residual, slope, offset=None):
     cell = np.trunc(s)
     np.minimum(cell, last, out=cell)
     s -= cell
-    if offset is not None:
-        cell += offset
+    cell += offset
     i = cell.astype(np.intp)
     out = slope[i]
     out *= s
@@ -242,8 +234,9 @@ class _StackedDrift:
     state's shape (a binary operation between two such arrays runs about
     twice as fast as one that broadcasts a column), so one _table_drift
     call reads every row; the pole terms and cosh patches then run on the
-    nodal rows, channel by channel in patch order.  The result is bitwise
-    each channel's DriftChannel.__call__ on its row.  Division by zero at a
+    nodal rows, channel by channel in patch order.  No row's result depends
+    on another row, so each is bitwise its channel's DriftChannel.__call__,
+    which is a one-row _StackedDrift.  Division by zero at a
     pole is the caller's to ignore.  A channel given as a bare callable has
     no table: then every row is its own channel's call.
     """
@@ -571,12 +564,8 @@ def _usable_cpus() -> int:
 def _simulate_range(drift, init, dt, n_steps, column, seed, start_path, stop_path, positions):
     """Step paths start_path..stop_path-1 into their rows of positions.
 
-    Returns the number of clamped drift increments and, per channel, the
-    number of paths that crossed a pole.  A path's side of pole z flips at
-    some step exactly when the lowest of its positions, the start
-    included, is <= z and the highest is > z, so a chunk keeps the running
-    low and high of its nodal rows and compares them with the poles once,
-    after the last step.
+    Returns the clamp count and, per channel, the number of paths that
+    crossed a pole, from the running low and high of each nodal row.
     """
     dec = drift.decomposition
     n_ch = dec.n_channels
@@ -675,28 +664,26 @@ def simulate_ensemble(
     drift increments are clamped at 10 sqrt(dt) and the clamp rate is a
     diagnostic (error above 1%: shrink dt or grow epsilon).  Positions are
     stored at t = 0 and at each of ``times``, each a whole number of steps;
-    the last of them is the horizon.  Each step evaluates the drift of
-    every channel in one pass over the (channel, path) state
-    (_StackedDrift), then clamps, adds the noise and updates that whole
-    state at once.  sign_change_fraction is, per channel, the fraction of
-    paths whose lowest position over the steps, the start included, is at
-    or below one of the channel's poles and whose highest is above it:
-    exactly the paths that change side of a pole at some step.  The poles
-    are those of each DriftChannel; a channel given as a bare callable has
-    none and reads 0.0.
+    the last of them is the horizon; a non-finite row of init raises
+    ParameterError.  Each step evaluates the drift of every channel in one
+    pass over the (channel, path) state (_StackedDrift), then clamps, adds
+    the noise and updates that whole state at once.  sign_change_fraction
+    is, per channel, the fraction of paths whose lowest position (the
+    start included) is at or below a pole of its DriftChannel and whose
+    highest is above it: exactly those that change side of a pole at some
+    step.  A channel given as a bare callable has no poles and reads 0.0.
 
     The paths are split into W contiguous ranges, W the smaller of the
     usable CPUs and n_paths * n_steps * n_channels // FORK_MIN_WORK (1
     without os.fork).  Range 0 runs in the calling process and each other
-    range in a worker forked for it.  Every range writes its rows of
-    positions into one anonymous shared mmap, which holds positions only
-    and backs the returned array; a worker sends its clamp and crossing
-    counts, or the exception it raised, pickled on its pipe, and the
-    exception is re-raised here.  A worker that dies before its result is
-    complete raises NumericError naming its paths, and every worker is
-    reaped (killed first if this call fails) before the call returns.
-    Noise streams are per path, so the ensemble is bitwise the same for
-    every W.
+    range in a worker forked for it.  Every range writes its rows into one
+    anonymous shared mmap that holds positions only and backs the returned
+    array.  A worker pickles its clamp and crossing counts, or the
+    exception it raised, onto its pipe; the exception is raised again
+    here, a worker that dies before its result is complete raises
+    NumericError naming its paths, and every worker is reaped (killed
+    first if this call fails) before the call returns.  Noise streams are
+    per path, so the ensemble is bitwise the same for every W.
 
     Within a range paths run CHUNK_PATHS at a time.  A chunk keeps its
     state channel-major, one contiguous row of paths per channel.  Every
@@ -722,6 +709,10 @@ def simulate_ensemble(
         raise ParameterError(f"init must have shape (n_paths, {n_ch})")
     n_paths = init.shape[0]
     check_ensemble_size(n_paths, len(steps), n_ch)
+    finite = np.isfinite(init).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise ParameterError(f"init row {row} is not finite: {init[row].tolist()}")
     t_grid = np.array(steps) * dt
 
     n_ranges = 1
@@ -748,7 +739,7 @@ def simulate_ensemble(
             pipe.close()
             try:
                 result = pickle.loads(data)
-            except Exception:
+            except (EOFError, pickle.UnpicklingError):
                 code = os.waitstatus_to_exitcode(status)
                 how = f"killed by signal {-code}" if code < 0 else f"exited with status {code}"
                 raise NumericError(

@@ -568,6 +568,27 @@ def test_chunking_invariance_nodal_state(
         assert np.array_equal(a.positions, c.positions)
 
 
+def test_rotated_ensemble_independent_of_chunking(monkeypatch, worker_count, harmonic_es):
+    # the exchange pair rotates every stored time into cluster coordinates;
+    # a lone path must round as it does in a full chunk
+    state = build_composite_state([harmonic_es] * 2, [(0.6, (0, 1)), (0.8, (1, 0))])
+    drift = regularized_drift(state, 1e-3)
+    init = sample_stationary(state, 301, seed=6)
+    kw = dict(dt=1e-3, times=(0.05, 0.1, 0.15, 0.2), seed=6)
+    runs = []
+    for workers in (1, 2):
+        for chunk in (1, 64, 4096):
+            monkeypatch.setattr(nelson_sde, "CHUNK_PATHS", chunk)
+            forks = worker_count(workers)
+            runs.append(simulate_ensemble(drift, init, **kw))
+            assert len(forks) == workers - 1
+            _assert_no_children()
+    a = runs[0]
+    for b in runs[1:]:
+        assert np.array_equal(a.positions, b.positions)
+        assert (b.clamp_rate, b.sign_change_fraction) == (a.clamp_rate, a.sign_change_fraction)
+
+
 def test_worker_failure_reaches_the_caller(worker_count, ground_state_1d):
     base = regularized_drift(ground_state_1d, 1e-3)
     # paths 20-29, the third of three ranges, start far out
@@ -672,6 +693,15 @@ def test_simulate_validations(ground_state_1d):
             simulate_ensemble(drift, init, dt=1e-3, times=[t], seed=1)
     with pytest.raises(ParameterError):
         simulate_ensemble(drift, np.zeros((10, 2)), dt=1e-3, times=[0.1], seed=1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_simulate_rejects_non_finite_init(ground_state_1d, bad):
+    drift = regularized_drift(ground_state_1d, 1e-3)
+    init = np.zeros((10, 1))
+    init[[3, 7]] = bad
+    with pytest.raises(ParameterError, match="init row 3 is not finite"):
+        simulate_ensemble(drift, init, dt=1e-3, times=[0.1], seed=1)
 
 
 def test_simulate_rejects_ensemble_above_byte_cap(two_oscillator_state):
