@@ -705,8 +705,8 @@ def simulate_ensemble(
     column = {k: j for j, k in enumerate(steps)}
     init = np.asarray(init, dtype=float)
     n_ch = drift.decomposition.n_channels
-    if init.ndim != 2 or init.shape[1] != n_ch:
-        raise ParameterError(f"init must have shape (n_paths, {n_ch})")
+    if init.ndim != 2 or init.shape[1] != n_ch or init.shape[0] < 1:
+        raise ParameterError(f"init must have shape (n_paths, {n_ch}), n_paths >= 1")
     n_paths = init.shape[0]
     check_ensemble_size(n_paths, len(steps), n_ch)
     finite = np.isfinite(init).all(axis=1)

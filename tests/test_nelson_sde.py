@@ -693,6 +693,8 @@ def test_simulate_validations(ground_state_1d):
             simulate_ensemble(drift, init, dt=1e-3, times=[t], seed=1)
     with pytest.raises(ParameterError):
         simulate_ensemble(drift, np.zeros((10, 2)), dt=1e-3, times=[0.1], seed=1)
+    with pytest.raises(ParameterError, match="n_paths >= 1"):
+        simulate_ensemble(drift, np.zeros((0, 1)), dt=1e-3, times=[0.1], seed=1)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
