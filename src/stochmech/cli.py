@@ -111,8 +111,7 @@ def _require_lags(cfg: RunConfig):
     return cfg.lags
 
 
-def cmd_qm_corr(cfg: RunConfig, args) -> int:
-    out = _resolve_out(cfg, args)
+def cmd_qm_corr(cfg: RunConfig, args, out: Path) -> None:
     state = build_state(cfg)
     f, g = _qm_observables(cfg, state)
     lags = _require_lags(cfg)
@@ -121,35 +120,24 @@ def cmd_qm_corr(cfg: RunConfig, args) -> int:
         out, ["lag", "value", "method"],
         [[lag, val, "qm"] for lag, val in zip(series.lags, series.values)],
     )
-    serialize.write_sidecar(out, args.config, args.argv)
-    return EXIT_OK
 
 
-def cmd_compare(cfg: RunConfig, args) -> int:
-    out = _resolve_out(cfg, args)
+def cmd_compare(cfg: RunConfig, args, out: Path) -> None:
     state = build_state(cfg)
     f, g = _qm_observables(cfg, state)
     lags = _require_lags(cfg)
     result = compare_theories(state, f, g, lags)
+    header = ["lag", "qm", "bohm"]
+    columns = [result.qm.lags, result.qm.values, result.bohm.values]
     if result.nelson is None:
         print(
             f"warning: Nelson spectral backend unavailable: {result.nelson_warning}",
             file=sys.stderr,
         )
-        header = ["lag", "qm", "bohm"]
-        rows = [
-            [lag, q, b]
-            for lag, q, b in zip(result.qm.lags, result.qm.values, result.bohm.values)
-        ]
     else:
-        header = ["lag", "qm", "bohm", "nelson"]
-        rows = [
-            [lag, q, b, n]
-            for lag, q, b, n in zip(
-                result.qm.lags, result.qm.values, result.bohm.values, result.nelson.values
-            )
-        ]
-    serialize.write_csv(out, header, rows)
+        header.append("nelson")
+        columns.append(result.nelson.values)
+    serialize.write_csv(out, header, zip(*columns))
     expansion = result.nelson_expansion
     summary = {
         "equal_time_agreement": result.equal_time_max_dev,
@@ -159,8 +147,6 @@ def cmd_compare(cfg: RunConfig, args) -> int:
         "nelson_truncation_tail": None if expansion is None else expansion.truncation_tail,
     }
     serialize.write_json(Path(str(out) + ".summary.json"), summary)
-    serialize.write_sidecar(out, args.config, args.argv)
-    return EXIT_OK
 
 
 def _mc_plan(cfg: RunConfig, args):
@@ -187,8 +173,7 @@ def _checked_drift(state: CompositeState, epsilon: float, path: str):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def cmd_nelson_mc(cfg: RunConfig, args) -> int:
-    out = _resolve_out(cfg, args)
+def cmd_nelson_mc(cfg: RunConfig, args, out: Path) -> None:
     if args.dump_paths:
         _writable(args.dump_paths, "--dump-paths")
     mc, seed = _mc_plan(cfg, args)
@@ -225,12 +210,9 @@ def cmd_nelson_mc(cfg: RunConfig, args) -> int:
     serialize.write_json(Path(str(out) + ".diag.json"), diagnostics)
     if args.dump_paths:
         nelson_sde.dump_paths(ensemble, args.dump_paths)
-    serialize.write_sidecar(out, args.config, args.argv)
-    return EXIT_OK
 
 
-def cmd_chsh(cfg: RunConfig, args) -> int:
-    out = _resolve_out(cfg, args)
+def cmd_chsh(cfg: RunConfig, args, out: Path) -> None:
     es = build_cluster(cfg.clusters[0], "system.clusters[0]")
     if es.k < 2:
         raise ConfigError("system.clusters[0].k: chsh needs at least 2 eigenstates")
@@ -251,16 +233,13 @@ def cmd_chsh(cfg: RunConfig, args) -> int:
         )
     else:
         serialize.write_json(out, serialize.chsh_report_to_dict(report))
-    serialize.write_sidecar(out, args.config, args.argv)
     if not report.classical_feasible:
         print(f"VIOLATES: S = {report.S:.3f}, classical infeasible")
     else:
         print(f"NO VIOLATION: S = {report.S:.3f}, classical feasible")
-    return EXIT_OK
 
 
-def cmd_eps_study(cfg: RunConfig, args) -> int:
-    out = _resolve_out(cfg, args)
+def cmd_eps_study(cfg: RunConfig, args, out: Path) -> None:
     mc, seed = _mc_plan(cfg, args)
     if not cfg.eps_study_epsilons or cfg.eps_study_lag is None:
         raise ConfigError("eps_study: epsilons and lag are required")
@@ -279,12 +258,9 @@ def cmd_eps_study(cfg: RunConfig, args) -> int:
         ["epsilon", "value", "stderr", "spectral_ref", "abs_dev"],
         [[r.epsilon, r.value, r.stderr, r.spectral_ref, r.abs_dev] for r in rows],
     )
-    serialize.write_sidecar(out, args.config, args.argv)
-    return EXIT_OK
 
 
-def cmd_eigen(cfg: RunConfig, args) -> int:
-    out = _resolve_out(cfg, args)
+def cmd_eigen(cfg: RunConfig, args, out: Path) -> None:
     idx = args.cluster
     if not 0 <= idx < len(cfg.clusters):
         raise ConfigError(f"--cluster: no cluster {idx} in the config")
@@ -292,8 +268,6 @@ def cmd_eigen(cfg: RunConfig, args) -> int:
     header = ["x"] + [f"psi_{i}" for i in range(es.k)]
     mat = np.column_stack([es.grid.points] + [f.values for f in es.eigenfunctions])
     serialize.write_csv(out, header, mat.tolist())
-    serialize.write_sidecar(out, args.config, args.argv)
-    return EXIT_OK
 
 
 _COMMANDS = {
@@ -318,7 +292,8 @@ def main(argv=None) -> int:
     try:
         if cfg.output_format != "csv" and args.command != "chsh":
             raise ConfigError(f"output.format: {args.command} writes CSV only")
-        return _COMMANDS[args.command](cfg, args)
+        out = _resolve_out(cfg, args)
+        _COMMANDS[args.command](cfg, args, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -328,6 +303,8 @@ def main(argv=None) -> int:
     except StochMechError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    serialize.write_sidecar(out, args.config, args.argv)
+    return EXIT_OK
 
 
 if __name__ == "__main__":
