@@ -1,14 +1,21 @@
 """Command-line front end.
 
-Subcommands (all driven by one JSON config, see config.py / README):
+Subcommands (all driven by one JSON config, see config.py / README) and
+the files each writes, OUT being the output path:
 
-    qm-corr    quantum two-time correlation series -> CSV
-    compare    QM / Bohm / Nelson-spectral table -> CSV + JSON summary
-    nelson-mc  regularized Euler-Maruyama estimates -> CSV + diagnostics
-    chsh       CHSH report for the antisymmetric pair state -> CSV, or JSON
+    qm-corr    quantum two-time correlation series -> OUT (CSV)
+    compare    QM / Bohm / Nelson-spectral table -> OUT (CSV), OUT.summary.json
+    nelson-mc  regularized Euler-Maruyama estimates -> OUT (CSV), OUT.diag.json,
+               and the raw paths at --dump-paths when given
+    chsh       CHSH report for the antisymmetric pair state -> OUT, CSV or JSON
                with output.format "json" (the others write CSV only)
-    eps-study  patch-width convergence table -> CSV
-    eigen      eigenfunction samples -> CSV (x, psi_0 ... psi_{k-1})
+    eps-study  patch-width convergence table -> OUT (CSV)
+    eigen      eigenfunction samples -> OUT (CSV: x, psi_0 ... psi_{k-1})
+
+Every successful run also writes the sidecar OUT.meta.json.  ``main``
+checks all of these names before any work: a directory, a missing parent
+directory or a name the file system refuses (too long, a NUL byte) exits 2
+naming ``--out``, ``output.path`` or ``--dump-paths``.
 
 Exit codes: 0 success, 2 configuration problem, 3 numeric backend error,
 4 diagnostics threshold exceeded.
@@ -18,6 +25,8 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -70,21 +79,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _writable(path, field: str) -> Path:
-    """The output path, rejected before any work if no file can be created there."""
+# the files a subcommand writes next to its data file besides the sidecar, so
+# that _resolve_out can check their names before the run
+_SIDE_FILES = {"compare": (".summary.json",), "nelson-mc": (".diag.json",)}
+
+
+def _writable(path, field: str, suffixes=()) -> Path:
+    """The output path, rejected before any work if no file can be created
+    there or at ``path`` + each suffix: a directory, a name the file system
+    refuses (too long, a NUL byte), or a missing parent directory."""
     path = Path(path)
-    if path.is_dir():
-        raise ConfigError(f"{field}: {path} is a directory")
+    for name in (str(path), *(str(path) + suffix for suffix in suffixes)):
+        try:
+            mode = os.stat(name).st_mode
+        except (FileNotFoundError, NotADirectoryError):  # the parent check below decides
+            continue
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"{field}: {exc}") from exc
+        if stat.S_ISDIR(mode):
+            raise ConfigError(f"{field}: {name} is a directory")
     if not path.parent.is_dir():
         raise ConfigError(f"{field}: directory {path.parent} does not exist")
     return path
 
 
 def _resolve_out(cfg: RunConfig, args) -> Path:
+    """The data path; it, its sidecar, its side files and ``--dump-paths`` are checked."""
     path = args.out or cfg.output_path
     if path is None:
         raise ConfigError("output.path: required (or pass --out)")
-    return _writable(path, "--out" if args.out else "output.path")
+    out = _writable(
+        path, "--out" if args.out else "output.path",
+        (serialize.SIDECAR_SUFFIX, *_SIDE_FILES.get(args.command, ())),
+    )
+    if getattr(args, "dump_paths", None):
+        _writable(args.dump_paths, "--dump-paths")
+    return out
 
 
 def _two_observables(cfg: RunConfig, state: CompositeState):
@@ -174,8 +204,6 @@ def _checked_drift(state: CompositeState, epsilon: float, path: str):
 
 
 def cmd_nelson_mc(cfg: RunConfig, args, out: Path) -> None:
-    if args.dump_paths:
-        _writable(args.dump_paths, "--dump-paths")
     mc, seed = _mc_plan(cfg, args)
     state = build_state(cfg)
     f, g = _two_observables(cfg, state)

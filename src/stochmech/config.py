@@ -258,6 +258,9 @@ def parse_config(raw: dict) -> RunConfig:
     out_format = output.get("format", "csv")
     if out_format not in ("csv", "json"):
         raise ConfigError("output.format: must be 'csv' or 'json'")
+    out_path = output.get("path")
+    if out_path is not None and not isinstance(out_path, str):
+        raise ConfigError(f"output.path: expected a string, got {out_path!r}")
     return RunConfig(
         clusters=clusters,
         terms=tuple(terms),
@@ -269,7 +272,7 @@ def parse_config(raw: dict) -> RunConfig:
         eps_study_epsilons=eps_eps,
         eps_study_lag=eps_lag,
         output_format=out_format,
-        output_path=output.get("path"),
+        output_path=out_path,
     )
 
 

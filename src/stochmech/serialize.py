@@ -86,6 +86,9 @@ CHSH_CSV_HEADER = [
 ]
 
 
+SIDECAR_SUFFIX = ".meta.json"  # the sidecar of data file F is F + SIDECAR_SUFFIX
+
+
 @cache
 def _versions() -> dict:
     """Versions of the packages a run depends on, read once per process.
@@ -117,6 +120,6 @@ def write_sidecar(data_path: str | Path, config_path: str | Path, argv: list[str
         "config_sha256": hashlib.sha256(Path(config_path).read_bytes()).hexdigest(),
         "versions": _versions(),
     }
-    Path(str(data_path) + ".meta.json").write_text(
+    Path(str(data_path) + SIDECAR_SUFFIX).write_text(
         json.dumps(meta, sort_keys=True, indent=2) + "\n"
     )

@@ -475,6 +475,13 @@ def box_eigensystem(L: float, k: int, grid: Grid | None = None) -> EigenSystem:
         raise ParameterError("half-width L must be positive")
     if k < 1:
         raise ParameterError("k must be at least 1")
+    try:
+        energies = tuple(math.pi**2 * (n + 1) ** 2 / (8.0 * L**2) for n in range(k))
+        in_range = sys.float_info.min <= energies[0] and energies[-1] < math.inf
+    except (ZeroDivisionError, OverflowError):  # L**2 underflows to 0 or overflows
+        in_range = False
+    if not in_range:
+        raise ParameterError(f"half-width L={L!r} puts the energies out of floating-point range")
     pot = InfiniteWellPotential(L)
     if grid is None:
         grid = default_grid(pot)
@@ -488,15 +495,13 @@ def box_eigensystem(L: float, k: int, grid: Grid | None = None) -> EigenSystem:
         )
     x = grid.points
     funcs = []
-    energies = []
     for n in range(k):
         arg = (n + 1) * math.pi * x / (2.0 * L)
         vals = np.where(inside, np.cos(arg) if n % 2 == 0 else np.sin(arg), 0.0)
         funcs.append(
             Wavefunction.normalized(grid, vals, parity="even" if n % 2 == 0 else "odd")
         )
-        energies.append(math.pi**2 * (n + 1) ** 2 / (8.0 * L**2))
-    return EigenSystem(grid, tuple(energies), tuple(funcs), potential=pot)
+    return EigenSystem(grid, energies, tuple(funcs), potential=pot)
 
 
 def _fix_sign(values: np.ndarray) -> np.ndarray:

@@ -265,6 +265,60 @@ def test_output_is_a_directory_exit_2(tmp_path, capsys, field):
     assert capsys.readouterr().err == f"config error: {field}: {tmp_path} is a directory\n"
 
 
+@pytest.mark.parametrize("value", [5, ["a"], True])
+def test_output_path_not_a_string_exit_2(tmp_path, capsys, value):
+    cfg = two_oscillator_config()
+    cfg["output"]["path"] = value
+    assert main(["qm-corr", "--config", write_config(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: output.path: expected a string, got {value!r}\n"
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work began before every output name was checked")
+
+
+@pytest.mark.parametrize(
+    "command, case, field",
+    [
+        ("qm-corr", "NUL byte", "output.path"),
+        ("qm-corr", "long data name", "--out"),
+        ("eigen", "long sidecar name", "--out"),
+        ("chsh", ".meta.json", "--out"),
+        ("compare", ".summary.json", "--out"),
+        ("nelson-mc", ".diag.json", "--out"),
+        ("nelson-mc", "long --dump-paths", "--dump-paths"),
+    ],
+)
+def test_unusable_output_name_exit_2_before_work(tmp_path, capsys, monkeypatch, command, case, field):
+    monkeypatch.setattr(cli, "build_state", _no_work)
+    monkeypatch.setattr(cli, "build_cluster", _no_work)
+    cfg, out, extra = small_config(), tmp_path / "o.csv", []
+    if case == "NUL byte":
+        cfg["output"]["path"] = str(tmp_path / "o\0.csv")
+    elif case == "long data name":  # past the usual 255-byte limit on one name
+        out = tmp_path / ("a" * 296 + ".csv")
+    elif case == "long sidecar name":  # 250 characters fit, 260 with .meta.json do not
+        out = tmp_path / ("a" * 246 + ".csv")
+    elif case == "long --dump-paths":
+        extra = ["--dump-paths", str(tmp_path / ("p" * 300))]
+    else:  # a directory holds the name of a side file
+        (tmp_path / ("o.csv" + case)).mkdir()
+    argv = [command, "--config", write_config(tmp_path, cfg), *extra]
+    if field != "output.path":
+        argv += ["--out", str(out)]
+    before = sorted(tmp_path.iterdir())
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_config_error_after_output_check_leaves_no_file(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, small_config())
+    assert main(["eigen", "--config", cfg_path, "--out", str(tmp_path / "x.csv"), "--cluster", "5"]) == 2
+    assert capsys.readouterr().err == "config error: --cluster: no cluster 5 in the config\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 @pytest.mark.parametrize("case", ["a directory", "not UTF-8"])
 def test_unreadable_config_exit_2(tmp_path, capsys, case):
     if case == "a directory":
@@ -496,6 +550,18 @@ def test_overflowing_potential_exit_2_without_warning(tmp_path, capsys, cluster,
         warnings.simplefilter("error")
         assert main(["compare", "--config", cfg_path, "--out", str(tmp_path / "x.csv")]) == 2
     assert f"system.clusters[{cluster}]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("half_width", [1e-300, 1e-160, 1e200])
+def test_infinite_well_out_of_range_exit_2_without_warning(tmp_path, capsys, half_width):
+    # the energies pi^2 (n+1)^2 / (8 L^2) leave the floating-point range
+    cfg = two_oscillator_config()
+    cfg["system"]["clusters"][1] = {"kind": "infinite_well", "half_width": half_width, "k": 2}
+    argv = ["eigen", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "x.csv")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--cluster", "1"]) == 2
+    assert "config error: system.clusters[1]: half-width" in capsys.readouterr().err
 
 
 def test_harmonic_grid_too_wide_exit_2(tmp_path, capsys):
@@ -859,9 +925,18 @@ def config_mutations(draw):
 
 
 def test_small_config_runs_everywhere(tmp_path):
+    # each subcommand writes its data file, its side files and one sidecar, nothing else
+    side_files = {"compare": ["x.csv.summary.json"], "nelson-mc": ["x.csv.diag.json", "paths.txt"]}
     cfg_path = write_config(tmp_path, small_config())
     for command in COMMANDS:
-        assert main([command, "--config", cfg_path, "--out", str(tmp_path / "x.csv")]) == 0
+        run_dir = tmp_path / command
+        run_dir.mkdir()
+        argv = [command, "--config", cfg_path, "--out", str(run_dir / "x.csv")]
+        if command == "nelson-mc":
+            argv += ["--dump-paths", str(run_dir / "paths.txt")]
+        assert main(argv) == 0
+        expected = ["x.csv", "x.csv.meta.json", *side_files.get(command, [])]
+        assert sorted(p.name for p in run_dir.iterdir()) == sorted(expected)
 
 
 @settings(max_examples=300, deadline=None)
