@@ -89,10 +89,10 @@ def _writable(path, field: str, suffixes=()) -> Path:
     there or at ``path`` + each suffix: a directory, a name the file system
     refuses (too long, a NUL byte), or a missing parent directory."""
     path = Path(path)
-    for name in (str(path), *(str(path) + suffix for suffix in suffixes)):
+    for name in (f"{path}{suffix}" for suffix in ("", *suffixes)):
         try:
             mode = os.stat(name).st_mode
-        except (FileNotFoundError, NotADirectoryError):  # the parent check below decides
+        except FileNotFoundError:  # the parent check below decides
             continue
         except (OSError, ValueError) as exc:
             raise ConfigError(f"{field}: {exc}") from exc

@@ -282,6 +282,7 @@ def _no_work(*args, **kwargs):
     [
         ("qm-corr", "NUL byte", "output.path"),
         ("qm-corr", "long data name", "--out"),
+        ("qm-corr", "a file as its directory", "--out"),
         ("eigen", "long sidecar name", "--out"),
         ("chsh", ".meta.json", "--out"),
         ("compare", ".summary.json", "--out"),
@@ -299,6 +300,8 @@ def test_unusable_output_name_exit_2_before_work(tmp_path, capsys, monkeypatch, 
         out = tmp_path / ("a" * 296 + ".csv")
     elif case == "long sidecar name":  # 250 characters fit, 260 with .meta.json do not
         out = tmp_path / ("a" * 246 + ".csv")
+    elif case == "a file as its directory":
+        out = tmp_path / "config.json" / "o.csv"
     elif case == "long --dump-paths":
         extra = ["--dump-paths", str(tmp_path / ("p" * 300))]
     else:  # a directory holds the name of a side file
