@@ -9,7 +9,7 @@ alpha^2 > sqrt(2)/2.  Realizability of a general correlation matrix with
 marginals is decided exactly by Fine's facets (PRL 48, 291 (1982)): a
 joint distribution over the sixteen deterministic atoms exists iff the
 eight sign-variant CHSH inequalities and the sixteen positivity facets
-hold.
+hold, and Fine's construction then gives one in closed form.
 """
 
 from __future__ import annotations
@@ -74,10 +74,11 @@ class ClassicalModel:
     def __post_init__(self):
         if len(self.atoms) != 16:
             raise ParameterError("a classical model has exactly 16 atoms")
-        if any(p < -1e-15 for p in self.atoms):
+        # min rejects -inf before fsum could meet inf - inf; fsum carries a nan
+        if not min(self.atoms) >= -1e-15:
             raise ParameterError("atom probabilities must be non-negative")
-        if abs(math.fsum(self.atoms) - 1.0) > 1e-12:
-            raise ParameterError("atom probabilities must sum to one")
+        if not abs(math.fsum(self.atoms) - 1.0) <= 1e-12:
+            raise ParameterError("atom probabilities must be finite and sum to one")
 
     def correlation(self, i: int, j: int) -> float:
         """<sigma_i tau_j> with i, j in {1, 2}."""
@@ -198,6 +199,52 @@ class RealizabilityResult:
     certificate: np.ndarray | None
 
 
+def _fine_model(p: list[float]) -> list[float]:
+    """Fine's joint distribution (PRL 48, 291 (1982)) from the pair probabilities.
+
+    ``p[8i + 4j + 2a + b]`` is P(s_{i+1} = a, t_{j+1} = b), with a, b = 0
+    for -1 and 1 for +1: the order of the positivity facets.  Q_j(s1, s2, t_j) is free in
+    its cells c_b = P(s1=+, s2=+, t_j=b), each in the Frechet interval
+    [max(0, r1 + r2 - w), min(r1, r2)] with w = P(t_j=b) and r_i =
+    P(s_i=+, t_j=b).  Summed over b these bound q = P(s1=+, s2=+) to an
+    interval I_j, and Fine's facets hold exactly when I_1 and I_2 meet.  q
+    sits at the middle of where they meet, each c_b at the same fraction
+    of its interval, and an atom is Q_1 Q_2 / pi with pi the (s1, s2)
+    margin: t1 and t2 independent given (s1, s2).  The fraction is clipped
+    to [0, 1] and the cells at 0, which only inputs within the facet
+    tolerance of the boundary need.
+    """
+    halves = []
+    for j in (0, 4):
+        um, up, rm, rp = p[j:j + 4]  # P(s1, t_j) at (s1, t_j) = (-,-), (-,+), (+,-), (+,+)
+        wm, wp = p[j + 10:j + 12]  # P(s2=+, t_j) at t_j = -, +
+        # r1 + r2 - w = P(s2=+, t_j) - P(s1=-, t_j)
+        lom, lop = max(0.0, wm - um), max(0.0, wp - up)
+        him, hip = min(rm, wm), min(rp, wp)
+        halves.append((lom + lop, him + hip, (um, up, rm, rp, wm, wp, lom, lop, him, hip)))
+    (lo1, hi1, _), (lo2, hi2, _) = halves
+    q = 0.5 * (max(lo1, lo2) + min(hi1, hi2))
+    tables = []  # Q_j at (s1, s2) = (-,-), (-,+), (+,-), (+,+), each at t_j = -, +
+    for lo, hi, (um, up, rm, rp, wm, wp, lom, lop, him, hip) in halves:
+        lam = min(1.0, max(0.0, (q - lo) / (hi - lo))) if hi > lo else 0.0
+        cm = max(0.0, lom + lam * (him - lom))
+        cp = max(0.0, lop + lam * (hip - lop))
+        tables.append((
+            (max(0.0, um - wm + cm), max(0.0, up - wp + cp)),
+            (max(0.0, wm - cm), max(0.0, wp - cp)),
+            (max(0.0, rm - cm), max(0.0, rp - cp)),
+            (cm, cp),
+        ))
+    atoms = []
+    for (a0, a1), (b0, b1) in zip(*tables):
+        pi = a0 + a1
+        if pi > 0.0:
+            atoms += (a0 * b0 / pi, a0 * b1 / pi, a1 * b0 / pi, a1 * b1 / pi)
+        else:
+            atoms += (0.0, 0.0, 0.0, 0.0)
+    return atoms
+
+
 def classical_realizability(E, marginals=(0.0, 0.0, 0.0, 0.0)) -> RealizabilityResult:
     """Does a joint distribution reproduce the 4 correlations and 4 marginals?
 
@@ -207,35 +254,35 @@ def classical_realizability(E, marginals=(0.0, 0.0, 0.0, 0.0)) -> RealizabilityR
     otherwise the most violated positivity facet as certificate: a
     Farkas vector y over the moments (1, <s1>, <s2>, <t1>, <t2>, E11,
     E12, E21, E22), non-negative on every atom and negative on the input.
-    When feasible, the model is a non-negative least-squares fit over the
-    16 atoms, checked against the inputs.
+    When feasible, the model is Fine's closed-form construction over the
+    16 atoms (_fine_model), checked against the inputs.
     """
     E = np.asarray(E, dtype=float)
     marg = np.asarray(marginals, dtype=float)
     if E.shape != (2, 2) or marg.shape != (4,):
         raise ParameterError("need a 2x2 correlation matrix and 4 marginals")
     target = np.concatenate(([1.0], marg, E.reshape(4)))
-    if np.max(np.abs(target)) > 1.0 + 1e-12:
+    moments = target.tolist()
+    if not all(map(math.isfinite, moments)):
+        raise ParameterError("correlations and marginals must be finite")
+    if max(map(abs, moments)) > 1.0 + 1e-12:
         raise ParameterError("correlations and marginals must lie in [-1, 1]")
-    values = _CHSH_SIGNS @ target[5:]
-    best = int(np.argmax(values))
+    # facet sums as matrix products: a Python sum rounds differently and can
+    # pick another of two tied facets; the comparisons run on Python floats
+    values = (_CHSH_SIGNS @ target[5:]).tolist()
+    best = values.index(max(values))
     if values[best] > 2.0 + _FACET_TOL:
-        return RealizabilityResult(False, None, (_CHSH_PATTERNS[best], float(values[best])), None)
-    slack = _POSITIVITY_FACETS @ target
-    worst = int(np.argmin(slack))
+        return RealizabilityResult(False, None, (_CHSH_PATTERNS[best], values[best]), None)
+    slack = (_POSITIVITY_FACETS @ target).tolist()
+    worst = slack.index(min(slack))
     if slack[worst] < -_FACET_TOL:
         return RealizabilityResult(False, None, None, _POSITIVITY_FACETS[worst].copy())
-    from scipy.optimize import nnls
-
-    try:
-        x, _ = nnls(_MOMENTS, target)
-    except RuntimeError as exc:
-        raise NumericError(f"non-negative least squares failed: {exc}") from exc
-    # nnls can report a zero residual with a wrong x on degenerate inputs
-    err = float(np.max(np.abs(_MOMENTS @ x - target)))
+    x = _fine_model([0.25 * v for v in slack])
+    err = float(np.abs(_MOMENTS @ x - target).max())
     if not err <= _MODEL_TOL:
         raise NumericError(f"classical model misses a feasible target by {err:.2e}")
-    return RealizabilityResult(True, ClassicalModel(tuple(x / math.fsum(x))), None, None)
+    total = math.fsum(x)
+    return RealizabilityResult(True, ClassicalModel(tuple([v / total for v in x])), None, None)
 
 
 # --------------------------------------------------------------------------

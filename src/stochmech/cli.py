@@ -331,7 +331,7 @@ def main(argv=None) -> int:
     except StochMechError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    serialize.write_sidecar(out, args.config, args.argv)
+    serialize.write_sidecar(out, args.config, cfg.config_sha256, args.argv)
     return EXIT_OK
 
 

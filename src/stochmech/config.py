@@ -22,9 +22,10 @@ from the exit message alone.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -119,6 +120,7 @@ class RunConfig:
     eps_study_lag: float | None
     output_format: str
     output_path: str | None
+    config_sha256: str | None = None  # of the bytes load_config parsed
 
 
 def _need_kind(raw, path: str) -> None:
@@ -277,16 +279,18 @@ def parse_config(raw: dict) -> RunConfig:
 
 
 def load_config(path: str | Path) -> RunConfig:
+    """The config at ``path``, read once; it carries the SHA-256 of the bytes parsed."""
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
+        data = p.read_bytes()
+        text = data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
         raise ConfigError(f"config file {p} cannot be read: {exc}") from exc
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return parse_config(raw)
+    return replace(parse_config(raw), config_sha256=hashlib.sha256(data).hexdigest())
 
 
 # --------------------------------------------------------------------------

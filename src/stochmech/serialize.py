@@ -8,7 +8,6 @@ produce identical bytes.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from datetime import datetime, timezone
 from functools import cache
@@ -107,17 +106,21 @@ def _versions() -> dict:
     }
 
 
-def write_sidecar(data_path: str | Path, config_path: str | Path, argv: list[str]) -> None:
+def write_sidecar(
+    data_path: str | Path, config_path: str | Path, config_sha256: str, argv: list[str]
+) -> None:
     """Run metadata next to the data file; the only place timestamps live.
 
-    ``argv`` is the command line of the run, without the program name.
+    ``config_sha256`` is the hash of the config bytes the run parsed, so the
+    file is not read again; ``argv`` is the command line of the run, without
+    the program name.
     """
     meta = {
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "argv": argv,
         "data_file": str(data_path),
         "config_file": str(config_path),
-        "config_sha256": hashlib.sha256(Path(config_path).read_bytes()).hexdigest(),
+        "config_sha256": config_sha256,
         "versions": _versions(),
     }
     Path(str(data_path) + SIDECAR_SUFFIX).write_text(

@@ -193,7 +193,7 @@ def test_infeasible_with_marginals_yields_certificate():
     cases = (
         # perfect correlations with contradictory marginals: no CHSH witness
         ([[1.0, 1.0], [1.0, 1.0]], (1.0, 1.0, 1.0, -1.0)),
-        # a degenerate input on which nnls reports a zero residual with a wrong x
+        # s2 = +1 surely, so E22 must equal <t2>; no CHSH witness either
         ([[-1.0, 0.0], [-1.0, 0.0]], (0.0, 1.0, 0.0, -0.5)),
     )
     for E, marg in cases:
@@ -207,19 +207,85 @@ def test_infeasible_with_marginals_yields_certificate():
         assert y @ target < 0.0
 
 
-def _nnls_wrong_model(A, b):
-    return np.eye(16)[0], 0.0  # a zero residual reported for a wrong x
+def _wrong_model(p):
+    return [1.0] + [0.0] * 15  # a valid distribution that misses the target
 
 
-def _nnls_iteration_limit(A, b):
-    raise RuntimeError("Maximum number of iterations reached.")
+def _non_finite_model(p):
+    return [math.nan] * 16
 
 
-@pytest.mark.parametrize("fake_nnls", [_nnls_wrong_model, _nnls_iteration_limit])
-def test_model_failure_raises_numeric_error(monkeypatch, fake_nnls):
-    monkeypatch.setattr("scipy.optimize.nnls", fake_nnls)
+@pytest.mark.parametrize("fake_model", [_wrong_model, _non_finite_model])
+def test_model_failure_raises_numeric_error(monkeypatch, fake_model):
+    monkeypatch.setattr("stochmech.bell._fine_model", fake_model)
     with pytest.raises(NumericError):
         classical_realizability(np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("field", ["E", "marginals"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_realizability_rejects_non_finite_inputs(field, bad):
+    E, marg = np.zeros((2, 2)), np.zeros(4)
+    (E if field == "E" else marg).flat[0] = bad
+    with pytest.raises(ParameterError, match="finite"):
+        classical_realizability(E, marg)
+
+
+def _atom_model(atom) -> ClassicalModel:
+    return ClassicalModel(tuple(1.0 if a == atom else 0.0 for a in product((-1, 1), repeat=4)))
+
+
+def _inputs(model: ClassicalModel):
+    marg = tuple(model.marginal(which, i) for which in ("sigma", "tau") for i in (1, 2))
+    return model.correlations(), marg
+
+
+@pytest.mark.parametrize("atom", list(product((-1, 1), repeat=4)))
+def test_single_atom_target_returns_that_atom(atom):
+    r = classical_realizability(*_inputs(_atom_model(atom)))
+    assert r.model == _atom_model(atom)
+
+
+def test_extreme_marginals_give_a_valid_model():
+    # <s1> = 1 and <t2> = -1 leave (s1, s2) margin cells with pi = 0; then
+    # E11 = <t1>, E12 = -1 and E22 = -<s2>
+    E = np.array([[0.3, -1.0], [-0.2, 0.2]])
+    marg = (1.0, -0.2, 0.3, -1.0)
+    r = classical_realizability(E, marg)
+    assert r.feasible
+    model = r.model
+    assert model.correlations() == pytest.approx(E, abs=1e-12)
+    assert _inputs(model)[1] == pytest.approx(marg, abs=1e-12)
+    # a model with only s1 = +1, t2 = -1 atoms
+    for p, (s1, _, _, t2) in zip(model.atoms, product((-1, 1), repeat=4)):
+        assert p >= 0.0
+        if s1 == -1 or t2 == 1:
+            assert p == 0.0
+
+
+def test_model_error_over_random_models():
+    rng = np.random.default_rng(21)
+    atoms = np.array(list(product((-1, 1), repeat=4)), dtype=float)
+    moments = np.column_stack(
+        [atoms, *(atoms[:, i] * atoms[:, 2 + j] for i in (0, 1) for j in (0, 1))]
+    )
+    worst = 0.0
+    for k in range(10_000):
+        n = 1 + k % 16  # 1 to 16 atoms: sparse models sit on the polytope's faces
+        w = np.zeros(16)
+        w[rng.choice(16, n, replace=False)] = rng.dirichlet(np.full(n, 0.5))
+        v = w @ moments
+        r = classical_realizability(v[4:].reshape(2, 2), v[:4])
+        assert r.feasible
+        worst = max(worst, float(np.max(np.abs(np.asarray(r.model.atoms) @ moments - v))))
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("atoms", [(math.nan,) * 16, (math.inf,) + (0.0,) * 15,
+                                   (math.inf, -math.inf) + (0.0,) * 14])
+def test_classical_model_rejects_non_finite_atoms(atoms):
+    with pytest.raises(ParameterError):
+        ClassicalModel(atoms)
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -81,6 +82,26 @@ def test_qm_corr_table(tmp_path):
         "scipy": scipy.__version__,
         "python": platform.python_version(),
     }
+
+
+def test_sidecar_hashes_the_config_bytes_parsed(tmp_path, monkeypatch):
+    # the config is gone once the run starts: the sidecar hashes what was parsed
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_bytes(json.dumps(two_oscillator_config(), indent=1).encode() + b"\r\n")
+    parsed = cfg_path.read_bytes()
+    build = cli.build_state
+
+    def build_after_removing_config(cfg):
+        cfg_path.unlink()
+        return build(cfg)
+
+    monkeypatch.setattr(cli, "build_state", build_after_removing_config)
+    out = tmp_path / "gone.csv"
+    assert main(["qm-corr", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert not cfg_path.exists()
+    meta = json.loads((tmp_path / "gone.csv.meta.json").read_text())
+    assert meta["config_sha256"] == hashlib.sha256(parsed).hexdigest()
+    assert meta["config_file"] == str(cfg_path)
 
 
 def test_missing_state_block_exits_2(tmp_path, capsys):

@@ -30,10 +30,18 @@ EXCHANGE_PAIR = {
 }
 
 
-def loaded_scipy_modules(tmp_path, body: str) -> list[str]:
+# one oscillator with closed-form eigenfunctions; its CHSH verdict is feasible
+HARMONIC_CHSH = {
+    "system": {"clusters": [{"kind": "harmonic", "omega": 1.0, "k": 2}]},
+    "state": {"terms": [{"coefficient": 1.0, "indices": [0]}]},
+    "chsh": {"observable": {"kind": "sign"}},
+}
+
+
+def loaded_scipy_modules(tmp_path, body: str, config_obj=EXCHANGE_PAIR) -> list[str]:
     """The scipy modules in sys.modules after ``body`` runs in a fresh interpreter."""
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(EXCHANGE_PAIR))
+    config.write_text(json.dumps(config_obj))
     code = (
         "import json, sys\n"
         f"{body}\n"
@@ -63,4 +71,14 @@ def test_qm_corr_on_harmonic_pair_loads_no_scipy_subpackage(tmp_path):
         "assert cli.main(['qm-corr', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0"
     )
     loaded = loaded_scipy_modules(tmp_path, body)
+    assert not [m for m in loaded if m.startswith(SCIPY_SUBPACKAGES)]
+
+
+def test_feasible_chsh_on_harmonic_oscillator_loads_no_scipy_subpackage(tmp_path):
+    body = (
+        "from stochmech import cli\n"
+        "assert cli.main(['chsh', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+        "assert open(sys.argv[2]).read().splitlines()[1].endswith(',true')"
+    )
+    loaded = loaded_scipy_modules(tmp_path, body, HARMONIC_CHSH)
     assert not [m for m in loaded if m.startswith(SCIPY_SUBPACKAGES)]
