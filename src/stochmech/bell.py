@@ -304,6 +304,8 @@ class ArrangementDistribution:
             raise ParameterError("arrangement needs at least one outcome")
         if len(set(self.observables)) != len(self.observables):
             raise ParameterError("duplicate observable labels in one arrangement")
+        if not all(map(math.isfinite, self.probabilities)):
+            raise ParameterError("probabilities must be finite")
         if any(p < 0 for p in self.probabilities):
             raise ParameterError("probabilities must be non-negative")
         if abs(math.fsum(self.probabilities) - 1.0) > 1e-12:
@@ -311,6 +313,8 @@ class ArrangementDistribution:
         for out in self.outcomes:
             if len(out) != len(self.observables):
                 raise ParameterError("outcome arity does not match observables")
+            if not all(map(math.isfinite, out)):
+                raise ParameterError("outcomes must be finite")
 
 
 @dataclass(frozen=True)
@@ -386,6 +390,10 @@ class ChshReport:
     classical_feasible: bool
 
     def __post_init__(self):
+        numbers = [self.alpha, self.omega, *self.times, *self.marginals, self.S]
+        numbers += [e for row in self.correlations for e in row]
+        if not all(map(math.isfinite, numbers)):
+            raise ParameterError("CHSH report values must be finite")
         if abs(self.alpha) > 1.0 + 1e-9:
             raise ParameterError("alpha must lie in [-1, 1]")
         E = np.asarray(self.correlations)

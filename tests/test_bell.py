@@ -1,3 +1,4 @@
+import json
 import math
 from itertools import product
 
@@ -28,8 +29,11 @@ from stochmech import (
     solve_eigensystem,
 )
 from stochmech.bell import ArrangementDistribution
+from stochmech.serialize import chsh_report_from_dict, chsh_report_to_dict
 
 SQRT2 = math.sqrt(2.0)
+NAN = float("nan")
+INF = float("inf")
 
 
 @pytest.fixture(scope="module")
@@ -329,6 +333,21 @@ def test_product_model_rejects_overlap():
         product_classical_model([d1, d2])
 
 
+@pytest.mark.parametrize(
+    "outcomes, probabilities",
+    [
+        (((0.0,), (1.0,)), (NAN, 0.5)),
+        (((0.0,), (1.0,)), (0.5, NAN)),
+        (((0.0,),), (NAN,)),
+        (((NAN,), (1.0,)), (0.5, 0.5)),
+        (((0.0,), (INF,)), (0.5, 0.5)),
+    ],
+)
+def test_arrangement_rejects_non_finite(outcomes, probabilities):
+    with pytest.raises(ParameterError, match="finite"):
+        ArrangementDistribution(("A",), outcomes, probabilities)
+
+
 def test_product_model_from_binned_positions(ground_product_state):
     # equal-time position marginals of the two clusters, coarsely binned:
     # two disjoint single-time arrangements always admit a product model
@@ -404,3 +423,34 @@ def test_chsh_report_validation():
             correlations=((0.1, 0.2), (0.3, 0.4)), marginals=(0, 0, 0, 0),
             S=0.9, classical_feasible=True,  # wrong combination
         )
+
+
+VALID_REPORT = dict(
+    alpha=0.5, omega=1.0, times=(0.0, 1.0, 2.0, 3.0),
+    correlations=((0.0, 0.0), (0.0, 0.0)), marginals=(0.0, 0.0, 0.0, 0.0),
+    S=0.0, classical_feasible=True,
+)
+NON_FINITE_FIELDS = [
+    ("alpha", NAN),
+    ("omega", NAN),
+    ("omega", INF),
+    ("times", (0.0, 1.0, 2.0, NAN)),
+    ("times", (0.0, 1.0, 2.0, -INF)),
+    ("marginals", (NAN, NAN, NAN, NAN)),
+]
+
+
+@pytest.mark.parametrize("field, value", NON_FINITE_FIELDS)
+def test_chsh_report_rejects_non_finite(field, value):
+    with pytest.raises(ParameterError, match="finite"):
+        ChshReport(**{**VALID_REPORT, field: value})
+
+
+@pytest.mark.parametrize("field, value", [NON_FINITE_FIELDS[i] for i in (0, 1, 3, 5)])
+def test_chsh_report_from_json_with_nan(field, value):
+    raw = chsh_report_to_dict(ChshReport(**VALID_REPORT))
+    raw[field] = value
+    text = json.dumps(raw)  # Python's json writes and reads the NaN literal
+    assert "NaN" in text
+    with pytest.raises(ParameterError, match="finite"):
+        chsh_report_from_dict(json.loads(text))

@@ -699,15 +699,31 @@ README_CLUSTERS = [
 ]
 
 
+def _double_well_on(height, span, n):
+    grid = {"x_min": -span, "x_max": span, "n": n}
+    return pytest.param(
+        [{"kind": "double_well", "barrier_height": height, "well_separation": 1.0,
+          "k": 2, "grid": grid}],
+        id=f"barrier{height:g}-span{span:g}-n{n}",
+    )
+
+
 @pytest.mark.parametrize(
     "clusters",
     [
         README_CLUSTERS,
         # default grid of 2000 points
         [{"kind": "double_well", "barrier_height": 4.0, "well_separation": 1.0, "k": 2}],
+        # a barrier sweep on even and odd grids; alpha is at least 0.887 in each
+        _double_well_on(1.0, 3.0, 400),
+        _double_well_on(8.0, 3.0, 400),
+        _double_well_on(1.0, 3.0, 401),
+        _double_well_on(8.0, 3.0, 401),
+        _double_well_on(1.0, 3.5, 401),
+        _double_well_on(27.0, 3.5, 401),
     ],
 )
-def test_chsh_even_point_grid(tmp_path, clusters):
+def test_chsh_even_point_grid(tmp_path, capsys, clusters):
     # mirror-symmetrized Simpson weights cancel the odd integrands on even n too
     cfg = {
         "system": {"clusters": clusters},
@@ -718,8 +734,13 @@ def test_chsh_even_point_grid(tmp_path, clusters):
     assert main(["chsh", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
     report = chsh_report_from_dict(json.loads(out.read_text()))
     assert max(abs(m) for m in report.marginals) < 1e-10
+    assert abs(report.S + 2.0 * math.sqrt(2.0) * report.alpha**2) <= 1e-12
     if clusters is README_CLUSTERS:
         assert report.alpha**2 == pytest.approx(2.0 / math.pi, abs=1e-4)
+        assert report.classical_feasible
+    else:
+        assert not report.classical_feasible
+        assert capsys.readouterr().out.startswith("VIOLATES")
 
 
 @pytest.mark.parametrize("height", [27.0, 28.5, 29.0])
