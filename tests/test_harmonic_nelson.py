@@ -27,4 +27,4 @@ def test_first_excited_paths_keep_their_side(harmonic_es):
     sign = Observable("sign", 0)
     for k in range(1, len(LAGS) + 1):
         assert float(np.mean(sign(paths[:, k]) * sign(paths[:, 0]))) == 1.0
-    assert np.array_equal(np.sign(paths), np.sign(paths[:, :1]) * np.ones_like(paths))
+    assert np.all(np.sign(paths) == np.sign(paths[:, :1]))
