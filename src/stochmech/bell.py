@@ -15,6 +15,7 @@ hold, and Fine's construction then gives one in closed form.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import product
 
@@ -390,9 +391,20 @@ class ChshReport:
     classical_feasible: bool
 
     def __post_init__(self):
-        numbers = [self.alpha, self.omega, *self.times, *self.marginals, self.S]
-        numbers += [e for row in self.correlations for e in row]
-        if not all(map(math.isfinite, numbers)):
+        def sized(value, n):
+            return isinstance(value, (tuple, list)) and len(value) == n
+
+        if not (sized(self.times, 4) and sized(self.marginals, 4)):
+            raise ParameterError("a CHSH report holds exactly 4 times and 4 marginals")
+        if not (sized(self.correlations, 2) and all(sized(row, 2) for row in self.correlations)):
+            raise ParameterError("CHSH correlations must be 2 x 2")
+        if not isinstance(self.classical_feasible, bool):
+            raise ParameterError("classical_feasible must be a bool")
+        values = [self.alpha, self.omega, *self.times, *self.marginals, self.S]
+        values += [e for row in self.correlations for e in row]
+        if not all(isinstance(v, numbers.Real) for v in values):
+            raise ParameterError("CHSH report values must be real numbers")
+        if not all(map(math.isfinite, values)):
             raise ParameterError("CHSH report values must be finite")
         if abs(self.alpha) > 1.0 + 1e-9:
             raise ParameterError("alpha must lie in [-1, 1]")

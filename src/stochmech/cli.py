@@ -179,9 +179,13 @@ def cmd_compare(cfg: RunConfig, args, out: Path) -> None:
     serialize.write_json(Path(str(out) + ".summary.json"), summary)
 
 
-def _mc_plan(cfg: RunConfig, args):
+def _mc_plan(cfg: RunConfig, args, *required):
+    """The mc block, holding each field named in ``required``, and the seed."""
     if cfg.mc is None:
         raise ConfigError("mc: required for stochastic subcommands")
+    for name in required:
+        if getattr(cfg.mc, name) is None:
+            raise ConfigError(f"mc: missing required field '{name}'")
     seed = args.seed if args.seed is not None else cfg.mc.seed
     if seed is None:
         raise ConfigError("mc.seed: required for stochastic subcommands (or pass --seed)")
@@ -204,7 +208,7 @@ def _checked_drift(state: CompositeState, epsilon: float, path: str):
 
 
 def cmd_nelson_mc(cfg: RunConfig, args, out: Path) -> None:
-    mc, seed = _mc_plan(cfg, args)
+    mc, seed = _mc_plan(cfg, args, "epsilon", "horizon")
     state = build_state(cfg)
     f, g = _two_observables(cfg, state)
     lags = _require_lags(cfg)

@@ -16,6 +16,9 @@ Schema (see README for a worked example):
       "output": {"format": "csv", "path": "out.csv"}
     }
 
+Every field present is checked when the config loads, but a subcommand
+requires only the fields it reads: "state" is required by qm-corr, compare,
+nelson-mc and eps-study, "mc.epsilon" and "mc.horizon" by nelson-mc alone.
 Errors carry the offending field path so a malformed file is diagnosable
 from the exit message alone.
 """
@@ -103,14 +106,14 @@ class McConfig:
     n_paths: int
     dt: float
     seed: int | None
-    epsilon: float
-    horizon: float
+    epsilon: float | None  # required by nelson-mc alone
+    horizon: float | None
 
 
 @dataclass(frozen=True)
 class RunConfig:
     clusters: tuple[ClusterConfig, ...]
-    terms: tuple[tuple[float, tuple[int, ...]], ...]
+    terms: tuple[tuple[float, tuple[int, ...]], ...]  # empty when "state" is absent
     observables: tuple[dict, ...]
     lags: tuple[float, ...]
     mc: McConfig | None
@@ -194,12 +197,15 @@ def _parse_lags(raw, path: str) -> tuple[float, ...]:
 def _parse_mc(raw, path: str) -> McConfig:
     raw = _object(raw, path)
     n_paths = _as_int(_need(raw, "n_paths", path), f"{path}.n_paths")
-    dt, epsilon, horizon = (_number(raw, key, path) for key in ("dt", "epsilon", "horizon"))
+    dt = _number(raw, "dt", path)
+    epsilon, horizon = (
+        _number(raw, key, path) if key in raw else None for key in ("epsilon", "horizon")
+    )
     seed = raw.get("seed")
     if seed is not None:
         seed = _as_int(seed, f"{path}.seed")
     for name, val in (("n_paths", n_paths), ("dt", dt), ("epsilon", epsilon), ("horizon", horizon)):
-        if val <= 0:
+        if val is not None and val <= 0:
             raise ConfigError(f"{path}.{name}: must be positive")
     if n_paths > MAX_PATHS:
         raise ConfigError(f"{path}.n_paths: {n_paths} is more than {MAX_PATHS} paths")
@@ -215,10 +221,11 @@ def parse_config(raw: dict) -> RunConfig:
     clusters = tuple(
         _parse_cluster(c, f"system.clusters[{i}]") for i, c in enumerate(clusters_raw)
     )
-    state_raw = _object(_need(raw, "state", "top level"), "state")
-    terms_raw = _need(state_raw, "terms", "state")
-    if not isinstance(terms_raw, list) or not terms_raw:
-        raise ConfigError("state.terms: expected a non-empty list")
+    terms_raw = []
+    if "state" in raw:
+        terms_raw = _need(_object(raw["state"], "state"), "terms", "state")
+        if not isinstance(terms_raw, list) or not terms_raw:
+            raise ConfigError("state.terms: expected a non-empty list")
     terms = []
     for i, t in enumerate(terms_raw):
         t = _object(t, f"state.terms[{i}]")
@@ -316,6 +323,8 @@ def build_cluster(cfg: ClusterConfig, path: str) -> EigenSystem:
 
 
 def build_state(cfg: RunConfig) -> CompositeState:
+    if not cfg.terms:
+        raise ConfigError("top level: missing required field 'state'")
     clusters = [
         build_cluster(c, f"system.clusters[{i}]") for i, c in enumerate(cfg.clusters)
     ]

@@ -15,9 +15,7 @@
 from __future__ import annotations
 
 import math
-import threading
-import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -120,10 +118,9 @@ class CorrelationSeries:
     lags: tuple[float, ...]
     values: tuple[float, ...]
     method: str
-    stderr: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.method not in ("qm", "bohm", "nelson_spectral", "nelson_mc"):
+        if self.method not in ("qm", "bohm", "nelson_spectral"):
             raise ParameterError(f"unknown method {self.method!r}")
         if len(self.lags) != len(self.values):
             raise ParameterError("lag/value length mismatch")
@@ -131,13 +128,6 @@ class CorrelationSeries:
             raise ParameterError("series must hold at least one lag")
         if np.any(np.diff(self.lags) <= 0):
             raise ParameterError("lags must increase strictly")
-        if (self.stderr is not None) != (self.method == "nelson_mc"):
-            raise ParameterError("stderr is present exactly for nelson_mc series")
-        if self.stderr is not None:
-            if len(self.stderr) != len(self.lags):
-                raise ParameterError("stderr length mismatch")
-            if any(s < 0 for s in self.stderr):
-                raise ParameterError("stderr entries must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -176,9 +166,12 @@ class ModeExpansion:
     rates: tuple[float, ...]
     coefficients: tuple[float, ...]
     truncation_tail: float
+    _rates: np.ndarray = field(init=False, repr=False, compare=False)
+    _coefficients: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        r = np.asarray(self.rates)
+        r = np.asarray(self.rates, dtype=float)
+        c = np.asarray(self.coefficients, dtype=float)
         if r.size == 0:
             raise ParameterError("mode expansion must hold at least one mode")
         if np.any(r < -1e-9):
@@ -187,16 +180,15 @@ class ModeExpansion:
             raise ParameterError("rates must be non-decreasing")
         if abs(r[0]) > 1e-9:
             raise ParameterError("rate-0 sector missing from the expansion")
-        if len(self.rates) != len(self.coefficients):
+        if r.shape != c.shape:
             raise ParameterError("mode arrays must share one length")
+        object.__setattr__(self, "_rates", r)
+        object.__setattr__(self, "_coefficients", c)
 
-    def __call__(self, t) -> np.ndarray:
-        tt = np.abs(np.asarray(t, dtype=float))
-        rates = np.asarray(self.rates)
-        coeffs = np.asarray(self.coefficients)
-        return np.exp(-np.outer(tt, rates)) @ coeffs if tt.ndim else float(
-            np.exp(-tt * rates) @ coeffs
-        )
+    def __call__(self, t) -> float | np.ndarray:
+        """The value at each lag of ``t``, in ``t``'s shape; a float for a scalar."""
+        out = np.exp(-np.multiply.outer(np.abs(t), self._rates)) @ self._coefficients
+        return float(out) if out.ndim == 0 else out
 
 
 # --------------------------------------------------------------------------
@@ -474,10 +466,6 @@ def _mean(dec: ChannelDecomposition, const: float, terms) -> float:
     return sum((w * _channel_mean(dec.channels[c], fn) for c, fn, w in terms), const)
 
 
-_expansion_cache: dict[tuple, ModeExpansion] = {}
-_cache_lock = threading.Lock()
-
-
 def nelson_mode_expansion(
     state: CompositeState, f: Observable, g: Observable
 ) -> ModeExpansion:
@@ -489,18 +477,12 @@ def nelson_mode_expansion(
     rotated case).  Position pairs on harmonic ground and first-excited
     channels (every rotated channel, and harmonic clusters of a product
     state) are exact series; all other channels are finite-difference
-    solves.  Expansions are cached per (state, f, g) for as long as the
-    state is alive.
+    solves.  The state keeps each (f, g) expansion for as long as it lives.
     """
-    key = (id(state), f.key(), g.key())
-    with _cache_lock:
-        hit = _expansion_cache.get(key)
-    if hit is not None:
-        return hit
-    expansion = _build_expansion(state, f, g)
-    with _cache_lock:
-        _expansion_cache[key] = expansion
-    weakref.finalize(state, _expansion_cache.pop, key, None)
+    key = (f.key(), g.key())
+    expansion = state._expansions.get(key)
+    if expansion is None:
+        expansion = state._expansions[key] = _build_expansion(state, f, g)
     return expansion
 
 
@@ -566,7 +548,7 @@ def nelson_semigroup_correlation(
 
     Negative lags are folded by time-reflection symmetry of the process.
     """
-    return float(nelson_mode_expansion(state, f, g)(abs(float(t))))
+    return nelson_mode_expansion(state, f, g)(float(t))
 
 
 def nelson_two_time_series(
@@ -574,7 +556,7 @@ def nelson_two_time_series(
 ) -> CorrelationSeries:
     lags = [float(t) for t in lags]
     exp = nelson_mode_expansion(state, f, g)
-    vals = [float(exp(abs(t))) for t in lags]
+    vals = [exp(t) for t in lags]
     return CorrelationSeries(tuple(lags), tuple(vals), "nelson_spectral")
 
 
@@ -618,7 +600,7 @@ def compare_theories(
         warning = str(exc)
     else:
         nelson = nelson_two_time_series(state, f, g, lags)
-        equal_dev = abs(float(expansion(0.0)) - qm0)
+        equal_dev = abs(expansion(0.0) - qm0)
         nelson_dev = float(
             np.max(np.abs(np.asarray(nelson.values) - np.asarray(qm.values)))
         )

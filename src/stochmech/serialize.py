@@ -17,6 +17,7 @@ import numpy
 
 from . import __version__
 from .bell import ChshReport
+from .errors import ParameterError
 
 __all__ = [
     "fmt",
@@ -47,6 +48,9 @@ def write_json(path: str | Path, obj) -> None:
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
+_CHSH_KEYS = ("alpha", "omega", "times", "correlations", "marginals", "S", "classical_feasible")
+
+
 def chsh_report_to_dict(report: ChshReport) -> dict:
     return {
         "alpha": report.alpha,
@@ -59,16 +63,20 @@ def chsh_report_to_dict(report: ChshReport) -> dict:
     }
 
 
+def _tuples(value):
+    """JSON lists as tuples, at any depth."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
+
+
 def chsh_report_from_dict(raw: dict) -> ChshReport:
-    return ChshReport(
-        alpha=raw["alpha"],
-        omega=raw["omega"],
-        times=tuple(raw["times"]),
-        correlations=tuple(tuple(row) for row in raw["correlations"]),
-        marginals=tuple(raw["marginals"]),
-        S=raw["S"],
-        classical_feasible=raw["classical_feasible"],
-    )
+    """The report a chsh_report_to_dict record holds; a record that is not an
+    object, lacks a key or holds a malformed value raises ParameterError."""
+    if not isinstance(raw, dict):
+        raise ParameterError(f"a CHSH report record is an object, not {type(raw).__name__}")
+    missing = [key for key in _CHSH_KEYS if key not in raw]
+    if missing:
+        raise ParameterError(f"CHSH report record lacks {', '.join(map(repr, missing))}")
+    return ChshReport(**{key: _tuples(raw[key]) for key in _CHSH_KEYS})
 
 
 def chsh_report_csv_row(report: ChshReport) -> list:

@@ -9,7 +9,7 @@ velocity field identically zero and is all the worked systems need.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -37,6 +37,9 @@ class CompositeState:
     clusters: tuple[EigenSystem, ...]
     terms: tuple[tuple[float, tuple[int, ...]], ...]
     energy: float
+    # Nelson mode expansions keyed on (f.key(), g.key()), filled by
+    # correlators.nelson_mode_expansion and freed with the state
+    _expansions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_clusters(self) -> int:

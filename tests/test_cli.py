@@ -112,6 +112,57 @@ def test_missing_state_block_exits_2(tmp_path, capsys):
     assert "state" in capsys.readouterr().err
 
 
+def _outputs(tmp_path, command, name, cfg):
+    """Data bytes and stdout of one successful run of ``command`` on cfg."""
+    out = tmp_path / f"{name}.csv"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        argv = [command, "--config", write_config(tmp_path, cfg, f"{name}.json"), "--out", str(out)]
+        assert main(argv) == 0
+    return out.read_bytes(), stdout.getvalue()
+
+
+def test_eps_study_needs_no_mc_epsilon_or_horizon(tmp_path):
+    mc = {"n_paths": 200, "dt": 1e-3, "seed": 7}
+    cfg = two_oscillator_config(
+        mc=dict(mc, epsilon=1e-3, horizon=0.5), eps_study={"epsilons": [0.1, 0.03], "lag": 0.05}
+    )
+    full = _outputs(tmp_path, "eps-study", "full", cfg)
+    assert _outputs(tmp_path, "eps-study", "trimmed", dict(cfg, mc=mc)) == full
+
+
+@pytest.mark.parametrize("command", ["chsh", "eigen"])
+def test_chsh_and_eigen_need_no_state(tmp_path, command):
+    system = {"clusters": [{"kind": "infinite_well", "half_width": 1.0, "k": 2}]}
+    state = {"terms": [{"coefficient": 1.0, "indices": [1]}]}
+    full = _outputs(tmp_path, command, "full", {"system": system, "state": state})
+    assert _outputs(tmp_path, command, "trimmed", {"system": system}) == full
+
+
+@pytest.mark.parametrize("field", ["epsilon", "horizon"])
+def test_nelson_mc_missing_mc_field_exit_2(tmp_path, capsys, field):
+    cfg = two_oscillator_config(
+        lags=[0.25], mc={"n_paths": 4, "dt": 1e-3, "seed": 1, "epsilon": 1e-3, "horizon": 0.5},
+    )
+    del cfg["mc"][field]
+    cfg_path = write_config(tmp_path, cfg)
+    assert main(["nelson-mc", "--config", cfg_path, "--out", str(tmp_path / "x.csv")]) == 2
+    assert f"mc: missing required field '{field}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["compare", "nelson-mc", "eps-study"])
+def test_state_required_where_read_exit_2(tmp_path, capsys, command):
+    cfg = two_oscillator_config(
+        lags=[0.25],
+        mc={"n_paths": 4, "dt": 1e-3, "seed": 1, "epsilon": 1e-3, "horizon": 0.5},
+        eps_study={"epsilons": [0.1], "lag": 0.25},
+    )
+    del cfg["state"]
+    cfg_path = write_config(tmp_path, cfg)
+    assert main([command, "--config", cfg_path, "--out", str(tmp_path / "x.csv")]) == 2
+    assert "top level: missing required field 'state'" in capsys.readouterr().err
+
+
 def test_empty_lags_exit_2(tmp_path):
     cfg = two_oscillator_config(lags=[])
     cfg_path = write_config(tmp_path, cfg)

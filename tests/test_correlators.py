@@ -1,5 +1,6 @@
 import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -69,11 +70,7 @@ def test_observable_kinds():
         Observable("momentum", 0)
 
 
-def test_series_stderr_discipline():
-    with pytest.raises(ParameterError):
-        CorrelationSeries((0.0, 1.0), (0.5, 0.5), "qm", stderr=(0.1, 0.1))
-    with pytest.raises(ParameterError):
-        CorrelationSeries((0.0, 1.0), (0.5, 0.5), "nelson_mc")
+def test_series_lags_increase_strictly():
     with pytest.raises(ParameterError):
         CorrelationSeries((1.0, 0.0), (0.5, 0.5), "qm")
 
@@ -365,16 +362,72 @@ def test_expansion_cached(two_oscillator_state, pos0, pos1):
     a = nelson_mode_expansion(two_oscillator_state, pos0, pos1)
     b = nelson_mode_expansion(two_oscillator_state, pos0, pos1)
     assert a is b
+    # the memo belongs to its state: an equal state rebuilt from the same
+    # parts solves afresh and keeps its own expansion
+    rebuilt = build_composite_state(
+        two_oscillator_state.clusters, two_oscillator_state.terms
+    )
+    assert rebuilt == two_oscillator_state
+    c = nelson_mode_expansion(rebuilt, pos0, pos1)
+    assert c is not a and c == a
+    assert nelson_mode_expansion(rebuilt, pos0, pos1) is c
+    assert nelson_mode_expansion(two_oscillator_state, pos0, pos1) is a
 
 
 def test_expansion_cache_released_with_state(harmonic_es, pos0):
     state = build_composite_state([harmonic_es], [(1.0, (0,))])
-    nelson_mode_expansion(state, pos0, pos0)
-    key = (id(state), pos0.key(), pos0.key())
-    assert key in correlators._expansion_cache
+    expansion = weakref.ref(nelson_mode_expansion(state, pos0, pos0))
+    ref = weakref.ref(state)
     del state
     gc.collect()
-    assert key not in correlators._expansion_cache
+    assert ref() is None
+    assert expansion() is None
+
+
+def _two_branch_call(expansion, t):
+    """ModeExpansion's former evaluation: a matrix product for arrays, a dot for scalars."""
+    rates = np.asarray(expansion.rates)
+    coeffs = np.asarray(expansion.coefficients)
+    tt = np.abs(np.asarray(t, dtype=float))
+    if tt.ndim:
+        return np.exp(-np.outer(tt, rates)) @ coeffs
+    return float(np.exp(-tt * rates) @ coeffs)
+
+
+@pytest.fixture(scope="module")
+def evaluation_cases(two_oscillator_state, harmonic_es, pos0, pos1):
+    well = solve_eigensystem(DoubleWellPotential(4.0, 1.0), Grid(-3.5, 3.5, 2001), 2)
+    excited_well = build_composite_state([well], [(1.0, (1,))])
+    excited = build_composite_state([harmonic_es], [(1.0, (1,))])
+    sign = Observable("sign", 0)
+    return {
+        "exchange-pair": nelson_mode_expansion(two_oscillator_state, pos0, pos1),
+        "double-well": nelson_mode_expansion(excited_well, pos0, pos0),
+        "sign-pair": nelson_mode_expansion(excited, sign, sign),
+    }
+
+
+@pytest.mark.parametrize("case", ["exchange-pair", "double-well", "sign-pair"])
+def test_expansion_call_matches_two_branch_formula(evaluation_cases, case):
+    expansion = evaluation_cases[case]
+    lags = np.linspace(-2.0, 10.0, 403)
+    values = expansion(lags)
+    assert values.shape == lags.shape
+    assert np.array_equal(values, _two_branch_call(expansion, lags))
+    for t in lags:
+        value = expansion(t)
+        assert type(value) is float and value == _two_branch_call(expansion, t)
+        assert expansion(float(t)) == value
+
+
+def test_expansion_call_keeps_array_shape(evaluation_cases):
+    expansion = evaluation_cases["double-well"]
+    lags = np.linspace(0.0, 3.0, 12).reshape(3, 4)
+    values = expansion(lags)
+    assert values.shape == (3, 4)
+    np.testing.assert_allclose(
+        values.ravel(), [expansion(t) for t in lags.ravel()], rtol=1e-14, atol=0.0
+    )
 
 
 def test_rotated_constant_times_position_vanishes(two_oscillator_state, harmonic_es, pos1):
