@@ -122,9 +122,9 @@ def _elements(es: EigenSystem, f: Observable) -> list[float]:
     _require_parity(psi0, "even")
     _require_parity(psi1, "odd")
     fvals = check_observable(f, es.grid)
-    w = es.grid.simpson
-    if es.grid.symmetric:  # mirrored weights cancel odd integrands for either parity of n
-        w = 0.5 * (w + w[::-1])
+    # the tags put the pair on a symmetric grid, where mirrored weights
+    # cancel odd integrands for either parity of n
+    w = 0.5 * (es.grid.simpson + es.grid.simpson[::-1])
     pairs = ((psi0, psi0), (psi1, psi1), (psi0, psi1))
     elements = [float(w @ (a.values * fvals * b.values)) for a, b in pairs]
     for diag in elements[:2]:
@@ -136,7 +136,8 @@ def _elements(es: EigenSystem, f: Observable) -> list[float]:
 def alpha(es: EigenSystem, f: Observable) -> float:
     """Off-diagonal element of f between the even ground and odd first state.
 
-    Requires the parity pattern (even, odd) and an odd bounded observable
+    Requires the solver's parity tags (even, odd), which only a symmetric
+    potential on a symmetric grid carries, and an odd bounded observable
     (check_observable); also verifies that both diagonal elements vanish,
     which is what makes the pair behave like a spin with zero marginals.
     """
@@ -144,14 +145,8 @@ def alpha(es: EigenSystem, f: Observable) -> float:
 
 
 def _require_parity(psi, parity: str) -> None:
-    if psi.parity == parity:
-        return
-    if not psi.grid.symmetric:
-        raise ParameterError("parity check needs a symmetric grid")
-    v = psi.values
-    target = v[::-1] if parity == "even" else -v[::-1]
-    if np.max(np.abs(v - target)) > 1e-6 * max(1.0, float(np.max(np.abs(v)))):
-        raise ParameterError(f"eigenfunction is not {parity}")
+    if psi.parity != parity:
+        raise ParameterError(f"eigenfunction is tagged {psi.parity}, not {parity}")
 
 
 def paper_times(omega: float) -> tuple[float, float, float, float]:

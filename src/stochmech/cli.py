@@ -8,14 +8,22 @@ the files each writes, OUT being the output path:
     nelson-mc  regularized Euler-Maruyama estimates -> OUT (CSV), OUT.diag.json,
                and the raw paths at --dump-paths when given
     chsh       CHSH report for the antisymmetric pair state -> OUT, CSV or JSON
-               with output.format "json" (the others write CSV only)
+               with output.format "json" (the others write CSV only); needs
+               an even potential on a symmetric grid, whose pair the solver
+               tags even and odd
     eps-study  patch-width convergence table -> OUT (CSV)
     eigen      eigenfunction samples -> OUT (CSV: x, psi_0 ... psi_{k-1})
 
+A lag or time names the stored step that nelson_sde.step_count gives it,
+the rule the config check uses.
+
 Every successful run also writes the sidecar OUT.meta.json.  ``main``
-checks all of these names before any work: a directory, a missing parent
+resolves all of these names into one table before any work, and the
+commands write to the table's paths.  A directory, a missing parent
 directory or a name the file system refuses (too long, a NUL byte) exits 2
-naming ``--out``, ``output.path`` or ``--dump-paths``.
+naming ``--out``, ``output.path`` or ``--dump-paths``; so does a name that
+another one of the run's names or the config file already takes, naming
+the later field.
 
 Exit codes: 0 success, 2 configuration problem, 3 numeric backend error,
 4 diagnostics threshold exceeded.
@@ -36,7 +44,6 @@ from . import bell, nelson_sde, serialize
 from .config import RunConfig, build_cluster, build_observable, build_state, load_config
 from .correlators import compare_theories, qm_two_time_series
 from .errors import ConfigError, ParameterError, RegularizationError, StepSizeError, StochMechError
-from .nelson_sde import MAX_STEPS  # noqa: F401  (kept importable as cli.MAX_STEPS)
 from .states import CompositeState
 
 EXIT_OK = 0
@@ -79,42 +86,57 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the files a subcommand writes next to its data file besides the sidecar, so
-# that _resolve_out can check their names before the run
-_SIDE_FILES = {"compare": (".summary.json",), "nelson-mc": (".diag.json",)}
+# the file a subcommand writes next to its data file besides the sidecar:
+# its role in the run's table of files, and the suffix of its name
+_SIDE_FILES = {"compare": ("summary", ".summary.json"), "nelson-mc": ("diag", ".diag.json")}
 
 
-def _writable(path, field: str, suffixes=()) -> Path:
+def _writable(path, field: str) -> Path:
     """The output path, rejected before any work if no file can be created
-    there or at ``path`` + each suffix: a directory, a name the file system
-    refuses (too long, a NUL byte), or a missing parent directory."""
+    there: a directory, a name the file system refuses (too long, a NUL
+    byte), or a missing parent directory."""
     path = Path(path)
-    for name in (f"{path}{suffix}" for suffix in ("", *suffixes)):
-        try:
-            mode = os.stat(name).st_mode
-        except FileNotFoundError:  # the parent check below decides
-            continue
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"{field}: {exc}") from exc
-        if stat.S_ISDIR(mode):
-            raise ConfigError(f"{field}: {name} is a directory")
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:  # the parent check below decides
+        mode = 0
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{field}: {exc}") from exc
+    if stat.S_ISDIR(mode):
+        raise ConfigError(f"{field}: {path} is a directory")
     if not path.parent.is_dir():
         raise ConfigError(f"{field}: directory {path.parent} does not exist")
     return path
 
 
-def _resolve_out(cfg: RunConfig, args) -> Path:
-    """The data path; it, its sidecar, its side files and ``--dump-paths`` are checked."""
-    path = args.out or cfg.output_path
-    if path is None:
+def _run_files(cfg: RunConfig, args) -> dict[str, Path]:
+    """Every file the run writes, by role: "data" (--out or output.path),
+    "sidecar", the subcommand's side file ("summary" or "diag") and
+    "dump" (--dump-paths), each checked by _writable before any work.
+
+    Names are compared as absolute path strings: one that the config file
+    or an earlier name of the table takes is rejected, naming its own field.
+    """
+    data = args.out or cfg.output_path
+    if data is None:
         raise ConfigError("output.path: required (or pass --out)")
-    out = _writable(
-        path, "--out" if args.out else "output.path",
-        (serialize.SIDECAR_SUFFIX, *_SIDE_FILES.get(args.command, ())),
-    )
+    data = Path(data)
+    field = "--out" if args.out else "output.path"
+    rows = [("data", field, data), ("sidecar", field, f"{data}{serialize.SIDECAR_SUFFIX}")]
+    if args.command in _SIDE_FILES:
+        role, suffix = _SIDE_FILES[args.command]
+        rows.append((role, field, f"{data}{suffix}"))
     if getattr(args, "dump_paths", None):
-        _writable(args.dump_paths, "--dump-paths")
-    return out
+        rows.append(("dump", "--dump-paths", args.dump_paths))
+    files = {}
+    taken = {os.path.abspath(args.config): "the config file (--config)"}
+    for role, field, name in rows:
+        files[role] = _writable(name, field)
+        key = os.path.abspath(name)
+        if key in taken:
+            raise ConfigError(f"{field}: {name} is {taken[key]}")
+        taken[key] = f"the run's {role} file ({field})"
+    return files
 
 
 def _two_observables(cfg: RunConfig, state: CompositeState):
@@ -141,18 +163,18 @@ def _require_lags(cfg: RunConfig):
     return cfg.lags
 
 
-def cmd_qm_corr(cfg: RunConfig, args, out: Path) -> None:
+def cmd_qm_corr(cfg: RunConfig, args, files: dict[str, Path]) -> None:
     state = build_state(cfg)
     f, g = _qm_observables(cfg, state)
     lags = _require_lags(cfg)
     series, _ = qm_two_time_series(state, f, g, lags)
     serialize.write_csv(
-        out, ["lag", "value", "method"],
+        files["data"], ["lag", "value", "method"],
         [[lag, val, "qm"] for lag, val in zip(series.lags, series.values)],
     )
 
 
-def cmd_compare(cfg: RunConfig, args, out: Path) -> None:
+def cmd_compare(cfg: RunConfig, args, files: dict[str, Path]) -> None:
     state = build_state(cfg)
     f, g = _qm_observables(cfg, state)
     lags = _require_lags(cfg)
@@ -167,7 +189,7 @@ def cmd_compare(cfg: RunConfig, args, out: Path) -> None:
     else:
         header.append("nelson")
         columns.append(result.nelson.values)
-    serialize.write_csv(out, header, zip(*columns))
+    serialize.write_csv(files["data"], header, zip(*columns))
     expansion = result.nelson_expansion
     summary = {
         "equal_time_agreement": result.equal_time_max_dev,
@@ -176,7 +198,7 @@ def cmd_compare(cfg: RunConfig, args, out: Path) -> None:
         "nelson_modes": None if expansion is None else len(expansion.rates),
         "nelson_truncation_tail": None if expansion is None else expansion.truncation_tail,
     }
-    serialize.write_json(Path(str(out) + ".summary.json"), summary)
+    serialize.write_json(files["summary"], summary)
 
 
 def _mc_plan(cfg: RunConfig, args, *required):
@@ -207,17 +229,19 @@ def _checked_drift(state: CompositeState, epsilon: float, path: str):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def cmd_nelson_mc(cfg: RunConfig, args, out: Path) -> None:
+def cmd_nelson_mc(cfg: RunConfig, args, files: dict[str, Path]) -> None:
     mc, seed = _mc_plan(cfg, args, "epsilon", "horizon")
     state = build_state(cfg)
     f, g = _two_observables(cfg, state)
     lags = _require_lags(cfg)
-    steps = {0}  # the stored times, as simulate_ensemble counts them
-    for lag in lags:
-        steps.add(_n_steps(lag, mc.dt, "lags"))
-        if not 0.0 <= lag <= mc.horizon + 1e-12:
+    # the stored times, as simulate_ensemble counts them: a lag lies within
+    # the horizon when its step count does
+    lag_steps = [_n_steps(lag, mc.dt, "lags") for lag in lags]
+    horizon = _n_steps(mc.horizon, mc.dt, "mc.horizon")
+    for lag, k in zip(lags, lag_steps):
+        if k > horizon:
             raise ConfigError(f"lags: {lag} is outside [0, mc.horizon={mc.horizon}]")
-    steps.add(_n_steps(mc.horizon, mc.dt, "mc.horizon"))
+    steps = {0, horizon, *lag_steps}
     try:
         nelson_sde.check_ensemble_size(mc.n_paths, len(steps), state.n_clusters)
     except ParameterError as exc:
@@ -229,7 +253,7 @@ def cmd_nelson_mc(cfg: RunConfig, args, out: Path) -> None:
     for lag in lags:
         value, stderr = nelson_sde.estimate_two_time(ensemble, f, g, lag, 0.0)
         rows.append([lag, value, stderr])
-    serialize.write_csv(out, ["lag", "estimate", "stderr"], rows)
+    serialize.write_csv(files["data"], ["lag", "estimate", "stderr"], rows)
     ks = {
         serialize.fmt(float(t)): list(stats)
         for t, stats in zip(ensemble.t_grid, nelson_sde.stationarity_distances(ensemble, state))
@@ -239,15 +263,26 @@ def cmd_nelson_mc(cfg: RunConfig, args, out: Path) -> None:
         "clamp_rate": ensemble.clamp_rate,
         "sign_change_fraction": list(ensemble.sign_change_fraction),
     }
-    serialize.write_json(Path(str(out) + ".diag.json"), diagnostics)
-    if args.dump_paths:
-        nelson_sde.dump_paths(ensemble, args.dump_paths)
+    serialize.write_json(files["diag"], diagnostics)
+    if "dump" in files:
+        nelson_sde.dump_paths(ensemble, files["dump"])
 
 
-def cmd_chsh(cfg: RunConfig, args, out: Path) -> None:
+def cmd_chsh(cfg: RunConfig, args, files: dict[str, Path]) -> None:
     es = build_cluster(cfg.clusters[0], "system.clusters[0]")
     if es.k < 2:
         raise ConfigError("system.clusters[0].k: chsh needs at least 2 eigenstates")
+    # the pair's parity is the solver's tag, set only on a symmetric grid
+    if not es.grid.symmetric:
+        raise ConfigError(
+            f"system.clusters[0].grid: chsh needs a grid symmetric about 0, got "
+            f"[{es.grid.x_min}, {es.grid.x_max}]"
+        )
+    if [psi.parity for psi in es.eigenfunctions[:2]] != ["even", "odd"]:
+        raise ConfigError(
+            "system.clusters[0]: chsh needs an even potential, whose lowest pair "
+            "the solver tags even and odd"
+        )
     obs_raw = cfg.chsh_observable or {"kind": "sign"}
     if obs_raw["kind"] not in bell.OBSERVABLE_KINDS:
         raise ConfigError(
@@ -261,17 +296,17 @@ def cmd_chsh(cfg: RunConfig, args, out: Path) -> None:
     report = bell.run_chsh(es, f, cfg.chsh_times)
     if cfg.output_format == "csv":
         serialize.write_csv(
-            out, serialize.CHSH_CSV_HEADER, [serialize.chsh_report_csv_row(report)]
+            files["data"], serialize.CHSH_CSV_HEADER, [serialize.chsh_report_csv_row(report)]
         )
     else:
-        serialize.write_json(out, serialize.chsh_report_to_dict(report))
+        serialize.write_json(files["data"], serialize.chsh_report_to_dict(report))
     if not report.classical_feasible:
         print(f"VIOLATES: S = {report.S:.3f}, classical infeasible")
     else:
         print(f"NO VIOLATION: S = {report.S:.3f}, classical feasible")
 
 
-def cmd_eps_study(cfg: RunConfig, args, out: Path) -> None:
+def cmd_eps_study(cfg: RunConfig, args, files: dict[str, Path]) -> None:
     mc, seed = _mc_plan(cfg, args)
     if not cfg.eps_study_epsilons or cfg.eps_study_lag is None:
         raise ConfigError("eps_study: epsilons and lag are required")
@@ -286,20 +321,20 @@ def cmd_eps_study(cfg: RunConfig, args, out: Path) -> None:
         n_paths=mc.n_paths, dt=mc.dt, seed=seed,
     )
     serialize.write_csv(
-        out,
+        files["data"],
         ["epsilon", "value", "stderr", "spectral_ref", "abs_dev"],
         [[r.epsilon, r.value, r.stderr, r.spectral_ref, r.abs_dev] for r in rows],
     )
 
 
-def cmd_eigen(cfg: RunConfig, args, out: Path) -> None:
+def cmd_eigen(cfg: RunConfig, args, files: dict[str, Path]) -> None:
     idx = args.cluster
     if not 0 <= idx < len(cfg.clusters):
         raise ConfigError(f"--cluster: no cluster {idx} in the config")
     es = build_cluster(cfg.clusters[idx], f"system.clusters[{idx}]")
     header = ["x"] + [f"psi_{i}" for i in range(es.k)]
     mat = np.column_stack([es.grid.points] + [f.values for f in es.eigenfunctions])
-    serialize.write_csv(out, header, mat.tolist())
+    serialize.write_csv(files["data"], header, mat.tolist())
 
 
 _COMMANDS = {
@@ -324,8 +359,8 @@ def main(argv=None) -> int:
     try:
         if cfg.output_format != "csv" and args.command != "chsh":
             raise ConfigError(f"output.format: {args.command} writes CSV only")
-        out = _resolve_out(cfg, args)
-        _COMMANDS[args.command](cfg, args, out)
+        files = _run_files(cfg, args)
+        _COMMANDS[args.command](cfg, args, files)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -335,7 +370,7 @@ def main(argv=None) -> int:
     except StochMechError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    serialize.write_sidecar(out, args.config, cfg.config_sha256, args.argv)
+    serialize.write_sidecar(files["data"], args.config, cfg.config_sha256, args.argv)
     return EXIT_OK
 
 

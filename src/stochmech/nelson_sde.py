@@ -497,15 +497,16 @@ def sample_stationary(state: CompositeState, n: int, seed: int) -> np.ndarray:
 class Ensemble:
     """Seeded SDE sample paths stored at the requested times.
 
-    positions has shape (n_paths, len(t_grid), n_clusters), in cluster
-    coordinates; t_grid holds the stored step counts times dt, always
-    starting at 0.  Re-running with identical (seed, dt, n_paths, epsilon,
-    init) reproduces positions bitwise.
+    positions has shape (n_paths, len(steps), n_clusters), in cluster
+    coordinates; steps holds the stored step counts in increasing order,
+    always starting at 0.  n_paths and t_grid (steps times dt) are read
+    from them, and a time t is found by its step count step_count(t, dt),
+    the rule that stored it.  Re-running with identical (seed, dt,
+    n_paths, epsilon, init) reproduces positions bitwise.
     """
 
-    n_paths: int
     dt: float
-    t_grid: np.ndarray
+    steps: tuple[int, ...]
     positions: np.ndarray
     seed: int
     epsilon: float
@@ -513,22 +514,27 @@ class Ensemble:
     sign_change_fraction: tuple[float, ...]
 
     def __post_init__(self):
-        if self.positions.shape[0] != self.n_paths:
-            raise ParameterError("path count inconsistent with positions")
-        if self.positions.shape[1] != self.t_grid.size:
+        if self.positions.shape[1] != len(self.steps):
             raise ParameterError("time count inconsistent with positions")
         if not np.all(np.isfinite(self.positions)):
             raise NumericError("ensemble contains non-finite positions")
         self.positions.setflags(write=False)
-        self.t_grid.setflags(write=False)
+
+    @property
+    def n_paths(self) -> int:
+        return self.positions.shape[0]
+
+    @property
+    def t_grid(self) -> np.ndarray:
+        return np.array(self.steps) * self.dt
 
     def time_index(self, t: float) -> int:
-        idx = int(np.argmin(np.abs(self.t_grid - t)))
-        if abs(self.t_grid[idx] - t) > 1e-9:
-            raise ParameterError(
-                f"time {t} not on the stored grid (no interpolation in time)"
-            )
-        return idx
+        """The column of positions stored at time t (no interpolation in time)."""
+        k = step_count(t, self.dt)
+        try:
+            return self.steps.index(k)
+        except ValueError:
+            raise ParameterError(f"time {t} (step {k}) is not a stored time") from None
 
 
 def step_count(t: float, dt: float, dt_name: str = "dt") -> int:
@@ -713,7 +719,6 @@ def simulate_ensemble(
     if not finite.all():
         row = int(np.argmin(finite))
         raise ParameterError(f"init row {row} is not finite: {init[row].tolist()}")
-    t_grid = np.array(steps) * dt
 
     n_ranges = 1
     if hasattr(os, "fork"):
@@ -761,9 +766,8 @@ def simulate_ensemble(
                 os.waitpid(pid, 0)
     clamp_rate = clamped / float(n_paths * n_steps * n_ch)
     ensemble = Ensemble(
-        n_paths=n_paths,
         dt=float(dt),
-        t_grid=t_grid,
+        steps=tuple(steps),
         positions=positions,
         seed=int(seed),
         epsilon=drift.epsilon,
@@ -800,6 +804,12 @@ def estimate_multi_time(ensemble: Ensemble, observables, times) -> tuple[float, 
     times = [float(t) for t in times]
     if len(observables) != len(times):
         raise ParameterError("need one time per observable")
+    n_clusters = ensemble.positions.shape[2]
+    for o in observables:
+        if o.cluster >= n_clusters:
+            raise ParameterError(
+                f"observable addresses cluster {o.cluster}; the ensemble has {n_clusters}"
+            )
     vals = np.ones(ensemble.n_paths)
     for o, t in zip(observables, times):
         vals = vals * o(ensemble.positions[:, ensemble.time_index(t), o.cluster])
@@ -845,10 +855,19 @@ def _ks_stats(positions: np.ndarray, state: CompositeState, cdfs) -> list[tuple[
     return [tuple(s) for s in stats]
 
 
+def _require_clusters(ensemble: Ensemble, state: CompositeState) -> None:
+    if ensemble.positions.shape[2] != state.n_clusters:
+        raise ParameterError(
+            f"state has {state.n_clusters} clusters; the ensemble has "
+            f"{ensemble.positions.shape[2]}"
+        )
+
+
 def stationarity_distance(
     ensemble: Ensemble, state: CompositeState, t: float
 ) -> tuple[float, ...]:
     """Per-cluster KS statistic of the time-t marginal against |psi|^2."""
+    _require_clusters(ensemble, state)
     it = ensemble.time_index(float(t))
     (stats,) = _ks_stats(ensemble.positions[:, it : it + 1], state, _marginal_cdfs(state))
     return stats
@@ -862,6 +881,7 @@ def stationarity_distances(
     Each cluster's marginal CDF is built once for all the times, and the
     times are sorted and compared KS_TIMES at a time.
     """
+    _require_clusters(ensemble, state)
     return _ks_stats(ensemble.positions, state, _marginal_cdfs(state))
 
 

@@ -185,7 +185,12 @@ def quadrature(f, g=None, weight=None, grid: Grid | None = None) -> float:
 
 @dataclass(frozen=True)
 class Wavefunction:
-    """Real wavefunction sampled on a grid, unit L2 norm under Simpson."""
+    """Real wavefunction sampled on a grid, unit L2 norm under Simpson.
+
+    A declared parity ("even" or "odd") is the solver's tag: it needs a
+    symmetric grid, and the samples must match their mirror image under
+    it.  None means the samples carry no parity.
+    """
 
     grid: Grid
     values: np.ndarray
@@ -204,7 +209,9 @@ class Wavefunction:
             raise ParameterError(f"wavefunction not normalized: <f,f> = {norm!r}")
         if self.parity not in (None, "even", "odd"):
             raise ParameterError(f"unknown parity {self.parity!r}")
-        if self.parity is not None and self.grid.symmetric:
+        if self.parity is not None:
+            if not self.grid.symmetric:
+                raise ParameterError(f"parity {self.parity} declared on an asymmetric grid")
             mirrored = vals[::-1]
             target = mirrored if self.parity == "even" else -mirrored
             tol = _PARITY_TOL * max(1.0, float(np.max(np.abs(vals))))
@@ -429,12 +436,19 @@ def _hermite_functions(omega: float, n_modes: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _level_parity(grid: Grid, n: int) -> str | None:
+    """Level n of an even potential is even for even n, odd for odd n; on an
+    asymmetric grid its samples are neither, so it carries no parity."""
+    return ("even", "odd")[n % 2] if grid.symmetric else None
+
+
 def harmonic_eigensystem(omega: float, k: int, grid: Grid | None = None) -> EigenSystem:
     """Analytic oscillator eigensystem sampled on the grid.
 
     Energies are (n + 1/2) omega exactly; eigenfunctions are renormalized
-    on the grid after sampling.  Raises DomainTruncationError when the
-    grid clips more than 1e-10 of any requested state's probability mass.
+    on the grid after sampling and tagged even or odd on a symmetric grid.
+    Raises DomainTruncationError when the grid clips more than 1e-10 of
+    any requested state's probability mass.
     """
     if not omega > 0:
         raise ParameterError("omega must be positive")
@@ -458,9 +472,7 @@ def harmonic_eigensystem(omega: float, k: int, grid: Grid | None = None) -> Eige
             raise DomainTruncationError(
                 f"mode {n}: tail mass {1.0 - inside:.2e} outside the grid"
             )
-        funcs.append(
-            Wavefunction.normalized(grid, raw[n], parity="even" if n % 2 == 0 else "odd")
-        )
+        funcs.append(Wavefunction.normalized(grid, raw[n], _level_parity(grid, n)))
     energies = tuple((n + 0.5) * omega for n in range(k))
     return EigenSystem(grid, energies, tuple(funcs), potential=pot)
 
@@ -469,7 +481,7 @@ def box_eigensystem(L: float, k: int, grid: Grid | None = None) -> EigenSystem:
     """Infinite-well eigensystem on [-L, L] with Dirichlet walls.
 
     E_n = pi^2 (n+1)^2 / (8 L^2); even modes are cosines, odd modes sines,
-    zero outside the well.
+    zero outside the well, and tagged even or odd on a symmetric grid.
     """
     if not L > 0:
         raise ParameterError("half-width L must be positive")
@@ -498,9 +510,7 @@ def box_eigensystem(L: float, k: int, grid: Grid | None = None) -> EigenSystem:
     for n in range(k):
         arg = (n + 1) * math.pi * x / (2.0 * L)
         vals = np.where(inside, np.cos(arg) if n % 2 == 0 else np.sin(arg), 0.0)
-        funcs.append(
-            Wavefunction.normalized(grid, vals, parity="even" if n % 2 == 0 else "odd")
-        )
+        funcs.append(Wavefunction.normalized(grid, vals, _level_parity(grid, n)))
     return EigenSystem(grid, energies, tuple(funcs), potential=pot)
 
 

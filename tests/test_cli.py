@@ -360,12 +360,23 @@ def _no_work(*args, **kwargs):
         ("compare", ".summary.json", "--out"),
         ("nelson-mc", ".diag.json", "--out"),
         ("nelson-mc", "long --dump-paths", "--dump-paths"),
+        # a name another of the run's names, or the config, takes
+        ("nelson-mc", "--dump-paths is the data file", "--dump-paths"),
+        ("nelson-mc", "--dump-paths is o.csv.diag.json", "--dump-paths"),
+        ("nelson-mc", "--dump-paths is o.csv.meta.json", "--dump-paths"),
+        ("nelson-mc", "--dump-paths is the config", "--dump-paths"),
+        ("qm-corr", "--out is the config", "--out"),
+        ("qm-corr", "output.path is the config", "output.path"),
     ],
 )
 def test_unusable_output_name_exit_2_before_work(tmp_path, capsys, monkeypatch, command, case, field):
     monkeypatch.setattr(cli, "build_state", _no_work)
     monkeypatch.setattr(cli, "build_cluster", _no_work)
+    monkeypatch.setattr(nelson_sde, "sample_stationary", _no_work)
     cfg, out, extra = small_config(), tmp_path / "o.csv", []
+    if " is " in case:  # the files of an earlier run must survive too
+        for name in ("o.csv", "o.csv.diag.json", "o.csv.meta.json"):
+            (tmp_path / name).write_text(f"earlier {name}\n")
     if case == "NUL byte":
         cfg["output"]["path"] = str(tmp_path / "o\0.csv")
     elif case == "long data name":  # past the usual 255-byte limit on one name
@@ -376,15 +387,30 @@ def test_unusable_output_name_exit_2_before_work(tmp_path, capsys, monkeypatch, 
         out = tmp_path / "config.json" / "o.csv"
     elif case == "long --dump-paths":
         extra = ["--dump-paths", str(tmp_path / ("p" * 300))]
+    elif case == "--dump-paths is the data file":
+        extra = ["--dump-paths", str(out)]
+    elif case.startswith("--dump-paths is o.csv"):
+        extra = ["--dump-paths", str(tmp_path / case.split()[-1])]
+    elif case == "--dump-paths is the config":
+        extra = ["--dump-paths", str(tmp_path / "config.json")]
+    elif case == "--out is the config":
+        out = tmp_path / "config.json"
+    elif case == "output.path is the config":
+        cfg["output"]["path"] = str(tmp_path / "config.json")
     else:  # a directory holds the name of a side file
         (tmp_path / ("o.csv" + case)).mkdir()
     argv = [command, "--config", write_config(tmp_path, cfg), *extra]
     if field != "output.path":
         argv += ["--out", str(out)]
-    before = sorted(tmp_path.iterdir())
+    before = _snapshot(tmp_path)
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"config error: {field}: ")
-    assert sorted(tmp_path.iterdir()) == before
+    assert _snapshot(tmp_path) == before
+
+
+def _snapshot(directory):
+    """Every entry of a directory: a file's bytes, None for a directory."""
+    return {p.name: p.read_bytes() if p.is_file() else None for p in directory.iterdir()}
 
 
 def test_config_error_after_output_check_leaves_no_file(tmp_path, capsys):
@@ -547,6 +573,34 @@ def test_nelson_mc_lag_outside_horizon_exit_2(tmp_path, capsys, lag):
     assert "lags:" in capsys.readouterr().err
 
 
+# 10 - 5e-9 is step 10000 of dt 1e-3 under step_count's 1e-9 * t tolerance
+NEAR_HORIZON = 9.999999995
+
+
+def test_nelson_mc_lag_within_step_tolerance_of_horizon(tmp_path):
+    rows = {}
+    for lag in (NEAR_HORIZON, 10.0):
+        cfg = two_oscillator_config(
+            lags=[0.5, lag],
+            mc={"n_paths": 16, "dt": 1e-3, "seed": 1, "epsilon": 1e-3, "horizon": 10.0},
+        )
+        out = tmp_path / f"{lag}.csv"
+        assert main(["nelson-mc", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        rows[lag] = read_rows(out)[1]
+    assert rows[NEAR_HORIZON][1] == [format(NEAR_HORIZON, ".17g"), *rows[10.0][1][1:]]
+    assert rows[NEAR_HORIZON][0] == rows[10.0][0]
+
+
+def test_eps_study_lag_within_step_tolerance(tmp_path):
+    cfg = two_oscillator_config(
+        mc={"n_paths": 16, "dt": 1e-3, "seed": 1},
+        eps_study={"epsilons": [1e-3], "lag": NEAR_HORIZON},
+    )
+    out = tmp_path / "eps.csv"
+    assert main(["eps-study", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    assert len(read_rows(out)[1]) == 1
+
+
 @pytest.mark.parametrize("field", ["lags", "mc.horizon"])
 def test_nelson_mc_step_count_overflow_exit_2(tmp_path, capsys, field):
     # 1e308 / dt overflows to inf
@@ -576,7 +630,7 @@ def test_step_count_above_cap_exit_2(tmp_path, capsys, command, field):
     cfg_path = write_config(tmp_path, cfg)
     assert main([command, "--config", cfg_path, "--out", str(tmp_path / "x.csv")]) == 2
     err = capsys.readouterr().err
-    assert f"{field}: 1e+300 is more than {cli.MAX_STEPS} steps of mc.dt" in err
+    assert f"{field}: 1e+300 is more than {nelson_sde.MAX_STEPS} steps of mc.dt" in err
 
 
 @pytest.mark.parametrize("command", ["nelson-mc", "eps-study"])
@@ -723,6 +777,29 @@ def test_chsh_bad_observable_exit_2(tmp_path, capsys, observable, field):
     cfg_path = write_config(tmp_path, cfg)
     assert main(["chsh", "--config", cfg_path, "--out", str(tmp_path / "x.json")]) == 2
     assert f"{field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "cluster, field",
+    [
+        ({"kind": "double_well", "barrier_height": 4.0, "well_separation": 1.0, "k": 2,
+          "grid": {"x_min": -3.0, "x_max": 3.2, "n": 621}}, "system.clusters[0].grid"),
+        ({"kind": "harmonic", "omega": 1.0, "k": 2,
+          "grid": {"x_min": -9.0, "x_max": 10.0, "n": 2001}}, "system.clusters[0].grid"),
+        # an uneven potential on a symmetric grid: its pair carries no parity
+        ({"kind": "tabulated", "k": 2, "grid": {"x_min": -4.0, "x_max": 4.0, "n": 801},
+          "values": (0.5 * np.linspace(-4.0, 4.0, 801) ** 2
+                     + 0.3 * np.exp(-(np.linspace(-4.0, 4.0, 801) - 0.4) ** 2)).tolist()},
+         "system.clusters[0]"),
+    ],
+    ids=["double-well", "oscillator", "tabulated"],
+)
+def test_chsh_needs_a_tagged_pair_exit_2(tmp_path, capsys, cluster, field):
+    cfg = {"system": {"clusters": [cluster]}, "output": {"format": "json"}}
+    cfg_path = write_config(tmp_path, cfg)
+    assert main(["chsh", "--config", cfg_path, "--out", str(tmp_path / "x.json")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}: chsh needs ")
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 def test_chsh_harmonic_feasible(tmp_path, capsys):

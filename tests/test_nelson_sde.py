@@ -737,6 +737,39 @@ def test_estimator_time_off_grid(ou_ensemble):
         estimate_two_time(ou_ensemble, f, f, 0.123, 0.0)
 
 
+def test_time_index_follows_step_count(ground_state_1d):
+    # 10 - 5e-9 is within step_count's 1e-9 * t of step 1000 of dt 1e-2, the
+    # step simulate_ensemble stored it at, though 5e-9 away from 10 itself
+    drift = regularized_drift(ground_state_1d, 1e-3)
+    init = sample_stationary(ground_state_1d, 16, seed=3)
+    ens = simulate_ensemble(drift, init, dt=1e-2, times=[5.0, 10.0 - 5e-9], seed=3)
+    assert ens.time_index(10.0 - 5e-9) == ens.time_index(1000 * 1e-2) == 2
+    assert ens.steps == (0, 500, 1000)
+    assert ens.n_paths == 16
+    assert np.array_equal(ens.t_grid, np.array([0, 500, 1000]) * 1e-2)
+
+
+def _pair_ensemble(state):
+    drift = regularized_drift(state, 1e-3)
+    init = sample_stationary(state, 16, seed=5)
+    return simulate_ensemble(drift, init, dt=1e-3, times=[0.01], seed=5)
+
+
+def test_estimator_names_a_cluster_the_ensemble_lacks(ground_product_state):
+    ens = _pair_ensemble(ground_product_state)
+    f = Observable("position", 0)
+    with pytest.raises(ParameterError, match="cluster 5; the ensemble has 2"):
+        estimate_multi_time(ens, [f, Observable("position", 5)], [0.01, 0.0])
+
+
+def test_stationarity_needs_the_ensemble_cluster_count(ground_product_state, ground_state_1d):
+    ens = _pair_ensemble(ground_product_state)
+    with pytest.raises(ParameterError, match="state has 1 clusters; the ensemble has 2"):
+        stationarity_distance(ens, ground_state_1d, 0.01)
+    with pytest.raises(ParameterError, match="state has 1 clusters; the ensemble has 2"):
+        stationarity_distances(ens, ground_state_1d)
+
+
 def test_multi_time_consistent_with_two_time(ou_ensemble):
     f = Observable("position", 0)
     two = estimate_two_time(ou_ensemble, f, f, 0.5, 0.0)

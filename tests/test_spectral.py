@@ -123,6 +123,27 @@ def test_wavefunction_parity_enforced(harmonic_es):
         Wavefunction(g, harmonic_es.eigenfunctions[1].values, parity="even")
 
 
+def test_wavefunction_parity_needs_a_symmetric_grid():
+    g = Grid(-9.0, 10.0, 1901)
+    values = Wavefunction.normalized(g, np.exp(-0.5 * g.points**2)).values
+    assert Wavefunction(g, values).parity is None
+    with pytest.raises(ParameterError, match="asymmetric grid"):
+        Wavefunction(g, values, parity="even")
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda grid: harmonic_eigensystem(1.0, 2, grid),
+        lambda grid: box_eigensystem(1.0, 2, grid),
+    ],
+    ids=["harmonic", "box"],
+)
+def test_analytic_families_tag_parity_on_symmetric_grids_only(solve):
+    assert [f.parity for f in solve(Grid(-9.0, 9.0, 1801)).eigenfunctions] == ["even", "odd"]
+    assert [f.parity for f in solve(Grid(-9.0, 10.0, 1901)).eigenfunctions] == [None, None]
+
+
 # --------------------------------------------------------------------------
 # analytic families
 # --------------------------------------------------------------------------
