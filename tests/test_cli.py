@@ -756,6 +756,7 @@ def test_chsh_box_violates(tmp_path, capsys):
 
 
 BOX_X = np.linspace(-1.0, 1.0, 2001)  # the unit box's default grid
+UNEVEN_X = np.linspace(-4.0, 4.0, 801)  # a bumped oscillator's grid
 
 
 @pytest.mark.parametrize(
@@ -788,8 +789,7 @@ def test_chsh_bad_observable_exit_2(tmp_path, capsys, observable, field):
           "grid": {"x_min": -9.0, "x_max": 10.0, "n": 2001}}, "system.clusters[0].grid"),
         # an uneven potential on a symmetric grid: its pair carries no parity
         ({"kind": "tabulated", "k": 2, "grid": {"x_min": -4.0, "x_max": 4.0, "n": 801},
-          "values": (0.5 * np.linspace(-4.0, 4.0, 801) ** 2
-                     + 0.3 * np.exp(-(np.linspace(-4.0, 4.0, 801) - 0.4) ** 2)).tolist()},
+          "values": (0.5 * UNEVEN_X**2 + 0.3 * np.exp(-((UNEVEN_X - 0.4) ** 2))).tolist()},
          "system.clusters[0]"),
     ],
     ids=["double-well", "oscillator", "tabulated"],
