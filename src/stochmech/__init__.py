@@ -18,7 +18,6 @@ from .bell import (
     chsh_value,
     classical_realizability,
     paper_times,
-    product_classical_model,
     run_chsh,
 )
 from .channels import decompose
@@ -37,14 +36,8 @@ from .correlators import (
     qm_two_time_series,
 )
 from .errors import (
-    CompatibilityError,
     ConfigError,
-    DomainError,
     DomainTruncationError,
-    EnvelopeError,
-    GridMismatchError,
-    InconsistentStateError,
-    NodeDetectionError,
     NumericError,
     ParameterError,
     RegularizationError,

@@ -29,7 +29,6 @@ __all__ = [
     "ClassicalModel",
     "ChshReport",
     "RealizabilityResult",
-    "ArrangementDistribution",
     "alpha",
     "check_observable",
     "paper_times",
@@ -37,7 +36,6 @@ __all__ = [
     "chsh_value",
     "chsh_inequalities",
     "classical_realizability",
-    "product_classical_model",
     "run_chsh",
 ]
 
@@ -279,94 +277,6 @@ def classical_realizability(E, marginals=(0.0, 0.0, 0.0, 0.0)) -> RealizabilityR
         raise NumericError(f"classical model misses a feasible target by {err:.2e}")
     total = math.fsum(x)
     return RealizabilityResult(True, ClassicalModel(tuple([v / total for v in x])), None, None)
-
-
-# --------------------------------------------------------------------------
-# product classical models for disjoint arrangements
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ArrangementDistribution:
-    """Finite distribution over the joint outcomes of one arrangement."""
-
-    observables: tuple[str, ...]
-    outcomes: tuple[tuple[float, ...], ...]
-    probabilities: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.outcomes) != len(self.probabilities):
-            raise ParameterError("outcome/probability length mismatch")
-        if not self.outcomes:
-            raise ParameterError("arrangement needs at least one outcome")
-        if len(set(self.observables)) != len(self.observables):
-            raise ParameterError("duplicate observable labels in one arrangement")
-        if not all(map(math.isfinite, self.probabilities)):
-            raise ParameterError("probabilities must be finite")
-        if any(p < 0 for p in self.probabilities):
-            raise ParameterError("probabilities must be non-negative")
-        if abs(math.fsum(self.probabilities) - 1.0) > 1e-12:
-            raise ParameterError("probabilities must sum to one")
-        for out in self.outcomes:
-            if len(out) != len(self.observables):
-                raise ParameterError("outcome arity does not match observables")
-            if not all(map(math.isfinite, out)):
-                raise ParameterError("outcomes must be finite")
-
-
-@dataclass(frozen=True)
-class ProductModel:
-    observables: tuple[str, ...]
-    outcomes: tuple[tuple[float, ...], ...]
-    probabilities: tuple[float, ...]
-
-
-def product_classical_model(distributions) -> ProductModel:
-    """Joint model for pairwise disjoint arrangements as a product measure.
-
-    Disjointness is what makes the product well defined: every observable
-    belongs to exactly one arrangement, so its marginal is recovered
-    exactly.  Overlapping arrangements are rejected; that is precisely
-    where a single product construction stops working.
-    """
-    distributions = list(distributions)
-    if not distributions:
-        raise ParameterError("need at least one arrangement")
-    seen: set[str] = set()
-    for d in distributions:
-        overlap = seen.intersection(d.observables)
-        if overlap:
-            raise ParameterError(
-                f"arrangements share observables {sorted(overlap)}; "
-                f"compatibility is not transitive across them"
-            )
-        seen.update(d.observables)
-    labels: tuple[str, ...] = ()
-    outcomes: list[tuple[float, ...]] = [()]
-    probs: list[float] = [1.0]
-    for d in distributions:
-        labels = labels + d.observables
-        outcomes = [
-            prev + out for prev in outcomes for out in d.outcomes
-        ]
-        probs = [
-            p_prev * p for p_prev in probs for p in d.probabilities
-        ]
-    model = ProductModel(labels, tuple(outcomes), tuple(probs))
-    # verify every input marginal is recovered
-    offset = 0
-    for d in distributions:
-        k = len(d.observables)
-        acc: dict[tuple[float, ...], float] = {}
-        for out, p in zip(model.outcomes, model.probabilities):
-            key = out[offset : offset + k]
-            acc[key] = acc.get(key, 0.0) + p
-        for out, p in zip(d.outcomes, d.probabilities):
-            if abs(acc.get(out, 0.0) - p) > 1e-12:
-                raise ParameterError(
-                    f"marginal mismatch for arrangement {d.observables}"
-                )
-        offset += k
-    return model
 
 
 # --------------------------------------------------------------------------

@@ -114,8 +114,9 @@ def _run_files(cfg: RunConfig, args) -> dict[str, Path]:
     "sidecar", the subcommand's side file ("summary" or "diag") and
     "dump" (--dump-paths), each checked by _writable before any work.
 
-    Names are compared as absolute path strings: one that the config file
-    or an earlier name of the table takes is rejected, naming its own field.
+    Names are compared with symbolic links resolved (os.path.realpath): one
+    that the config file or an earlier name of the table takes is rejected,
+    naming its own field.
     """
     data = args.out or cfg.output_path
     if data is None:
@@ -129,10 +130,10 @@ def _run_files(cfg: RunConfig, args) -> dict[str, Path]:
     if getattr(args, "dump_paths", None):
         rows.append(("dump", "--dump-paths", args.dump_paths))
     files = {}
-    taken = {os.path.abspath(args.config): "the config file (--config)"}
+    taken = {os.path.realpath(args.config): "the config file (--config)"}
     for role, field, name in rows:
         files[role] = _writable(name, field)
-        key = os.path.abspath(name)
+        key = os.path.realpath(name)
         if key in taken:
             raise ConfigError(f"{field}: {name} is {taken[key]}")
         taken[key] = f"the run's {role} file ({field})"

@@ -20,12 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import Channel, ChannelDecomposition, decompose
-from .errors import (
-    CompatibilityError,
-    NumericError,
-    ParameterError,
-    UnsupportedStateError,
-)
+from .errors import NumericError, ParameterError, UnsupportedStateError
 from .spectral import (
     Grid,
     HarmonicPotential,
@@ -211,7 +206,7 @@ def _matrix_elements(state: CompositeState, obs: Observable) -> np.ndarray:
 def _check_distinct_clusters(observables) -> None:
     clusters = [o.cluster for o in observables]
     if len(set(clusters)) != len(clusters):
-        raise CompatibilityError(
+        raise ParameterError(
             "two observables address one cluster: positions of a single "
             "cluster at different times do not commute"
         )
@@ -328,7 +323,7 @@ def _channel_autocorrelation_modes(channel: Channel, f_fn, g_fn) -> _ChannelMode
     the per-interval restriction of |psi|, read off psi.spline(), is kept
     as the exact rate-0 mode and the finite-difference modes above it are
     orthogonalized against it.  A factor whose sign is unstable between
-    its nodes raises NodeDetectionError.
+    its nodes raises NumericError.
 
     Starting from 24 modes per interval, the count grows fourfold until
     the truncation deficit meets DEFICIT_TOL or the per-interval share of

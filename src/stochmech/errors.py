@@ -1,4 +1,19 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+Exit code of the ``stochmech`` command (``cli.main``) for each class:
+
+    ConfigError            2  malformed run configuration
+    StepSizeError          4  SDE diagnostics say the step is too coarse
+    ParameterError         3  2 when raised while a config field is checked
+    DomainTruncationError  3  2 when raised while a cluster is built
+    RegularizationError    3  2 when raised while the mc.epsilon patch is built
+    UnsupportedStateError  3  compare catches it and leaves the Nelson column out
+    NumericError           3
+    StochMechError         3
+
+"2 when raised while ..." means the CLI turns it into a ConfigError that
+names the field.
+"""
 
 
 class StochMechError(Exception):
@@ -9,36 +24,16 @@ class ParameterError(StochMechError, ValueError):
     """Invalid argument values or inconsistent argument combinations."""
 
 
-class GridMismatchError(ParameterError):
-    """Sampled functions passed to one operation live on different grids."""
-
-
 class DomainTruncationError(StochMechError):
     """Grid too narrow: non-negligible probability mass falls outside it."""
-
-
-class DomainError(StochMechError):
-    """Evaluation point outside the supported spatial domain."""
 
 
 class NumericError(StochMechError):
     """A numerical backend failed (no convergence, NaN, lost invariant)."""
 
 
-class InconsistentStateError(ParameterError):
-    """Composite-state terms violate the shared-energy constraint."""
-
-
-class CompatibilityError(StochMechError):
-    """Requested observables are not jointly measurable in quantum mechanics."""
-
-
 class UnsupportedStateError(StochMechError):
     """State outside the family the exact Nelson backends can decompose."""
-
-
-class NodeDetectionError(StochMechError):
-    """Sign pattern of a wavefunction too noisy to locate nodes reliably."""
 
 
 class RegularizationError(StochMechError):
@@ -47,10 +42,6 @@ class RegularizationError(StochMechError):
 
 class StepSizeError(StochMechError):
     """SDE integrator diagnostics indicate the step size is too coarse."""
-
-
-class EnvelopeError(StochMechError):
-    """Rejection sampling acceptance rate collapsed; proposal needs refining."""
 
 
 class ConfigError(StochMechError):

@@ -35,7 +35,6 @@ import numpy as np
 from .channels import ChannelDecomposition, decompose
 from .correlators import Observable, nelson_semigroup_correlation
 from .errors import (
-    EnvelopeError,
     NumericError,
     ParameterError,
     RegularizationError,
@@ -482,7 +481,7 @@ def sample_stationary(state: CompositeState, n: int, seed: int) -> np.ndarray:
         out[filled : filled + take] = pts[keep[:take]]
         filled += take
         if proposed >= 64 * batch and filled / proposed < 1e-4:
-            raise EnvelopeError(
+            raise NumericError(
                 f"acceptance rate {filled / proposed:.2e} below 1e-4; "
                 f"refine the proposal"
             )
@@ -923,14 +922,15 @@ def epsilon_convergence_study(
 
     Common random numbers: all runs share the seed, hence initial points
     and noise substreams, so the epsilon bias is isolated from the Monte
-    Carlo noise.
+    Carlo noise.  The spectral reference is taken at the stored time the
+    estimates read, step_count(t, dt) steps of dt.
     """
     epsilons = [float(e) for e in epsilons]
     if not epsilons:
         raise ParameterError("need at least one epsilon")
     if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
         raise ParameterError("epsilons must decrease strictly")
-    spectral = nelson_semigroup_correlation(state, f, g, t)
+    spectral = nelson_semigroup_correlation(state, f, g, step_count(t, dt) * dt)
     init = sample_stationary(state, n_paths, seed)
     rows = []
     for eps in epsilons:

@@ -21,13 +21,7 @@ from typing import TYPE_CHECKING, Sequence, Union
 
 import numpy as np
 
-from .errors import (
-    DomainTruncationError,
-    GridMismatchError,
-    NodeDetectionError,
-    NumericError,
-    ParameterError,
-)
+from .errors import DomainTruncationError, NumericError, ParameterError
 
 if TYPE_CHECKING:
     from scipy.interpolate import BSpline
@@ -168,13 +162,13 @@ def quadrature(f, g=None, weight=None, grid: Grid | None = None) -> float:
         arrays.append(vals)
         if g_of is not None:
             if resolved is not None and g_of != resolved:
-                raise GridMismatchError("samples live on different grids")
+                raise ParameterError("samples live on different grids")
             resolved = g_of
     if resolved is None:
-        raise GridMismatchError("no grid given and none of the inputs carries one")
+        raise ParameterError("no grid given and none of the inputs carries one")
     for vals in arrays:
         if vals.shape != (resolved.n,):
-            raise GridMismatchError(
+            raise ParameterError(
                 f"sample length {vals.shape} does not match grid size {resolved.n}"
             )
     prod = arrays[0].copy()
@@ -395,7 +389,7 @@ class EigenSystem:
             raise ParameterError("energies must be non-decreasing")
         for f in self.eigenfunctions:
             if f.grid != self.grid:
-                raise GridMismatchError("eigenfunction grid differs from system grid")
+                raise ParameterError("eigenfunction grid differs from system grid")
         gram = self.gram()
         k = len(self.energies)
         if np.max(np.abs(np.diag(gram) - 1.0)) > _NORM_TOL:
@@ -752,7 +746,7 @@ def find_nodes(f: Wavefunction) -> list[float]:
     Sign changes between consecutive live samples (above _DEAD_TOL of
     max|f|) are placed linearly; those within h of an end, or within 2h of
     the last one kept, are dropped.  Four Newton steps on f.spline() refine
-    the rest, and a zero leaving its sample cell raises NodeDetectionError.
+    the rest, and a zero leaving its sample cell raises NumericError.
     """
     x = f.grid.points
     v = f.values
@@ -778,7 +772,7 @@ def find_nodes(f: Wavefunction) -> list[float]:
         for _ in range(4):
             z -= float(spline(z)) / float(spline(z, 1))
         if not x[a[i]] < z < x[b[i]]:
-            raise NodeDetectionError(f"spline zero near {crossings[i]:.4g} leaves its sample cell")
+            raise NumericError(f"spline zero near {crossings[i]:.4g} leaves its sample cell")
         nodes.append(z)
     return nodes
 
@@ -794,11 +788,11 @@ def _check_sign_stability(f: Wavefunction, nodes: Sequence[float]) -> None:
         seg = v[sel]
         live = seg[np.abs(seg) > _DEAD_TOL * scale]
         if live.size == 0 or float(np.max(np.abs(seg))) < 10.0 * _DEAD_TOL * scale:
-            raise NodeDetectionError(
+            raise NumericError(
                 f"no stable sign pattern on ({a:.4g}, {b:.4g})"
             )
         if np.any(live > 0) and np.any(live < 0):
-            raise NodeDetectionError(
+            raise NumericError(
                 f"sign fluctuates beyond noise level on ({a:.4g}, {b:.4g})"
             )
 
@@ -874,7 +868,7 @@ def interval_dirichlet_modes(
 def nodal_intervals(psi: Wavefunction) -> list[tuple[float, float]]:
     """The grid of psi split at its nodes, one piece when it has none.
 
-    Raises NodeDetectionError unless each piece carries one clean sign.
+    Raises NumericError unless each piece carries one clean sign.
     """
     nodes = find_nodes(psi)
     _check_sign_stability(psi, nodes)

@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import DomainError, InconsistentStateError, ParameterError
+from .errors import ParameterError
 from .spectral import EigenSystem
 
 __all__ = [
@@ -98,7 +98,7 @@ def build_composite_state(clusters, terms) -> CompositeState:
     energy = term_energies[0]
     for idx, e in zip(index_rows, term_energies):
         if abs(e - energy) > ENERGY_TOL:
-            raise InconsistentStateError(
+            raise ParameterError(
                 f"term {idx} has energy {e!r}, expected {energy!r} "
                 f"(all terms must share the total energy)"
             )
@@ -119,7 +119,7 @@ def _amplitude(state: CompositeState, points: np.ndarray) -> np.ndarray:
     for i, es in enumerate(state.clusters):
         xi = pts[..., i]
         if np.any(xi < es.grid.x_min) or np.any(xi > es.grid.x_max):
-            raise DomainError(f"cluster {i} point outside grid")
+            raise ParameterError(f"cluster {i} point outside grid")
     amp = np.zeros(pts.shape[:-1])
     for c, idx in state.terms:
         term = np.full(pts.shape[:-1], c)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
-from scipy.integrate import trapezoid
 
 from stochmech import (
     ChshReport,
@@ -23,12 +22,10 @@ from stochmech import (
     classical_realizability,
     harmonic_eigensystem,
     paper_times,
-    product_classical_model,
     qm_multitime_correlation,
     run_chsh,
     solve_eigensystem,
 )
-from stochmech.bell import ArrangementDistribution
 from stochmech.serialize import chsh_report_from_dict, chsh_report_to_dict
 
 SQRT2 = math.sqrt(2.0)
@@ -313,82 +310,6 @@ def test_lp_matches_inequalities_zero_marginals(e):
     lp = classical_realizability(E).feasible
     by_inequalities = all(v <= 2.0 + 1e-12 for _, v in chsh_inequalities(E))
     assert lp == by_inequalities
-
-
-# --------------------------------------------------------------------------
-# product models for disjoint arrangements
-# --------------------------------------------------------------------------
-
-def test_product_model_two_binary_arrangements():
-    d1 = ArrangementDistribution(("A",), ((0.0,), (1.0,)), (0.3, 0.7))
-    d2 = ArrangementDistribution(("B",), ((0.0,), (1.0,)), (0.5, 0.5))
-    model = product_classical_model([d1, d2])
-    assert model.probabilities == pytest.approx((0.15, 0.15, 0.35, 0.35))
-
-
-def test_product_model_rejects_overlap():
-    d1 = ArrangementDistribution(("A", "B"), ((0.0, 0.0),), (1.0,))
-    d2 = ArrangementDistribution(("B",), ((0.0,), (1.0,)), (0.5, 0.5))
-    with pytest.raises(ParameterError):
-        product_classical_model([d1, d2])
-
-
-@pytest.mark.parametrize(
-    "outcomes, probabilities",
-    [
-        (((0.0,), (1.0,)), (NAN, 0.5)),
-        (((0.0,), (1.0,)), (0.5, NAN)),
-        (((0.0,),), (NAN,)),
-        (((NAN,), (1.0,)), (0.5, 0.5)),
-        (((0.0,), (INF,)), (0.5, 0.5)),
-    ],
-)
-def test_arrangement_rejects_non_finite(outcomes, probabilities):
-    with pytest.raises(ParameterError, match="finite"):
-        ArrangementDistribution(("A",), outcomes, probabilities)
-
-
-def test_product_model_from_binned_positions(ground_product_state):
-    # equal-time position marginals of the two clusters, coarsely binned:
-    # two disjoint single-time arrangements always admit a product model
-    edges = np.linspace(-4.0, 4.0, 9)
-    dists = []
-    for c, label in ((0, "x1@t"), (1, "x2@s")):
-        es = ground_product_state.clusters[c]
-        psi = es.eigenfunctions[0].values ** 2
-        masses = []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            sel = (es.grid.points >= lo) & (es.grid.points < hi)
-            masses.append(float(trapezoid(psi[sel], es.grid.points[sel])))
-        masses = np.array(masses)
-        masses /= masses.sum()
-        dists.append(
-            ArrangementDistribution(
-                (label,),
-                tuple((0.5 * (lo + hi),) for lo, hi in zip(edges[:-1], edges[1:])),
-                tuple(masses),
-            )
-        )
-    model = product_classical_model(dists)
-    assert math.fsum(model.probabilities) == pytest.approx(1.0, abs=1e-12)
-    assert len(model.outcomes) == 64
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    p=st_.lists(st_.floats(min_value=0.01, max_value=1.0), min_size=2, max_size=4),
-    q=st_.lists(st_.floats(min_value=0.01, max_value=1.0), min_size=2, max_size=3),
-)
-def test_product_model_marginals_exact(p, q):
-    p = [v / sum(p) for v in p]
-    q = [v / sum(q) for v in q]
-    # fsum-normalize to meet the distribution tolerance exactly
-    p[-1] = 1.0 - math.fsum(p[:-1])
-    q[-1] = 1.0 - math.fsum(q[:-1])
-    d1 = ArrangementDistribution(("A",), tuple((float(i),) for i in range(len(p))), tuple(p))
-    d2 = ArrangementDistribution(("B",), tuple((float(i),) for i in range(len(q))), tuple(q))
-    model = product_classical_model([d1, d2])
-    assert len(model.probabilities) == len(p) * len(q)
 
 
 # --------------------------------------------------------------------------

@@ -367,6 +367,9 @@ def _no_work(*args, **kwargs):
         ("nelson-mc", "--dump-paths is the config", "--dump-paths"),
         ("qm-corr", "--out is the config", "--out"),
         ("qm-corr", "output.path is the config", "output.path"),
+        # the same names reached through a symbolic link
+        ("nelson-mc", "--dump-paths is the data file through link -> .", "--dump-paths"),
+        ("nelson-mc", "--out is a link to the config", "--out"),
     ],
 )
 def test_unusable_output_name_exit_2_before_work(tmp_path, capsys, monkeypatch, command, case, field):
@@ -389,12 +392,18 @@ def test_unusable_output_name_exit_2_before_work(tmp_path, capsys, monkeypatch, 
         extra = ["--dump-paths", str(tmp_path / ("p" * 300))]
     elif case == "--dump-paths is the data file":
         extra = ["--dump-paths", str(out)]
+    elif case == "--dump-paths is the data file through link -> .":
+        (tmp_path / "link").symlink_to(".")
+        extra = ["--dump-paths", str(tmp_path / "link" / "o.csv")]
     elif case.startswith("--dump-paths is o.csv"):
         extra = ["--dump-paths", str(tmp_path / case.split()[-1])]
     elif case == "--dump-paths is the config":
         extra = ["--dump-paths", str(tmp_path / "config.json")]
     elif case == "--out is the config":
         out = tmp_path / "config.json"
+    elif case == "--out is a link to the config":
+        out = tmp_path / "to-config.csv"
+        out.symlink_to("config.json")
     elif case == "output.path is the config":
         cfg["output"]["path"] = str(tmp_path / "config.json")
     else:  # a directory holds the name of a side file
@@ -592,13 +601,18 @@ def test_nelson_mc_lag_within_step_tolerance_of_horizon(tmp_path):
 
 
 def test_eps_study_lag_within_step_tolerance(tmp_path):
-    cfg = two_oscillator_config(
-        mc={"n_paths": 16, "dt": 1e-3, "seed": 1},
-        eps_study={"epsilons": [1e-3], "lag": NEAR_HORIZON},
-    )
-    out = tmp_path / "eps.csv"
-    assert main(["eps-study", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
-    assert len(read_rows(out)[1]) == 1
+    # both columns are read at the stored step, so the two lags give one table
+    tables = []
+    for lag in (NEAR_HORIZON, 10.0):
+        cfg = two_oscillator_config(
+            mc={"n_paths": 16, "dt": 1e-3, "seed": 1},
+            eps_study={"epsilons": [1e-3], "lag": lag},
+        )
+        out = tmp_path / f"{lag}.csv"
+        assert main(["eps-study", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        assert len(read_rows(out)[1]) == 1
+        tables.append(out.read_bytes())
+    assert tables[0] == tables[1]
 
 
 @pytest.mark.parametrize("field", ["lags", "mc.horizon"])

@@ -15,9 +15,8 @@ from stochmech import (
     DoubleWellPotential,
     EigenSystem,
     Grid,
-    GridMismatchError,
     HarmonicPotential,
-    NodeDetectionError,
+    NumericError,
     ParameterError,
     TabulatedPotential,
     Wavefunction,
@@ -94,9 +93,9 @@ def test_quadrature_sign_kernel_box(box_es):
 
 
 def test_quadrature_grid_mismatch(harmonic_es, box_es):
-    with pytest.raises(GridMismatchError):
+    with pytest.raises(ParameterError, match="samples live on different grids"):
         quadrature(harmonic_es.eigenfunctions[0], box_es.eigenfunctions[0])
-    with pytest.raises(GridMismatchError):
+    with pytest.raises(ParameterError, match="no grid given and none of the inputs carries one"):
         quadrature(np.ones(7), grid=None)
 
 
@@ -630,7 +629,7 @@ def test_dirichlet_rejects_unstable_sign_pattern():
     band = np.abs(g.points) < 0.2
     vals[band] = 5e-9 * (-1.0) ** np.arange(int(np.count_nonzero(band)))
     f = Wavefunction.normalized(g, vals)
-    with pytest.raises(NodeDetectionError):
+    with pytest.raises(NumericError, match="leaves its sample cell"):
         dirichlet_restricted_eigensystem(TabulatedPotential(g, np.zeros(g.n)), f, g, 2)
 
 

@@ -7,8 +7,6 @@ from hypothesis import strategies as st_
 
 from stochmech import (
     CompositeState,
-    DomainError,
-    InconsistentStateError,
     ParameterError,
     build_composite_state,
     density,
@@ -50,7 +48,7 @@ def test_build_single_term_ground(harmonic_es):
 
 
 def test_build_rejects_energy_mismatch(harmonic_es):
-    with pytest.raises(InconsistentStateError):
+    with pytest.raises(ParameterError, match="all terms must share the total energy"):
         build_composite_state(
             [harmonic_es, harmonic_es], [(INV_SQRT2, (0, 1)), (INV_SQRT2, (2, 0))]
         )
@@ -92,7 +90,7 @@ def test_density_vanishes_on_node(harmonic_es):
 
 
 def test_density_outside_grid_raises(two_oscillator_state):
-    with pytest.raises(DomainError):
+    with pytest.raises(ParameterError, match="cluster 0 point outside grid"):
         density(two_oscillator_state, np.array([[100.0, 0.0]]))
 
 
