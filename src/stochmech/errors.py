@@ -6,12 +6,13 @@ Exit code of the ``stochmech`` command (``cli.main``) for each class:
     StepSizeError          4  SDE diagnostics say the step is too coarse
     ParameterError         3  2 when raised while a config field is checked
     DomainTruncationError  3  2 when raised while a cluster is built
-    RegularizationError    3  2 when raised while the mc.epsilon patch is built
+    RegularizationError    3  2 when raised building the patch of mc.epsilon or
+                              eps_study.epsilons[0]
     UnsupportedStateError  3  compare catches it and leaves the Nelson column out
     NumericError           3
-    StochMechError         3
+    StochMechError         3  any other package error
 
-"2 when raised while ..." means the CLI turns it into a ConfigError that
+Each "2 when raised ..." is a case the CLI turns into a ConfigError that
 names the field.
 """
 
