@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands (all driven by one JSON config, see config.py / README) and
-the files each writes, OUT being the output path:
+the files each writes, OUT being the --out path:
 
     qm-corr    quantum two-time correlation series -> OUT (CSV)
     compare    QM / Bohm / Nelson-spectral table -> OUT (CSV), OUT.summary.json
@@ -21,9 +21,8 @@ Every successful run also writes the sidecar OUT.meta.json.  ``main``
 resolves all of these names into one table before any work, and the
 commands write to the table's paths.  A directory, a missing parent
 directory or a name the file system refuses (too long, a NUL byte) exits 2
-naming ``--out``, ``output.path`` or ``--dump-paths``; so does a name that
-another one of the run's names or the config file already takes, naming
-the later field.
+naming ``--out`` or ``--dump-paths``; so does a name that another one of
+the run's names or the config file already takes, naming the later field.
 
 Exit codes: 0 success, 2 configuration problem, 3 numeric backend error,
 4 diagnostics threshold exceeded.
@@ -70,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON run config")
-        p.add_argument("--out", default=None, help="output path (overrides config)")
+        p.add_argument("--out", required=True, help="path of the data file")
         if name in ("nelson-mc", "eps-study"):
             p.add_argument("--seed", type=int, default=None, help="override the MC seed")
         if name == "eigen":
@@ -109,24 +108,20 @@ def _writable(path, field: str) -> Path:
     return path
 
 
-def _run_files(cfg: RunConfig, args) -> dict[str, Path]:
-    """Every file the run writes, by role: "data" (--out or output.path),
-    "sidecar", the subcommand's side file ("summary" or "diag") and
-    "dump" (--dump-paths), each checked by _writable before any work.
+def _run_files(args) -> dict[str, Path]:
+    """Every file the run writes, by role: "data" (--out), "sidecar", the
+    subcommand's side file ("summary" or "diag") and "dump" (--dump-paths),
+    each checked by _writable before any work.
 
     Names are compared with symbolic links resolved (os.path.realpath): one
     that the config file or an earlier name of the table takes is rejected,
     naming its own field.
     """
-    data = args.out or cfg.output_path
-    if data is None:
-        raise ConfigError("output.path: required (or pass --out)")
-    data = Path(data)
-    field = "--out" if args.out else "output.path"
-    rows = [("data", field, data), ("sidecar", field, f"{data}{serialize.SIDECAR_SUFFIX}")]
+    data = Path(args.out)
+    rows = [("data", "--out", data), ("sidecar", "--out", f"{data}{serialize.SIDECAR_SUFFIX}")]
     if args.command in _SIDE_FILES:
         role, suffix = _SIDE_FILES[args.command]
-        rows.append((role, field, f"{data}{suffix}"))
+        rows.append((role, "--out", f"{data}{suffix}"))
     if getattr(args, "dump_paths", None):
         rows.append(("dump", "--dump-paths", args.dump_paths))
     files = {}
@@ -360,7 +355,7 @@ def main(argv=None) -> int:
     try:
         if cfg.output_format != "csv" and args.command != "chsh":
             raise ConfigError(f"output.format: {args.command} writes CSV only")
-        files = _run_files(cfg, args)
+        files = _run_files(args)
         _COMMANDS[args.command](cfg, args, files)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -13,14 +13,16 @@ Schema (see README for a worked example):
              "epsilon": 1e-3, "horizon": 2.0},
       "chsh": {"observable": {"kind": "sign"}, "times": [t1, t2, s1, s2]},
       "eps_study": {"epsilons": [0.1, 0.03, 0.01], "lag": 1.0},
-      "output": {"format": "csv", "path": "out.csv"}
+      "output": {"format": "csv"}
     }
 
-Every field present is checked when the config loads, but a subcommand
-requires only the fields it reads: "state" is required by qm-corr, compare,
-nelson-mc and eps-study, "mc.epsilon" and "mc.horizon" by nelson-mc alone.
-Errors carry the offending field path so a malformed file is diagnosable
-from the exit message alone.
+Every field present is checked when the config loads, each observable by
+building it against its cluster, but a subcommand requires only the fields
+it reads: "state" is required by qm-corr, compare, nelson-mc and eps-study,
+"mc.epsilon" and "mc.horizon" by nelson-mc alone.  The data file is named
+by the CLI's --out, so "output" holds "format" alone.  Errors carry the
+offending field path so a malformed file is diagnosable from the exit
+message alone.
 """
 
 from __future__ import annotations
@@ -122,7 +124,6 @@ class RunConfig:
     eps_study_epsilons: tuple[float, ...]
     eps_study_lag: float | None
     output_format: str
-    output_path: str | None
     config_sha256: str | None = None  # of the bytes load_config parsed
 
 
@@ -241,6 +242,7 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError("observables: must be a list")
     for i, o in enumerate(observables):
         _need_kind(o, f"observables[{i}]")
+        build_observable(o, clusters, i, f"observables[{i}]")
     lags = _parse_lags(raw["lags"], "lags") if "lags" in raw else ()
     mc = _parse_mc(raw["mc"], "mc") if "mc" in raw else None
     chsh_obs = None
@@ -250,6 +252,7 @@ def parse_config(raw: dict) -> RunConfig:
         chsh_obs = chsh.get("observable")
         if chsh_obs is not None:
             _need_kind(chsh_obs, "chsh.observable")
+            build_observable(chsh_obs, clusters[:1], 0, "chsh.observable")
         if chsh.get("times") is not None:  # [t1, t2, s1, s2]
             chsh_times = tuple(_numbers(chsh["times"], 4, "chsh.times"))
     eps_eps: tuple[float, ...] = ()
@@ -267,9 +270,8 @@ def parse_config(raw: dict) -> RunConfig:
     out_format = output.get("format", "csv")
     if out_format not in ("csv", "json"):
         raise ConfigError("output.format: must be 'csv' or 'json'")
-    out_path = output.get("path")
-    if out_path is not None and not isinstance(out_path, str):
-        raise ConfigError(f"output.path: expected a string, got {out_path!r}")
+    if "path" in output:
+        raise ConfigError("output.path: not a field; name the data file with --out")
     return RunConfig(
         clusters=clusters,
         terms=tuple(terms),
@@ -281,7 +283,6 @@ def parse_config(raw: dict) -> RunConfig:
         eps_study_epsilons=eps_eps,
         eps_study_lag=eps_lag,
         output_format=out_format,
-        output_path=out_path,
     )
 
 

@@ -235,17 +235,11 @@ class _StackedDrift:
     call reads every row; the pole terms and cosh patches then run on the
     nodal rows, channel by channel in patch order.  No row's result depends
     on another row, so each is bitwise its channel's DriftChannel.__call__,
-    which is a one-row _StackedDrift.  Division by zero at a
-    pole is the caller's to ignore.  A channel given as a bare callable has
-    no table: then every row is its own channel's call.
+    which is a one-row _StackedDrift.  Division by zero at a pole is the
+    caller's to ignore.
     """
 
     def __init__(self, channels, width: int):
-        self.calls = None
-        if not all(isinstance(ch, DriftChannel) for ch in channels):
-            self.calls = tuple(channels)
-            return
-
         def rows(values):
             return np.repeat(np.array(values, dtype=float)[:, None], width, axis=1)
 
@@ -261,11 +255,6 @@ class _StackedDrift:
         self.nodal = [(c, ch.patches) for c, ch in enumerate(channels) if ch.patches]
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
-        if self.calls is not None:
-            out = np.empty_like(u)
-            for c, channel in enumerate(self.calls):
-                out[c] = channel(u[c])
-            return out
         out, uc = _table_drift(
             u, self.x_min, self.x_max, self.scale, self.last,
             self.residual, self.slope, self.offset,
@@ -576,7 +565,7 @@ def _simulate_range(drift, init, dt, n_steps, column, seed, start_path, stop_pat
     n_ch = dec.n_channels
     sqrt_dt = math.sqrt(dt)
     clamp = CLAMP_SIGMAS * sqrt_dt
-    poles = [(c, ch.poles) for c, ch in enumerate(drift.channels) if getattr(ch, "poles", ())]
+    poles = [(c, ch.poles) for c, ch in enumerate(drift.channels) if ch.poles]
     # the rows from the first nodal channel to the last
     nodal = slice(poles[0][0], poles[-1][0] + 1) if poles else slice(0)
     clamped = 0
@@ -676,7 +665,7 @@ def simulate_ensemble(
     is, per channel, the fraction of paths whose lowest position (the
     start included) is at or below a pole of its DriftChannel and whose
     highest is above it: exactly those that change side of a pole at some
-    step.  A channel given as a bare callable has no poles and reads 0.0.
+    step.
 
     The paths are split into W contiguous ranges, W the smaller of the
     usable CPUs and n_paths * n_steps * n_channels // FORK_MIN_WORK (1

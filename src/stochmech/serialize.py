@@ -17,14 +17,12 @@ import numpy
 
 from . import __version__
 from .bell import ChshReport
-from .errors import ParameterError
 
 __all__ = [
     "fmt",
     "write_csv",
     "write_json",
     "chsh_report_to_dict",
-    "chsh_report_from_dict",
     "write_sidecar",
 ]
 
@@ -48,9 +46,6 @@ def write_json(path: str | Path, obj) -> None:
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-_CHSH_KEYS = ("alpha", "omega", "times", "correlations", "marginals", "S", "classical_feasible")
-
-
 def chsh_report_to_dict(report: ChshReport) -> dict:
     return {
         "alpha": report.alpha,
@@ -61,22 +56,6 @@ def chsh_report_to_dict(report: ChshReport) -> dict:
         "S": report.S,
         "classical_feasible": report.classical_feasible,
     }
-
-
-def _tuples(value):
-    """JSON lists as tuples, at any depth."""
-    return tuple(map(_tuples, value)) if isinstance(value, list) else value
-
-
-def chsh_report_from_dict(raw: dict) -> ChshReport:
-    """The report a chsh_report_to_dict record holds; a record that is not an
-    object, lacks a key or holds a malformed value raises ParameterError."""
-    if not isinstance(raw, dict):
-        raise ParameterError(f"a CHSH report record is an object, not {type(raw).__name__}")
-    missing = [key for key in _CHSH_KEYS if key not in raw]
-    if missing:
-        raise ParameterError(f"CHSH report record lacks {', '.join(map(repr, missing))}")
-    return ChshReport(**{key: _tuples(raw[key]) for key in _CHSH_KEYS})
 
 
 def chsh_report_csv_row(report: ChshReport) -> list:

@@ -1,4 +1,3 @@
-import json
 import math
 from itertools import product
 
@@ -26,7 +25,6 @@ from stochmech import (
     run_chsh,
     solve_eigensystem,
 )
-from stochmech.serialize import chsh_report_from_dict, chsh_report_to_dict
 
 SQRT2 = math.sqrt(2.0)
 NAN = float("nan")
@@ -367,16 +365,6 @@ def test_chsh_report_rejects_non_finite(field, value):
         ChshReport(**{**VALID_REPORT, field: value})
 
 
-@pytest.mark.parametrize("field, value", [NON_FINITE_FIELDS[i] for i in (0, 1, 3, 5)])
-def test_chsh_report_from_json_with_nan(field, value):
-    raw = chsh_report_to_dict(ChshReport(**VALID_REPORT))
-    raw[field] = value
-    text = json.dumps(raw)  # Python's json writes and reads the NaN literal
-    assert "NaN" in text
-    with pytest.raises(ParameterError, match="finite"):
-        chsh_report_from_dict(json.loads(text))
-
-
 MALFORMED_FIELDS = [
     ("times", (0.0, 1.0)),
     ("times", (0.0, 1.0, 2.0, 3.0, 4.0)),
@@ -399,36 +387,3 @@ MALFORMED_FIELDS = [
 def test_chsh_report_rejects_wrong_shape_or_type(field, value):
     with pytest.raises(ParameterError):
         ChshReport(**{**VALID_REPORT, field: value})
-
-
-def test_chsh_report_from_dict_names_every_missing_key():
-    with pytest.raises(ParameterError) as info:
-        chsh_report_from_dict({"alpha": 0.5})
-    message = str(info.value)
-    for key in ("omega", "times", "correlations", "marginals", "S", "classical_feasible"):
-        assert repr(key) in message
-    assert "'alpha'" not in message
-
-
-@pytest.mark.parametrize("raw", [[], "report", None])
-def test_chsh_report_from_dict_rejects_a_non_object(raw):
-    with pytest.raises(ParameterError):
-        chsh_report_from_dict(raw)
-
-
-@pytest.mark.parametrize("field, value", [
-    ("times", [0.0, 1.0]),
-    ("marginals", 0.0),
-    ("correlations", [[0.0, 0.0], 0.0]),
-    ("classical_feasible", "true"),
-])
-def test_chsh_report_from_dict_rejects_malformed_values(field, value):
-    raw = chsh_report_to_dict(ChshReport(**VALID_REPORT))
-    raw[field] = value
-    with pytest.raises(ParameterError):
-        chsh_report_from_dict(raw)
-
-
-def test_chsh_report_round_trips_through_dict():
-    report = ChshReport(**VALID_REPORT)
-    assert chsh_report_from_dict(json.loads(json.dumps(chsh_report_to_dict(report)))) == report

@@ -14,15 +14,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stochmech
-from stochmech import cli, nelson_sde
+from stochmech import bell, cli, nelson_sde
 from stochmech.errors import NumericError
 from stochmech.cli import main
 from stochmech.config import MAX_PATHS, build_observable, build_state, parse_config
 from stochmech.correlators import nelson_semigroup_correlation
-from stochmech.serialize import (
-    chsh_report_from_dict,
-    chsh_report_to_dict,
-)
+from stochmech.serialize import chsh_report_to_dict
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -324,25 +321,24 @@ def test_nelson_mc_output_in_missing_directory_exit_2(tmp_path, capsys, mc_confi
     assert not (tmp_path / "mc.csv").exists()
 
 
-@pytest.mark.parametrize("field", ["--out", "output.path"])
+@pytest.mark.parametrize("field", ["--out"])
 def test_output_is_a_directory_exit_2(tmp_path, capsys, field):
-    cfg = two_oscillator_config()
-    argv = ["qm-corr", "--config"]
-    if field == "--out":
-        argv += [write_config(tmp_path, cfg), "--out", str(tmp_path)]
-    else:
-        cfg["output"]["path"] = str(tmp_path)
-        argv += [write_config(tmp_path, cfg)]
-    assert main(argv) == 2
+    argv = ["qm-corr", "--config", write_config(tmp_path, two_oscillator_config())]
+    assert main(argv + [field, str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"config error: {field}: {tmp_path} is a directory\n"
 
 
-@pytest.mark.parametrize("value", [5, ["a"], True])
-def test_output_path_not_a_string_exit_2(tmp_path, capsys, value):
+@pytest.mark.parametrize("value", [5, ["a"], True, "o.csv"])
+def test_output_path_is_not_a_field_exit_2(tmp_path, capsys, value):
+    # the data file is named by --out alone
     cfg = two_oscillator_config()
     cfg["output"]["path"] = value
-    assert main(["qm-corr", "--config", write_config(tmp_path, cfg)]) == 2
-    assert capsys.readouterr().err == f"config error: output.path: expected a string, got {value!r}\n"
+    argv = ["qm-corr", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "x.csv")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "config error: output.path: not a field; name the data file with --out\n"
+    )
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 def _no_work(*args, **kwargs):
@@ -352,7 +348,7 @@ def _no_work(*args, **kwargs):
 @pytest.mark.parametrize(
     "command, case, field",
     [
-        ("qm-corr", "NUL byte", "output.path"),
+        ("qm-corr", "NUL byte", "--out"),
         ("qm-corr", "long data name", "--out"),
         ("qm-corr", "a file as its directory", "--out"),
         ("eigen", "long sidecar name", "--out"),
@@ -366,7 +362,6 @@ def _no_work(*args, **kwargs):
         ("nelson-mc", "--dump-paths is o.csv.meta.json", "--dump-paths"),
         ("nelson-mc", "--dump-paths is the config", "--dump-paths"),
         ("qm-corr", "--out is the config", "--out"),
-        ("qm-corr", "output.path is the config", "output.path"),
         # the same names reached through a symbolic link
         ("nelson-mc", "--dump-paths is the data file through link -> .", "--dump-paths"),
         ("nelson-mc", "--out is a link to the config", "--out"),
@@ -381,7 +376,7 @@ def test_unusable_output_name_exit_2_before_work(tmp_path, capsys, monkeypatch, 
         for name in ("o.csv", "o.csv.diag.json", "o.csv.meta.json"):
             (tmp_path / name).write_text(f"earlier {name}\n")
     if case == "NUL byte":
-        cfg["output"]["path"] = str(tmp_path / "o\0.csv")
+        out = tmp_path / "o\0.csv"
     elif case == "long data name":  # past the usual 255-byte limit on one name
         out = tmp_path / ("a" * 296 + ".csv")
     elif case == "long sidecar name":  # 250 characters fit, 260 with .meta.json do not
@@ -404,13 +399,9 @@ def test_unusable_output_name_exit_2_before_work(tmp_path, capsys, monkeypatch, 
     elif case == "--out is a link to the config":
         out = tmp_path / "to-config.csv"
         out.symlink_to("config.json")
-    elif case == "output.path is the config":
-        cfg["output"]["path"] = str(tmp_path / "config.json")
     else:  # a directory holds the name of a side file
         (tmp_path / ("o.csv" + case)).mkdir()
-    argv = [command, "--config", write_config(tmp_path, cfg), *extra]
-    if field != "output.path":
-        argv += ["--out", str(out)]
+    argv = [command, "--config", write_config(tmp_path, cfg), *extra, "--out", str(out)]
     before = _snapshot(tmp_path)
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"config error: {field}: ")
@@ -751,7 +742,14 @@ def test_nelson_mc_clamp_threshold_exit_4(tmp_path, mc_config, monkeypatch):
     assert main(["nelson-mc", "--config", mc_config, "--out", str(tmp_path / "x.csv")]) == 4
 
 
-def test_chsh_box_violates(tmp_path, capsys):
+def test_chsh_box_violates(tmp_path, capsys, monkeypatch):
+    run_chsh, reports = bell.run_chsh, []
+
+    def keep(*args):
+        reports.append(run_chsh(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(bell, "run_chsh", keep)
     cfg = {
         "system": {"clusters": [{"kind": "infinite_well", "half_width": 1.0, "k": 2}]},
         "state": {"terms": [{"coefficient": 1.0, "indices": [0]}]},
@@ -762,11 +760,11 @@ def test_chsh_box_violates(tmp_path, capsys):
     assert main(["chsh", "--config", cfg_path, "--out", str(out)]) == 0
     captured = capsys.readouterr().out
     assert "VIOLATES" in captured and "infeasible" in captured
-    report = chsh_report_from_dict(json.loads(out.read_text()))
-    assert report.S == pytest.approx(-2.0379, abs=1e-4)
-    assert not report.classical_feasible
-    # round trip: emitted JSON reparses to the in-memory structure
-    assert chsh_report_to_dict(report) == json.loads(out.read_text())
+    report = json.loads(out.read_text())
+    assert report["S"] == pytest.approx(-2.0379, abs=1e-4)
+    assert not report["classical_feasible"]
+    # the emitted JSON holds the in-memory report, every float exactly
+    assert chsh_report_to_dict(reports[0]) == report
 
 
 BOX_X = np.linspace(-1.0, 1.0, 2001)  # the unit box's default grid
@@ -829,9 +827,9 @@ def test_chsh_harmonic_feasible(tmp_path, capsys):
     out = tmp_path / "chsh.json"
     assert main(["chsh", "--config", cfg_path, "--out", str(out)]) == 0
     assert "NO VIOLATION" in capsys.readouterr().out
-    report = chsh_report_from_dict(json.loads(out.read_text()))
-    assert report.classical_feasible
-    assert report.alpha**2 == pytest.approx(2.0 / math.pi, abs=1e-8)
+    report = json.loads(out.read_text())
+    assert report["classical_feasible"]
+    assert report["alpha"] ** 2 == pytest.approx(2.0 / math.pi, abs=1e-8)
 
 
 README_CLUSTERS = [
@@ -874,14 +872,14 @@ def test_chsh_even_point_grid(tmp_path, capsys, clusters):
     }
     out = tmp_path / "chsh.json"
     assert main(["chsh", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
-    report = chsh_report_from_dict(json.loads(out.read_text()))
-    assert max(abs(m) for m in report.marginals) < 1e-10
-    assert abs(report.S + 2.0 * math.sqrt(2.0) * report.alpha**2) <= 1e-12
+    report = json.loads(out.read_text())
+    assert max(abs(m) for m in report["marginals"]) < 1e-10
+    assert abs(report["S"] + 2.0 * math.sqrt(2.0) * report["alpha"] ** 2) <= 1e-12
     if clusters is README_CLUSTERS:
-        assert report.alpha**2 == pytest.approx(2.0 / math.pi, abs=1e-4)
-        assert report.classical_feasible
+        assert report["alpha"] ** 2 == pytest.approx(2.0 / math.pi, abs=1e-4)
+        assert report["classical_feasible"]
     else:
-        assert not report.classical_feasible
+        assert not report["classical_feasible"]
         assert capsys.readouterr().out.startswith("VIOLATES")
 
 
@@ -898,9 +896,9 @@ def test_chsh_high_barrier_fine_grid(tmp_path, height):
     }
     out = tmp_path / "chsh.json"
     assert main(["chsh", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
-    report = chsh_report_from_dict(json.loads(out.read_text()))
-    assert max(abs(m) for m in report.marginals) <= 1e-15
-    assert report.alpha > 0.9999
+    report = json.loads(out.read_text())
+    assert max(abs(m) for m in report["marginals"]) <= 1e-15
+    assert report["alpha"] > 0.9999
 
 
 def test_chsh_odd_point_grid_centre(tmp_path):
@@ -915,8 +913,8 @@ def test_chsh_odd_point_grid_centre(tmp_path):
     }
     out = tmp_path / "chsh.json"
     assert main(["chsh", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
-    report = chsh_report_from_dict(json.loads(out.read_text()))
-    assert max(abs(m) for m in report.marginals) < 1e-10
+    report = json.loads(out.read_text())
+    assert max(abs(m) for m in report["marginals"]) < 1e-10
 
 
 @pytest.mark.parametrize("command", ["qm-corr", "compare"])
@@ -958,6 +956,30 @@ def test_unsolved_cluster_checked_at_load_exit_2(tmp_path, capsys, command):
     cfg_path = write_config(tmp_path, cfg)
     assert main([command, "--config", cfg_path, "--out", str(tmp_path / "x.csv")]) == 2
     assert "system.clusters[1]: harmonic potential needs omega > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"observables": [{"kind": "bogus"}]}, "observables[0].kind: unknown kind 'bogus'"),
+        ({"observables": [{"kind": "position", "cluster": 7}]},
+         "observables[0].cluster: expected 0 <= cluster < 2, got 7"),
+        ({"observables": [{"kind": "position"}, {"kind": "indicator", "a": 2, "b": 1}]},
+         "observables[1].b: must exceed a = 2.0"),
+        # an entry's default cluster is its index
+        ({"observables": [{"kind": "position"}] * 3},
+         "observables[2].cluster: expected 0 <= cluster < 2, got 2"),
+        ({"chsh": {"observable": {"kind": "sign", "cluster": 1}}},
+         "chsh.observable.cluster: expected 0 <= cluster < 1, got 1"),
+    ],
+    ids=["unknown-kind", "no-cluster-7", "indicator-b-below-a", "default-cluster", "chsh-cluster"],
+)
+def test_observables_checked_at_load_exit_2(tmp_path, capsys, overrides, message):
+    # eigen reads no observable; every one present is still built
+    cfg_path = write_config(tmp_path, two_oscillator_config(**overrides))
+    assert main(["eigen", "--config", cfg_path, "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 def test_eps_study_table(tmp_path):
@@ -1124,6 +1146,15 @@ def test_small_config_runs_everywhere(tmp_path):
         assert main(argv) == 0
         expected = ["x.csv", "x.csv.meta.json", *side_files.get(command, [])]
         assert sorted(p.name for p in run_dir.iterdir()) == sorted(expected)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_missing_out_exit_2(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", write_config(tmp_path, small_config())])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --out" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 @settings(max_examples=300, deadline=None)

@@ -30,7 +30,7 @@ from stochmech import (
     stationarity_distance,
 )
 from stochmech import nelson_sde
-from stochmech.nelson_sde import epsilon_convergence_study, stationarity_distances
+from stochmech.nelson_sde import DriftChannel, epsilon_convergence_study, stationarity_distances
 from stochmech.spectral import nodal_intervals
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -458,9 +458,9 @@ def test_time_reflection_symmetry(ou_ensemble):
 def test_brownian_baseline(ground_state_1d):
     # zero drift, no patches - a pure random walk
     drift = regularized_drift(ground_state_1d, 1e-3)
-
-    zero_drift = nelson_sde.RegularizedDrift(
-        ground_state_1d, 1e-3, drift.decomposition, (np.zeros_like,)
+    ch = drift.channels[0]
+    zero_drift = dataclasses.replace(
+        drift, channels=(DriftChannel(np.zeros_like(ch.residual), (), ch.x_min, ch.x_max),)
     )
     init = np.zeros((10000, 1))
     ens = simulate_ensemble(zero_drift, init, dt=1e-3, times=[1.0], seed=3)
@@ -589,15 +589,16 @@ def test_rotated_ensemble_independent_of_chunking(monkeypatch, worker_count, har
         assert (b.clamp_rate, b.sign_change_fraction) == (a.clamp_rate, a.sign_change_fraction)
 
 
-def test_worker_failure_reaches_the_caller(worker_count, ground_state_1d):
-    base = regularized_drift(ground_state_1d, 1e-3)
+def test_worker_failure_reaches_the_caller(monkeypatch, worker_count, ground_state_1d):
+    drift = regularized_drift(ground_state_1d, 1e-3)
     # paths 20-29, the third of three ranges, start far out
     init = np.zeros((30, 1))
     init[20:] = 50.0
     worker_count(3)
 
-    def simulate(channel):
-        drift = dataclasses.replace(base, channels=(channel,))
+    def simulate(fake):
+        # forked workers inherit the patched drift
+        monkeypatch.setattr(nelson_sde._StackedDrift, "__call__", lambda self, u: fake(u))
         return simulate_ensemble(drift, init, dt=1e-3, times=[0.01], seed=1)
 
     def nan_far_out(x):
@@ -850,16 +851,11 @@ def test_ks_at_every_stored_time(ou_ensemble, ground_state_1d, ground_product_st
 
 def test_ks_negative_control_flipped_drift(ground_state_1d):
     drift = regularized_drift(ground_state_1d, 1e-3)
-
-    class Negated:
-        def __init__(self, inner):
-            self.inner = inner
-
-        def __call__(self, x):
-            return -self.inner(x)
-
-    bad = nelson_sde.RegularizedDrift(
-        ground_state_1d, 1e-3, drift.decomposition, (Negated(drift.channels[0]),)
+    # the ground channel has no patches, so negating its table negates its drift exactly
+    ch = drift.channels[0]
+    assert ch.patches == ()
+    bad = dataclasses.replace(
+        drift, channels=(DriftChannel(-ch.residual, (), ch.x_min, ch.x_max),)
     )
     init = sample_stationary(ground_state_1d, 5000, seed=31)
     ens = simulate_ensemble(bad, init, dt=1e-3, times=[2.0], seed=31)

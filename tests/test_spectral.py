@@ -35,6 +35,7 @@ from stochmech.spectral import (
     _solve_interior,
     _solve_parity,
     interval_dirichlet_modes,
+    nodal_intervals,
     simpson_weights,
 )
 
@@ -631,6 +632,31 @@ def test_dirichlet_rejects_unstable_sign_pattern():
     f = Wavefunction.normalized(g, vals)
     with pytest.raises(NumericError, match="leaves its sample cell"):
         dirichlet_restricted_eigensystem(TabulatedPotential(g, np.zeros(g.n)), f, g, 2)
+
+
+def _close_node_pair(x):
+    # zeros 1.4 grid steps apart: find_nodes keeps one, so one piece changes sign
+    return (x - 0.0012) * (x - 0.0082) * np.exp(-4.0 * x**2)
+
+
+def _faint_middle_lobe(x):
+    # the lobe between -0.3 and 0.3 peaks above the dead threshold, so
+    # find_nodes keeps its two crossings, but below ten times it
+    b = (x - 0.3) * (x + 0.3)
+    return np.where(np.abs(x) < 0.3, 3e-8 * b, b)
+
+
+@pytest.mark.parametrize(
+    "shape, message",
+    [
+        (_close_node_pair, r"sign fluctuates beyond noise level on \(0\.0012, 1\)"),
+        (_faint_middle_lobe, r"no stable sign pattern on \(-0\.2401, 0\.2401\)"),
+    ],
+)
+def test_nodal_intervals_rejects_unstable_sign(shape, message):
+    g = Grid(-1.0, 1.0, 401)
+    with pytest.raises(NumericError, match=message):
+        nodal_intervals(Wavefunction.normalized(g, shape(g.points)))
 
 
 def test_double_well_doublet_structure():
