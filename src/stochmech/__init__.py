@@ -66,7 +66,6 @@ from .spectral import (
     Wavefunction,
     box_eigensystem,
     default_grid,
-    dirichlet_restricted_eigensystem,
     find_nodes,
     harmonic_eigensystem,
     quadrature,

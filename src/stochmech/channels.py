@@ -50,7 +50,6 @@ class ChannelDecomposition:
     orthonormal, so u_channel = R.T @ x_cluster.
     """
 
-    state: CompositeState
     channels: tuple[Channel, ...]
     rotation: np.ndarray
 
@@ -102,7 +101,7 @@ def decompose(state: CompositeState) -> ChannelDecomposition:
                     f"package so the channel Hamiltonian is known"
                 )
             channels.append(Channel(es.potential, es, idx[i]))
-        return ChannelDecomposition(state, tuple(channels), np.eye(n))
+        return ChannelDecomposition(tuple(channels), np.eye(n))
     if n == 2 and len(state.terms) == 2:
         by_idx = {idx: c for c, idx in state.terms}
         if set(by_idx) == {(0, 1), (1, 0)}:
@@ -117,7 +116,7 @@ def decompose(state: CompositeState) -> ChannelDecomposition:
                 rotation = np.array([[b, -a], [a, b]])
                 es = state.clusters[0]
                 channels = (Channel(pots[0], es, 1), Channel(pots[0], es, 0))
-                return ChannelDecomposition(state, channels, rotation)
+                return ChannelDecomposition(channels, rotation)
         raise UnsupportedStateError(
             "two-term state is not an exchange pair of identical harmonic "
             "clusters; no rotation to decoupled coordinates is known"

@@ -122,7 +122,7 @@ def _run_files(args) -> dict[str, Path]:
     if args.command in _SIDE_FILES:
         role, suffix = _SIDE_FILES[args.command]
         rows.append((role, "--out", f"{data}{suffix}"))
-    if getattr(args, "dump_paths", None):
+    if getattr(args, "dump_paths", None) is not None:
         rows.append(("dump", "--dump-paths", args.dump_paths))
     files = {}
     taken = {os.path.realpath(args.config): "the config file (--config)"}

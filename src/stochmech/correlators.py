@@ -318,9 +318,9 @@ def _channel_autocorrelation_modes(channel: Channel, f_fn, g_fn) -> _ChannelMode
     Multiplying by |psi| maps the generator onto the channel Hamiltonian
     with Dirichlet conditions at the nodes of the state factor, so each
     nodal subinterval is diagonalized independently by
-    spectral.nodal_interval_modes, the solver behind
-    dirichlet_restricted_eigensystem, walled at the Monte Carlo's poles;
-    the per-interval restriction of |psi|, read off psi.spline(), is kept
+    spectral.nodal_interval_modes, whose IntervalModes are the package's
+    one node-restricted spectrum, walled at the Monte Carlo's poles; the
+    per-interval restriction of |psi|, read off psi.spline(), is kept
     as the exact rate-0 mode and the finite-difference modes above it are
     orthogonalized against it.  A factor whose sign is unstable between
     its nodes raises NumericError.

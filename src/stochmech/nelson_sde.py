@@ -268,7 +268,6 @@ class _StackedDrift:
 class RegularizedDrift:
     """Everywhere-defined drift for the full composite state."""
 
-    state: CompositeState
     epsilon: float
     decomposition: ChannelDecomposition
     channels: tuple[DriftChannel, ...]
@@ -345,7 +344,7 @@ def regularized_drift(state: CompositeState, epsilon: float) -> RegularizedDrift
                 x_max=grid.x_max,
             )
         )
-    return RegularizedDrift(state, float(epsilon), dec, tuple(channels))
+    return RegularizedDrift(float(epsilon), dec, tuple(channels))
 
 
 # --------------------------------------------------------------------------

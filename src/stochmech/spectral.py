@@ -2,11 +2,13 @@
 
 Analytic eigensystems for the harmonic oscillator and the infinite well,
 a second-order finite-difference solver for general bounded-below
-potentials (double wells, tabulated data), node location, and
-node-restricted eigensystems where the operator carries Dirichlet
+potentials (double wells, tabulated data), node location, and the
+node-restricted spectrum, where the operator carries Dirichlet
 conditions on the zeros of a given eigenfunction: the zeros of its
-spline, which every consumer reads from find_nodes.  Everything is real:
-eigenfunctions are sampled on uniform grids and inner products are
+spline, which every consumer reads from find_nodes.  That spectrum has
+one form: the IntervalModes of each nodal interval, returned by
+nodal_interval_modes and read by the Nelson expansion.  Everything is
+real: eigenfunctions are sampled on uniform grids and inner products are
 composite-Simpson quadratures.
 
 Units are hbar = m = 1 throughout.
@@ -43,7 +45,6 @@ __all__ = [
     "find_nodes",
     "nodal_intervals",
     "nodal_interval_modes",
-    "dirichlet_restricted_eigensystem",
     "default_grid",
 ]
 
@@ -359,34 +360,21 @@ def default_grid(potential: Potential) -> Grid:
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Ordered low-lying spectrum of a 1D Schrödinger operator on a grid.
-
-    ``boundary`` is "whole_line" for the plain operator and
-    "dirichlet_at_nodes" when the functions additionally vanish on the
-    recorded node set of a reference state.  Node-restricted spectra may
-    carry degenerate pairs; whole-line spectra must be strictly ordered.
-    """
+    """Ordered low-lying spectrum of a 1D Schrödinger operator on the whole
+    grid; the energies must increase strictly."""
 
     grid: Grid
     energies: tuple[float, ...]
     eigenfunctions: tuple[Wavefunction, ...]
-    boundary: str = "whole_line"
-    nodes: tuple[float, ...] = ()
     potential: Potential | None = None
 
     def __post_init__(self):
-        if self.boundary not in ("whole_line", "dirichlet_at_nodes"):
-            raise ParameterError(f"unknown boundary tag {self.boundary!r}")
         if len(self.energies) != len(self.eigenfunctions):
             raise ParameterError("energy / eigenfunction count mismatch")
         if not self.energies:
             raise ParameterError("eigensystem must hold at least one state")
-        diffs = np.diff(self.energies)
-        if self.boundary == "whole_line":
-            if np.any(diffs <= 0):
-                raise ParameterError("whole-line energies must increase strictly")
-        elif np.any(diffs < -1e-9 * max(1.0, abs(self.energies[-1]))):
-            raise ParameterError("energies must be non-decreasing")
+        if np.any(np.diff(self.energies) <= 0):
+            raise ParameterError("whole-line energies must increase strictly")
         for f in self.eigenfunctions:
             if f.grid != self.grid:
                 raise ParameterError("eigenfunction grid differs from system grid")
@@ -877,7 +865,8 @@ def nodal_intervals(psi: Wavefunction) -> list[tuple[float, float]]:
 
 
 def nodal_interval_modes(potential, intervals, h_target, n_modes, solved) -> list[IntervalModes]:
-    """n_modes Dirichlet modes on each nodal interval, in interval order.
+    """n_modes Dirichlet modes on each nodal interval, in interval order:
+    the node-restricted spectrum, and the only form the package builds it in.
 
     ``solved`` maps interval index to the modes solved so far and is
     updated in place; they are extended rather than solved again.  Under an
@@ -902,71 +891,3 @@ def nodal_interval_modes(potential, intervals, h_target, n_modes, solved) -> lis
             )
             pieces.append(solved[i])
     return pieces
-
-
-def _resample_to_grid(modes: IntervalModes, col: int, grid: Grid) -> np.ndarray:
-    from scipy.interpolate import CubicSpline
-
-    spline = CubicSpline(modes.points, modes.values[:, col])
-    out = np.zeros(grid.n)
-    sel = (grid.points > modes.a) & (grid.points < modes.b)
-    out[sel] = spline(grid.points[sel])
-    return out
-
-
-def dirichlet_restricted_eigensystem(
-    potential: Potential,
-    state: Wavefunction,
-    grid: Grid,
-    k: int,
-) -> EigenSystem:
-    """Spectrum of the operator restricted by Dirichlet conditions at the
-    nodes of ``state``.
-
-    The nodal intervals are solved by nodal_interval_modes, as in the
-    Nelson expansion, and their spectra are merged in increasing order.
-    Each interval contributes its own localized modes, except that on a
-    symmetric grid an interval whose mirror twin meets it at the central
-    node contributes the even and odd combinations v + v[::-1] and
-    v - v[::-1] of its modes v (even first within each degenerate pair),
-    the basis needed to expand even functions of the coordinate.  A
-    nodeless state gives the finite-difference spectrum on the grid.
-    """
-    if k < 1:
-        raise ParameterError("k must be at least 1")
-    intervals = nodal_intervals(state)
-    nodes = tuple(b for _, b in intervals[:-1])
-    if not nodes:
-        es = solve_eigensystem(potential, grid, k)
-        return EigenSystem(
-            grid, es.energies, es.eigenfunctions,
-            boundary="dirichlet_at_nodes", nodes=(), potential=potential,
-        )
-    solved: dict[int, IntervalModes] = {}
-    pieces = nodal_interval_modes(potential, intervals, grid.h / 2.0, k, solved)
-    # index of the reflected interval that meets its twin at the central node
-    central = next(
-        (i for i in range(1, len(pieces)) if grid.symmetric and i not in solved
-         and (pieces[i].a, pieces[i].b) == (-pieces[i - 1].b, -pieces[i - 1].a)),
-        None,
-    )
-    merged: list[tuple[float, np.ndarray, str | None]] = []
-    for iv, modes in enumerate(pieces):
-        if iv == central:
-            continue
-        for j, energy in enumerate(modes.energies):
-            v = _resample_to_grid(modes, j, grid)
-            if iv + 1 == central:
-                merged.append((energy, _fix_sign(v + v[::-1]), "even"))
-                merged.append((energy, _fix_sign(v - v[::-1]), "odd"))
-            else:
-                merged.append((energy, v, None))
-    # stable: equal energies keep interval order, and even before odd
-    merged.sort(key=lambda item: item[0])
-    del merged[k:]
-    return EigenSystem(
-        grid,
-        tuple(float(e) for e, _, _ in merged),
-        tuple(Wavefunction.normalized(grid, v, parity) for _, v, parity in merged),
-        boundary="dirichlet_at_nodes", nodes=nodes, potential=potential,
-    )

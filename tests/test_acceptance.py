@@ -24,7 +24,6 @@ from stochmech import (
     chsh_value,
     classical_realizability,
     compare_theories,
-    dirichlet_restricted_eigensystem,
     estimate_two_time,
     harmonic_eigensystem,
     nelson_mode_expansion,
@@ -41,6 +40,7 @@ from stochmech import (
 )
 from stochmech.cli import main
 from stochmech.nelson_sde import epsilon_convergence_study
+from stochmech.spectral import nodal_interval_modes, nodal_intervals
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # fixed seed chosen so the joint band conditions of criteria 4 and 6 hold;
@@ -266,13 +266,13 @@ def test_criterion_10_threshold_sharpness():
 def test_criterion_11_eigensolver_accuracy():
     es = solve_eigensystem(HarmonicPotential(1.0), Grid(-10.0, 10.0, 2000), 4)
     worst_fd = max(abs(e - (n + 0.5)) for n, e in enumerate(es.energies))
-    analytic = harmonic_eigensystem(1.0, 2)
-    restricted = dirichlet_restricted_eigensystem(
-        HarmonicPotential(1.0), analytic.eigenfunctions[1], analytic.grid, 4
+    psi1 = harmonic_eigensystem(1.0, 2).eigenfunctions[1]
+    # the Dirichlet modes of psi_1's two nodal intervals, merged in order
+    pieces = nodal_interval_modes(
+        HarmonicPotential(1.0), nodal_intervals(psi1), psi1.grid.h / 2.0, 4, {}
     )
-    worst_dir = max(
-        abs(e - t) for e, t in zip(restricted.energies, (1.5, 1.5, 3.5, 3.5))
-    )
+    restricted = sorted(e for modes in pieces for e in modes.energies)[:4]
+    worst_dir = max(abs(e - t) for e, t in zip(restricted, (1.5, 1.5, 3.5, 3.5), strict=True))
     report(11, worst_fd < 1e-4 and worst_dir < 1e-3,
            f"harmonic FD max err {worst_fd:.2e} (tol 1e-4); node-restricted "
            f"doubled-level max err {worst_dir:.2e} (tol 1e-3)")

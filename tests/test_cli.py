@@ -356,6 +356,9 @@ def _no_work(*args, **kwargs):
         ("compare", ".summary.json", "--out"),
         ("nelson-mc", ".diag.json", "--out"),
         ("nelson-mc", "long --dump-paths", "--dump-paths"),
+        # an empty name is the working directory
+        ("nelson-mc", "empty --out", "--out"),
+        ("nelson-mc", "empty --dump-paths", "--dump-paths"),
         # a name another of the run's names, or the config, takes
         ("nelson-mc", "--dump-paths is the data file", "--dump-paths"),
         ("nelson-mc", "--dump-paths is o.csv.diag.json", "--dump-paths"),
@@ -383,6 +386,12 @@ def test_unusable_output_name_exit_2_before_work(tmp_path, capsys, monkeypatch, 
         out = tmp_path / ("a" * 246 + ".csv")
     elif case == "a file as its directory":
         out = tmp_path / "config.json" / "o.csv"
+    elif case.startswith("empty"):
+        monkeypatch.chdir(tmp_path)
+        if case == "empty --out":
+            out = ""
+        else:
+            extra = ["--dump-paths", ""]
     elif case == "long --dump-paths":
         extra = ["--dump-paths", str(tmp_path / ("p" * 300))]
     elif case == "--dump-paths is the data file":
@@ -404,7 +413,10 @@ def test_unusable_output_name_exit_2_before_work(tmp_path, capsys, monkeypatch, 
     argv = [command, "--config", write_config(tmp_path, cfg), *extra, "--out", str(out)]
     before = _snapshot(tmp_path)
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}: ")
+    if case.startswith("empty"):
+        assert err == f"config error: {field}: . is a directory\n"
     assert _snapshot(tmp_path) == before
 
 

@@ -17,7 +17,6 @@ from stochmech import (
     TabulatedPotential,
     build_composite_state,
     default_grid,
-    dirichlet_restricted_eigensystem,
     density,
     estimate_multi_time,
     estimate_two_time,
@@ -190,10 +189,7 @@ def test_walls_and_poles_are_the_same_nodes(harmonic_es, two_oscillator_state):
         drift = regularized_drift(state, 1e-3)
         channel = drift.decomposition.channels[0]
         walls = tuple(b for _, b in nodal_intervals(channel.factor)[:-1])
-        restricted = dirichlet_restricted_eigensystem(
-            channel.potential, channel.factor, channel.grid, 2
-        )
-        assert walls and drift.channels[0].poles == walls == restricted.nodes
+        assert walls and drift.channels[0].poles == walls
 
 
 def test_drift_finite_at_node_and_beyond_grid(excited_state):

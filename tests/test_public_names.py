@@ -14,7 +14,9 @@ SUBMODULES = [
 
 # deleted because no subcommand, criterion or caller tells them apart; each
 # exception class became ParameterError or NumericError (README, "Removed public names");
-# chsh_report_from_dict read back a report the package only writes
+# chsh_report_from_dict read back a report the package only writes;
+# dirichlet_restricted_eigensystem rebuilt, on the global grid, the
+# node-restricted spectrum that nodal_interval_modes gives
 REMOVED = (
     "ArrangementDistribution",
     "ProductModel",
@@ -26,6 +28,7 @@ REMOVED = (
     "InconsistentStateError",
     "NodeDetectionError",
     "chsh_report_from_dict",
+    "dirichlet_restricted_eigensystem",
 )
 
 

@@ -21,7 +21,6 @@ from stochmech import (
     TabulatedPotential,
     Wavefunction,
     box_eigensystem,
-    dirichlet_restricted_eigensystem,
     find_nodes,
     harmonic_eigensystem,
     quadrature,
@@ -35,6 +34,7 @@ from stochmech.spectral import (
     _solve_interior,
     _solve_parity,
     interval_dirichlet_modes,
+    nodal_interval_modes,
     nodal_intervals,
     simpson_weights,
 )
@@ -504,85 +504,43 @@ def test_find_nodes_matches_loop_reference():
 # node-restricted spectra
 # --------------------------------------------------------------------------
 
-def test_dirichlet_doubles_odd_levels(harmonic_es):
-    dr = dirichlet_restricted_eigensystem(
-        HarmonicPotential(1.0), harmonic_es.eigenfunctions[1], harmonic_es.grid, 4
+def _restricted(psi, n_modes):
+    """Each nodal interval of psi with its n_modes Dirichlet modes, at half
+    the grid step."""
+    intervals = nodal_intervals(psi)
+    pieces = nodal_interval_modes(
+        HarmonicPotential(1.0), intervals, psi.grid.h / 2.0, n_modes, {}
     )
-    assert dr.boundary == "dirichlet_at_nodes"
-    assert len(dr.nodes) == 1
-    for e, expected in zip(dr.energies, (1.5, 1.5, 3.5, 3.5)):
+    return intervals, pieces
+
+
+def test_dirichlet_doubles_odd_levels(harmonic_es):
+    intervals, pieces = _restricted(harmonic_es.eigenfunctions[1], 4)
+    assert len(intervals) == 2
+    energies = sorted(e for modes in pieces for e in modes.energies)
+    for e, expected in zip(energies[:4], (1.5, 1.5, 3.5, 3.5), strict=True):
         assert e == pytest.approx(expected, abs=1e-3)
 
 
-def test_dirichlet_nodeless_matches_unrestricted(harmonic_es):
-    dr = dirichlet_restricted_eigensystem(
-        HarmonicPotential(1.0), harmonic_es.eigenfunctions[0], harmonic_es.grid, 3
-    )
-    fd = solve_eigensystem(HarmonicPotential(1.0), harmonic_es.grid, 3)
-    assert dr.nodes == ()
-    assert np.allclose(dr.energies, fd.energies, atol=1e-12)
-
-
 def test_dirichlet_even_sector_ground_is_abs_psi1(harmonic_es):
-    dr = dirichlet_restricted_eigensystem(
-        HarmonicPotential(1.0), harmonic_es.eigenfunctions[1], harmonic_es.grid, 2
-    )
-    target = np.abs(harmonic_es.eigenfunctions[1].values)
-    dev = dr.eigenfunctions[0].values - target
-    assert math.sqrt(quadrature(dev, dev, grid=harmonic_es.grid)) < 1e-4
-    assert dr.eigenfunctions[0].parity == "even"
-    assert dr.eigenfunctions[1].parity == "odd"
+    # the lowest mode of each nodal interval is |psi_n| restricted to it
+    for psi in harmonic_es.eigenfunctions[1:]:
+        spline = psi.spline()
+        for modes in _restricted(psi, 1)[1]:
+            target = np.abs(spline(modes.points))
+            target /= math.sqrt(modes.h * float(target @ target))
+            dev = modes.values[:, 0] - target
+            assert math.sqrt(modes.h * float(dev @ dev)) < 1e-4
 
 
 def test_dirichlet_merges_nodal_intervals(harmonic_es):
     # psi_2 has nodes at +-1/sqrt(2); |psi_2| on each of the three nodal
     # intervals is that interval's Dirichlet ground state, at energy 2.5
-    grid = harmonic_es.grid
-    psi2 = harmonic_es.eigenfunctions[2]
-    dr = dirichlet_restricted_eigensystem(HarmonicPotential(1.0), psi2, grid, 3)
-    assert len(dr.nodes) == 2
-    for e in dr.energies:
-        assert e == pytest.approx(2.5, abs=1e-3)
-    edges = [grid.x_min, *dr.nodes, grid.x_max]
-    pieces = [
-        Wavefunction.normalized(
-            grid, np.where((grid.points > a) & (grid.points < b), np.abs(psi2.values), 0.0)
-        ).values
-        for a, b in zip(edges[:-1], edges[1:])
-    ]
-    matched = []
-    for f in dr.eigenfunctions:
-        dists = [math.sqrt(quadrature(f.values - p, f.values - p, grid=grid)) for p in pieces]
-        assert min(dists) < 1e-4
-        matched.append(int(np.argmin(dists)))
-    assert sorted(matched) == [0, 1, 2]
-
-
-def test_dirichlet_pairs_only_the_central_intervals(harmonic_es):
-    # psi_3 has nodes at 0 and +-sqrt(3/2); its four levels sit at 3.5.  The
-    # two intervals meeting at 0 mirror each other and give an even/odd
-    # pair; each outer interval keeps its own localized mode.
-    grid = harmonic_es.grid
-    dr = dirichlet_restricted_eigensystem(
-        HarmonicPotential(1.0), harmonic_es.eigenfunctions[3], grid, 4
-    )
-    assert len(dr.nodes) == 3
-    for e in dr.energies:
-        assert e == pytest.approx(3.5, abs=1e-3)
-    parities = [f.parity for f in dr.eigenfunctions]
-    central = [i for i, p in enumerate(parities) if p is not None]
-    assert [parities[i] for i in central] == ["even", "odd"]
-    assert central[1] == central[0] + 1
-    inner = np.abs(grid.points) < dr.nodes[2]
-    left, right = grid.points < dr.nodes[0], grid.points > dr.nodes[2]
-    for i, f in enumerate(dr.eigenfunctions):
-        if i in central:
-            assert np.all(f.values[~inner] == 0.0)
-            continue
-        # localized: supported on one outer interval, zero on the other
-        support = [bool(np.any(f.values[side] != 0.0)) for side in (left, right)]
-        assert sorted(support) == [False, True]
-        assert np.all(f.values[inner] == 0.0)
+    intervals, pieces = _restricted(harmonic_es.eigenfunctions[2], 1)
+    assert len(intervals) == 3
+    assert [(modes.a, modes.b) for modes in pieces] == intervals
+    for modes in pieces:
+        assert modes.energies[0] == pytest.approx(2.5, abs=1e-3)
 
 
 def test_interval_modes_extend_earlier_solve():
@@ -631,7 +589,7 @@ def test_dirichlet_rejects_unstable_sign_pattern():
     vals[band] = 5e-9 * (-1.0) ** np.arange(int(np.count_nonzero(band)))
     f = Wavefunction.normalized(g, vals)
     with pytest.raises(NumericError, match="leaves its sample cell"):
-        dirichlet_restricted_eigensystem(TabulatedPotential(g, np.zeros(g.n)), f, g, 2)
+        nodal_intervals(f)
 
 
 def _close_node_pair(x):
