@@ -68,14 +68,12 @@ from .spectral import (
     default_grid,
     find_nodes,
     harmonic_eigensystem,
-    quadrature,
     solve_eigensystem,
 )
 from .states import (
     CompositeState,
     build_composite_state,
     density,
-    is_product,
     marginal_density,
 )
 

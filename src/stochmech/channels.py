@@ -3,7 +3,9 @@
 The exact Nelson machinery (spectral and Monte Carlo alike) works channel
 by channel.  Two families decompose:
 
-* product states - each cluster is its own channel, identity mixing;
+* single-term product states - each cluster is its own channel, identity
+  mixing; terms must share the total energy, so a product over clusters
+  without degenerate levels has a single term;
 * real two-term superpositions  a * (0,1) + b * (1,0)  of two identical
   harmonic clusters - an orthogonal rotation of the pair of coordinates
   turns the state into a product of a first-excited and a ground factor.
@@ -20,7 +22,7 @@ import numpy as np
 
 from .errors import UnsupportedStateError
 from .spectral import EigenSystem, Grid, HarmonicPotential, Potential, Wavefunction
-from .states import CompositeState, is_product
+from .states import CompositeState
 
 __all__ = ["Channel", "ChannelDecomposition", "decompose"]
 
@@ -86,12 +88,7 @@ def decompose(state: CompositeState) -> ChannelDecomposition:
     decoupled coordinates is known for the given state.
     """
     n = state.n_clusters
-    if len(state.terms) == 1 or is_product(state):
-        if len(state.terms) != 1:
-            raise UnsupportedStateError(
-                "multi-term product states are not decomposed; "
-                "rebuild the state with a single product term"
-            )
+    if len(state.terms) == 1:
         idx = state.terms[0][1]
         channels = []
         for i, es in enumerate(state.clusters):

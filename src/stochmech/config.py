@@ -17,8 +17,10 @@ Schema (see README for a worked example):
     }
 
 Every field present is checked when the config loads, each observable by
-building it against its cluster, but a subcommand requires only the fields
-it reads: "state" is required by qm-corr, compare, nelson-mc and eps-study,
+building it against its cluster and "chsh.observable" also by alpha's rule
+(bell.check_observable) on cluster 0's grid, and a key that no field of
+its object names is an error.  A subcommand requires only the fields it
+reads: "state" is required by qm-corr, compare, nelson-mc and eps-study,
 "mc.epsilon" and "mc.horizon" by nelson-mc alone.  The data file is named
 by the CLI's --out, so "output" holds "format" alone.  Errors carry the
 offending field path so a malformed file is diagnosable from the exit
@@ -35,6 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import bell
 from .correlators import Observable
 from .errors import ConfigError, DomainTruncationError, ParameterError
 from .spectral import (
@@ -80,9 +83,15 @@ def _as_int(value, path: str) -> int:
     return value
 
 
-def _object(value, path: str) -> dict:
+def _object(value, path: str, *fields: str) -> dict:
+    """``value`` as an object; given ``fields``, a key outside them is an
+    error naming it by its field path ("" is the top level)."""
     if not isinstance(value, dict):
-        raise ConfigError(f"{path}: must be an object")
+        raise ConfigError(f"{path or 'top level'}: must be an object")
+    for key in value:
+        if fields and key not in fields:
+            name = f"{path}.{key}" if path else key
+            raise ConfigError(f"{name}: not a field; known fields: {', '.join(fields)}")
     return value
 
 
@@ -133,7 +142,7 @@ def _need_kind(raw, path: str) -> None:
 
 
 def _parse_grid(raw, path: str) -> Grid:
-    raw = _object(raw, path)
+    raw = _object(raw, path, "x_min", "x_max", "n")
     x_min, x_max = _number(raw, "x_min", path), _number(raw, "x_max", path)
     n = _as_int(_need(raw, "n", path), f"{path}.n")
     try:
@@ -145,21 +154,25 @@ def _parse_grid(raw, path: str) -> Grid:
 def _parse_cluster(raw, path: str) -> ClusterConfig:
     """The cluster's potential, its grid (the default one unless given) and k."""
     raw = _object(raw, path)
-    if "solver" in raw:
-        raise ConfigError(f"{path}.solver: not a field; the kind decides the solver")
     kind = _need(raw, "kind", path)
+    # the kind decides the solver and the fields that follow it
+    common = ("kind", "grid", "k")
     grid = _parse_grid(raw["grid"], f"{path}.grid") if "grid" in raw else None
     k = _as_int(raw.get("k", 2), f"{path}.k")
     try:
         if kind == "harmonic":
+            _object(raw, path, *common, "omega")
             potential = HarmonicPotential(_number(raw, "omega", path))
         elif kind == "infinite_well":
+            _object(raw, path, *common, "half_width")
             potential = InfiniteWellPotential(_number(raw, "half_width", path))
         elif kind == "double_well":
+            _object(raw, path, *common, "barrier_height", "well_separation")
             potential = DoubleWellPotential(
                 _number(raw, "barrier_height", path), _number(raw, "well_separation", path)
             )
         elif kind == "tabulated":
+            _object(raw, path, *common, "values")
             if grid is None:
                 raise ConfigError(f"{path}.grid: required for tabulated potentials")
             values = _numbers(_need(raw, "values", path), grid.n, f"{path}.values")
@@ -178,6 +191,7 @@ def _parse_lags(raw, path: str) -> tuple[float, ...]:
     if isinstance(raw, list):
         lags = [_as_float(v, f"{path}[{i}]") for i, v in enumerate(raw)]
     elif isinstance(raw, dict):
+        _object(raw, path, "start", "stop", "step")
         start, stop, step = (_number(raw, key, path) for key in ("start", "stop", "step"))
         if step <= 0 or stop < start:
             raise ConfigError(f"{path}: need step > 0 and stop >= start")
@@ -196,7 +210,7 @@ def _parse_lags(raw, path: str) -> tuple[float, ...]:
 
 
 def _parse_mc(raw, path: str) -> McConfig:
-    raw = _object(raw, path)
+    raw = _object(raw, path, "n_paths", "dt", "seed", "epsilon", "horizon")
     n_paths = _as_int(_need(raw, "n_paths", path), f"{path}.n_paths")
     dt = _number(raw, "dt", path)
     epsilon, horizon = (
@@ -214,8 +228,10 @@ def _parse_mc(raw, path: str) -> McConfig:
 
 
 def parse_config(raw: dict) -> RunConfig:
-    raw = _object(raw, "top level")
-    system = _object(_need(raw, "system", "top level"), "system")
+    raw = _object(
+        raw, "", "system", "state", "observables", "lags", "mc", "chsh", "eps_study", "output"
+    )
+    system = _object(_need(raw, "system", "top level"), "system", "clusters")
     clusters_raw = _need(system, "clusters", "system")
     if not isinstance(clusters_raw, list) or not clusters_raw:
         raise ConfigError("system.clusters: expected a non-empty list")
@@ -224,12 +240,12 @@ def parse_config(raw: dict) -> RunConfig:
     )
     terms_raw = []
     if "state" in raw:
-        terms_raw = _need(_object(raw["state"], "state"), "terms", "state")
+        terms_raw = _need(_object(raw["state"], "state", "terms"), "terms", "state")
         if not isinstance(terms_raw, list) or not terms_raw:
             raise ConfigError("state.terms: expected a non-empty list")
     terms = []
     for i, t in enumerate(terms_raw):
-        t = _object(t, f"state.terms[{i}]")
+        t = _object(t, f"state.terms[{i}]", "coefficient", "indices")
         coeff = _number(t, "coefficient", f"state.terms[{i}]")
         if coeff == 0.0:
             raise ConfigError(f"state.terms[{i}].coefficient: must be non-zero")
@@ -248,17 +264,25 @@ def parse_config(raw: dict) -> RunConfig:
     chsh_obs = None
     chsh_times = None
     if "chsh" in raw:
-        chsh = _object(raw["chsh"], "chsh")
+        chsh = _object(raw["chsh"], "chsh", "observable", "times")
         chsh_obs = chsh.get("observable")
         if chsh_obs is not None:
             _need_kind(chsh_obs, "chsh.observable")
-            build_observable(chsh_obs, clusters[:1], 0, "chsh.observable")
+            f = build_observable(chsh_obs, clusters[:1], 0, "chsh.observable")
+            if f.kind not in bell.OBSERVABLE_KINDS:
+                raise ConfigError(
+                    f"chsh.observable.kind: must be 'sign' or 'tabulated', got {f.kind!r}"
+                )
+            try:
+                bell.check_observable(f, clusters[0].grid)
+            except ParameterError as exc:
+                raise ConfigError(f"chsh.observable: {exc}") from exc
         if chsh.get("times") is not None:  # [t1, t2, s1, s2]
             chsh_times = tuple(_numbers(chsh["times"], 4, "chsh.times"))
     eps_eps: tuple[float, ...] = ()
     eps_lag = None
     if "eps_study" in raw:
-        es_raw = _object(raw["eps_study"], "eps_study")
+        es_raw = _object(raw["eps_study"], "eps_study", "epsilons", "lag")
         eps_list = _need(es_raw, "epsilons", "eps_study")
         if not isinstance(eps_list, list) or not eps_list:
             raise ConfigError("eps_study.epsilons: expected a non-empty list")
@@ -266,12 +290,10 @@ def parse_config(raw: dict) -> RunConfig:
         if eps_eps[-1] <= 0 or any(b >= a for a, b in zip(eps_eps, eps_eps[1:])):
             raise ConfigError("eps_study.epsilons: must be positive and decrease strictly")
         eps_lag = _number(es_raw, "lag", "eps_study")
-    output = _object(raw.get("output", {}), "output")
+    output = _object(raw.get("output", {}), "output", "format")
     out_format = output.get("format", "csv")
     if out_format not in ("csv", "json"):
         raise ConfigError("output.format: must be 'csv' or 'json'")
-    if "path" in output:
-        raise ConfigError("output.path: not a field; name the data file with --out")
     return RunConfig(
         clusters=clusters,
         terms=tuple(terms),
@@ -346,13 +368,16 @@ def build_observable(
             f"{path}.cluster: expected 0 <= cluster < {len(cluster_systems)}, got {cluster}"
         )
     if kind in ("position", "sign"):
+        _object(raw, path, "kind", "cluster")
         return Observable(kind, cluster)
     if kind == "indicator":
+        _object(raw, path, "kind", "cluster", "a", "b")
         a, b = _number(raw, "a", path), _number(raw, "b", path)
         if not a < b:
             raise ConfigError(f"{path}.b: must exceed a = {a}")
         return Observable("indicator", cluster, a=a, b=b)
     if kind == "tabulated":
+        _object(raw, path, "kind", "cluster", "values")
         grid = cluster_systems[cluster].grid
         samples = np.array(_numbers(_need(raw, "values", path), grid.n, f"{path}.values"))
         return Observable("tabulated", cluster, samples=samples, grid=grid)

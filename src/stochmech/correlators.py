@@ -27,7 +27,6 @@ from .spectral import (
     IntervalModes,
     nodal_interval_modes,
     nodal_intervals,
-    quadrature,
 )
 from .states import CompositeState, term_pairs
 
@@ -423,7 +422,7 @@ def _assemble_channel_modes(pieces, spline, f_fn, g_fn) -> _ChannelModes:
 
 def _channel_mean(channel: Channel, fn) -> float:
     psi = channel.factor
-    return quadrature(fn(psi.grid.points), psi.values, psi.values, grid=psi.grid)
+    return float(psi.grid.simpson @ (fn(psi.grid.points) * psi.values * psi.values))
 
 
 def _identity(x):

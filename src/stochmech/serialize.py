@@ -22,7 +22,6 @@ __all__ = [
     "fmt",
     "write_csv",
     "write_json",
-    "chsh_report_to_dict",
     "write_sidecar",
 ]
 
@@ -44,18 +43,6 @@ def write_csv(path: str | Path, header, rows) -> None:
 
 def write_json(path: str | Path, obj) -> None:
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
-
-
-def chsh_report_to_dict(report: ChshReport) -> dict:
-    return {
-        "alpha": report.alpha,
-        "omega": report.omega,
-        "times": list(report.times),
-        "correlations": [list(row) for row in report.correlations],
-        "marginals": list(report.marginals),
-        "S": report.S,
-        "classical_feasible": report.classical_feasible,
-    }
 
 
 def chsh_report_csv_row(report: ChshReport) -> list:

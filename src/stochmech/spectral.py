@@ -37,7 +37,6 @@ __all__ = [
     "Potential",
     "Wavefunction",
     "EigenSystem",
-    "quadrature",
     "simpson_weights",
     "harmonic_eigensystem",
     "box_eigensystem",
@@ -140,42 +139,6 @@ def simpson_weights(n: int, h: float) -> np.ndarray:
         w[n - 2] += h / 2.0
         w[n - 1] += h / 2.0
     return w
-
-
-def _as_samples(obj, grid: Grid | None) -> tuple[np.ndarray, Grid | None]:
-    if isinstance(obj, Wavefunction):
-        return obj.values, obj.grid
-    return np.asarray(obj, dtype=float), grid
-
-
-def quadrature(f, g=None, weight=None, grid: Grid | None = None) -> float:
-    """Composite-Simpson value of the inner product integral of f*g*weight.
-
-    Each argument may be a Wavefunction or a plain sample array; all must
-    live on the same grid.  f alone integrates f itself.
-    """
-    resolved: Grid | None = grid
-    arrays = []
-    for obj in (f, g, weight):
-        if obj is None:
-            continue
-        vals, g_of = _as_samples(obj, None)
-        arrays.append(vals)
-        if g_of is not None:
-            if resolved is not None and g_of != resolved:
-                raise ParameterError("samples live on different grids")
-            resolved = g_of
-    if resolved is None:
-        raise ParameterError("no grid given and none of the inputs carries one")
-    for vals in arrays:
-        if vals.shape != (resolved.n,):
-            raise ParameterError(
-                f"sample length {vals.shape} does not match grid size {resolved.n}"
-            )
-    prod = arrays[0].copy()
-    for vals in arrays[1:]:
-        prod *= vals
-    return float(resolved.simpson @ prod)
 
 
 @dataclass(frozen=True)

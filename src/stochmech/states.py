@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -21,13 +20,11 @@ __all__ = [
     "CompositeState",
     "build_composite_state",
     "density",
-    "is_product",
     "marginal_density",
     "term_pairs",
 ]
 
 ENERGY_TOL = 1e-6
-_RANK_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -48,10 +45,6 @@ class CompositeState:
     @property
     def coefficients(self) -> np.ndarray:
         return np.array([c for c, _ in self.terms])
-
-    @property
-    def indices(self) -> list[tuple[int, ...]]:
-        return [idx for _, idx in self.terms]
 
 
 def build_composite_state(clusters, terms) -> CompositeState:
@@ -165,26 +158,3 @@ def marginal_density(state: CompositeState, cluster: int) -> np.ndarray:
         )
     return out
 
-
-def is_product(state: CompositeState) -> bool:
-    """True iff the coefficient tensor factorizes over the clusters.
-
-    Single-term states are products by construction.  Otherwise the dense
-    coefficient tensor is formed over the observed index ranges and every
-    mode unfolding is tested for vanishing 2x2 minors.
-    """
-    if len(state.terms) == 1:
-        return True
-    observed = [sorted({idx[i] for idx in state.indices}) for i in range(state.n_clusters)]
-    shape = tuple(len(o) for o in observed)
-    lookup = [{k: pos for pos, k in enumerate(obs)} for obs in observed]
-    tensor = np.zeros(shape)
-    for c, idx in state.terms:
-        tensor[tuple(lookup[i][k] for i, k in enumerate(idx))] = c
-    for mode in range(state.n_clusters):
-        mat = np.moveaxis(tensor, mode, 0).reshape(shape[mode], -1)
-        for (r1, r2) in combinations(range(mat.shape[0]), 2):
-            minors = np.outer(mat[r1], mat[r2])
-            if np.max(np.abs(minors - minors.T)) > _RANK_TOL:
-                return False
-    return True

@@ -31,7 +31,6 @@ from stochmech import (
     paper_times,
     qm_multitime_correlation,
     qm_two_time_series,
-    quadrature,
     regularized_drift,
     sample_stationary,
     simulate_ensemble,
@@ -203,10 +202,8 @@ def test_criterion_07_product_state_equivalence():
 def test_criterion_08_chsh_box_model():
     t0 = time.perf_counter()
     box = box_eigensystem(1.0, 2)
-    a = quadrature(
-        np.sign(box.grid.points),
-        box.eigenfunctions[0].values * box.eigenfunctions[1].values,
-        grid=box.grid,
+    a = box.grid.simpson @ (
+        np.sign(box.grid.points) * box.eigenfunctions[0].values * box.eigenfunctions[1].values
     )
     # antiderivative oracle: int cos(pi x/2) sin(pi x) dx
     F = lambda x: -math.cos(1.5 * math.pi * x) / (3.0 * math.pi) - math.cos(

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -19,7 +20,6 @@ from stochmech.errors import NumericError
 from stochmech.cli import main
 from stochmech.config import MAX_PATHS, build_observable, build_state, parse_config
 from stochmech.correlators import nelson_semigroup_correlation
-from stochmech.serialize import chsh_report_to_dict
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -336,7 +336,7 @@ def test_output_path_is_not_a_field_exit_2(tmp_path, capsys, value):
     argv = ["qm-corr", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "x.csv")]
     assert main(argv) == 2
     assert capsys.readouterr().err == (
-        "config error: output.path: not a field; name the data file with --out\n"
+        "config error: output.path: not a field; known fields: format\n"
     )
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
@@ -776,7 +776,7 @@ def test_chsh_box_violates(tmp_path, capsys, monkeypatch):
     assert report["S"] == pytest.approx(-2.0379, abs=1e-4)
     assert not report["classical_feasible"]
     # the emitted JSON holds the in-memory report, every float exactly
-    assert chsh_report_to_dict(reports[0]) == report
+    assert json.loads(json.dumps(dataclasses.asdict(reports[0]))) == report
 
 
 BOX_X = np.linspace(-1.0, 1.0, 2001)  # the unit box's default grid
@@ -983,8 +983,14 @@ def test_unsolved_cluster_checked_at_load_exit_2(tmp_path, capsys, command):
          "observables[2].cluster: expected 0 <= cluster < 2, got 2"),
         ({"chsh": {"observable": {"kind": "sign", "cluster": 1}}},
          "chsh.observable.cluster: expected 0 <= cluster < 1, got 1"),
+        # alpha's rule holds at load too, though eigen computes no alpha
+        ({"chsh": {"observable": {"kind": "position"}}},
+         "chsh.observable.kind: must be 'sign' or 'tabulated', got 'position'"),
     ],
-    ids=["unknown-kind", "no-cluster-7", "indicator-b-below-a", "default-cluster", "chsh-cluster"],
+    ids=[
+        "unknown-kind", "no-cluster-7", "indicator-b-below-a", "default-cluster",
+        "chsh-cluster", "chsh-position",
+    ],
 )
 def test_observables_checked_at_load_exit_2(tmp_path, capsys, overrides, message):
     # eigen reads no observable; every one present is still built
@@ -992,6 +998,81 @@ def test_observables_checked_at_load_exit_2(tmp_path, capsys, overrides, message
     assert main(["eigen", "--config", cfg_path, "--out", str(tmp_path / "x.csv")]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+BOX_CHSH_CONFIG = {
+    "system": {"clusters": [{"kind": "infinite_well", "half_width": 1.0, "k": 2}]},
+    "chsh": {"times": [0.0, 0.1, 0.2, 0.3]},
+}
+
+
+@pytest.mark.parametrize(
+    "command, cfg, message",
+    [
+        # a misspelled optional field would take its default and the run exit 0
+        ("chsh", {**BOX_CHSH_CONFIG, "chsh": {"time": [0.0, 0.1, 0.2, 0.3]}},
+         "chsh.time: not a field; known fields: observable, times"),
+        ("eigen", {"system": {"clusters": [{"kind": "harmonic", "omega": 1.0, "K": 5}]}},
+         "system.clusters[0].K: not a field; known fields: kind, grid, k, omega"),
+        ("qm-corr", two_oscillator_config(output={"fromat": "json"}),
+         "output.fromat: not a field; known fields: format"),
+    ],
+    ids=["chsh-time", "cluster-K", "output-fromat"],
+)
+def test_misspelled_field_exit_2(tmp_path, capsys, command, cfg, message):
+    cfg_path = write_config(tmp_path, cfg)
+    assert main([command, "--config", cfg_path, "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+def _put(cfg, path, value):
+    *parents, last = path
+    for key in parents:
+        cfg = cfg[key]
+    cfg[last] = value
+
+
+UNKNOWN_KEY_CASES = [
+    ((), "extra"),
+    (("system",), "system.extra"),
+    (("system", "clusters", 0), "system.clusters[0].extra"),
+    (("system", "clusters", 1, "grid"), "system.clusters[1].grid.extra"),
+    (("state",), "state.extra"),
+    (("state", "terms", 1), "state.terms[1].extra"),
+    (("observables", 0), "observables[0].extra"),
+    (("observables", 1), "observables[1].extra"),
+    (("lags",), "lags.extra"),
+    (("mc",), "mc.extra"),
+    (("chsh",), "chsh.extra"),
+    (("chsh", "observable"), "chsh.observable.extra"),
+    (("eps_study",), "eps_study.extra"),
+    (("output",), "output.extra"),
+]
+
+
+@pytest.mark.parametrize(
+    "where, field", UNKNOWN_KEY_CASES, ids=[field for _, field in UNKNOWN_KEY_CASES]
+)
+def test_unknown_key_in_every_object_exit_2(tmp_path, capsys, where, field):
+    # one config carrying every object, each of them valid; eigen reads none
+    # beyond cluster 0, yet every object is parsed
+    cfg = two_oscillator_config(
+        mc={"n_paths": 10, "dt": 1e-3, "seed": 1, "epsilon": 1e-3, "horizon": 0.5},
+        chsh={"observable": {"kind": "sign"}, "times": [0.0, 0.1, 0.2, 0.3]},
+        eps_study={"epsilons": [0.01], "lag": 0.1},
+        observables=[
+            {"kind": "indicator", "cluster": 0, "a": 0.0, "b": 1.0},
+            {"kind": "tabulated", "cluster": 1, "values": [0.0] * 2000},
+        ],
+    )
+    cfg["system"]["clusters"][1]["grid"] = {"x_min": -10.0, "x_max": 10.0, "n": 2000}
+    cfg_path = write_config(tmp_path, cfg)
+    assert main(["eigen", "--config", cfg_path, "--out", str(tmp_path / "x.csv")]) == 0
+    _put(cfg, (*where, "extra"), 1)
+    cfg_path = write_config(tmp_path, cfg)
+    assert main(["eigen", "--config", cfg_path, "--out", str(tmp_path / "y.csv")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}: not a field; ")
 
 
 def test_eps_study_table(tmp_path):

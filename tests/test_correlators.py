@@ -10,6 +10,7 @@ from scipy.interpolate import CubicSpline
 from scipy.special import hyp2f1
 
 from stochmech import (
+    CompositeState,
     CorrelationSeries,
     DoubleWellPotential,
     EigenSystem,
@@ -19,15 +20,16 @@ from stochmech import (
     UnsupportedStateError,
     Wavefunction,
     bohm_multitime_correlation,
+    box_eigensystem,
     build_composite_state,
     compare_theories,
+    decompose,
     harmonic_eigensystem,
     nelson_mode_expansion,
     nelson_semigroup_correlation,
     nelson_two_time_series,
     qm_multitime_correlation,
     qm_two_time_series,
-    quadrature,
     regularized_drift,
     solve_eigensystem,
 )
@@ -110,10 +112,8 @@ def test_qm_box_singlet_sign_correlation(box_singlet_state, box_es):
     f = Observable("sign", 0)
     g = Observable("sign", 1)
     omega = box_es.energies[1] - box_es.energies[0]
-    alpha = quadrature(
-        np.sign(box_es.grid.points),
-        box_es.eigenfunctions[0].values * box_es.eigenfunctions[1].values,
-        grid=box_es.grid,
+    alpha = box_es.grid.simpson @ (
+        np.sign(box_es.grid.points) * box_es.eigenfunctions[0].values * box_es.eigenfunctions[1].values
     )
     lag = math.pi / (4.0 * omega)
     val = qm_multitime_correlation(box_singlet_state, [f, g], [lag, 0.0])
@@ -357,6 +357,27 @@ def test_unsupported_states_raise(box_singlet_state, two_oscillator_state, harmo
         )
 
 
+def test_decompose_rejects_multi_term_product_state(harmonic_es):
+    # built directly: a product over clusters without degenerate levels has
+    # one term, since the terms must share the total energy, so these
+    # states reach decompose only when a cluster has two levels within
+    # ENERGY_TOL; they fall to the two-term and the generic diagnostics
+    pair = CompositeState(
+        clusters=(harmonic_es, harmonic_es),
+        terms=((0.6, (0, 0)), (0.8, (0, 1))),
+        energy=1.0,
+    )
+    with pytest.raises(UnsupportedStateError, match="two-term state is not an exchange pair"):
+        decompose(pair)
+    triple = CompositeState(
+        clusters=(harmonic_es, harmonic_es),
+        terms=((0.6, (0, 0)), (0.64, (0, 1)), (0.48, (0, 2))),
+        energy=1.0,
+    )
+    with pytest.raises(UnsupportedStateError, match="no channel decomposition for 3 terms"):
+        decompose(triple)
+
+
 def test_expansion_cached(two_oscillator_state, pos0, pos1):
     a = nelson_mode_expansion(two_oscillator_state, pos0, pos1)
     b = nelson_mode_expansion(two_oscillator_state, pos0, pos1)
@@ -439,13 +460,40 @@ def test_rotated_constant_times_position_vanishes(two_oscillator_state, harmonic
         assert np.max(np.abs(exp(np.array([0.0, 0.5, 2.0, 25.0])))) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "n, rates",
+    [
+        # psi_0 fills the box: rates E_m - E_0 = pi^2 ((m+1)^2 - 1) / 8,
+        # and x couples to the odd m only
+        (0, [math.pi**2 * ((m + 1) ** 2 - 1) / 8.0 for m in (1, 3, 5, 7)]),
+        # psi_1's node splits it into two boxes of width 1, each with rates
+        # pi^2 (m^2 - 1) / 2, where x couples to the even m only
+        (1, [math.pi**2 * (m * m - 1) / 2.0 for m in (2, 2, 4, 4)]),
+    ],
+)
+def test_box_position_expansion_finite_difference(n, rates):
+    # the finite-difference Nelson path on an infinite well, whose
+    # potential is sampled on each nodal interval
+    es = box_eigensystem(1.0, 3)
+    x = Observable("position", 0)
+    exp = nelson_mode_expansion(build_composite_state([es], [(1.0, (n,))]), x, x)
+    r, c = np.asarray(exp.rates), np.asarray(exp.coefficients)
+    weighted = r[(r > 0.0) & (c > 1e-6 * c.sum())]
+    # measured: at most 3.5e-6 relative
+    assert weighted[:4] == pytest.approx(rates, rel=1e-5)
+    # lag 0 is <x^2>; measured gaps 2.7e-8 (psi_0) and 6.7e-9 (psi_1)
+    psi = es.eigenfunctions[n].values
+    second = es.grid.simpson @ (es.grid.points**2 * psi * psi)
+    assert float(exp(0.0)) == pytest.approx(second, abs=1e-7)
+
+
 def test_rotated_same_cluster_equal_time_second_moment(two_oscillator_state, harmonic_es, pos0):
     # both channels feed x_0, so this sums two channels' modes and the
     # cross-channel means; at lag 0 it is <x_0^2>, short by at most the
     # truncation tail the expansion reports
     exp = nelson_mode_expansion(two_oscillator_state, pos0, pos0)
     grid = harmonic_es.grid
-    second = quadrature(grid.points**2, marginal_density(two_oscillator_state, 0), grid=grid)
+    second = grid.simpson @ (grid.points**2 * marginal_density(two_oscillator_state, 0))
     assert second == pytest.approx(1.0, abs=1e-12)
     assert exp.truncation_tail < 1e-6
     assert abs(float(exp(0.0)) - second) <= exp.truncation_tail * second

@@ -16,7 +16,10 @@ SUBMODULES = [
 # exception class became ParameterError or NumericError (README, "Removed public names");
 # chsh_report_from_dict read back a report the package only writes;
 # dirichlet_restricted_eigensystem rebuilt, on the global grid, the
-# node-restricted spectrum that nodal_interval_modes gives
+# node-restricted spectrum that nodal_interval_modes gives; is_product and
+# CompositeState.indices re-derived the shared-energy rule's one-term
+# products, quadrature restated Grid.simpson @ (...), and
+# chsh_report_to_dict restated ChshReport's fields (dataclasses.asdict)
 REMOVED = (
     "ArrangementDistribution",
     "ProductModel",
@@ -29,6 +32,10 @@ REMOVED = (
     "NodeDetectionError",
     "chsh_report_from_dict",
     "dirichlet_restricted_eigensystem",
+    "is_product",
+    "CompositeState.indices",
+    "quadrature",
+    "chsh_report_to_dict",
 )
 
 
@@ -42,6 +49,14 @@ def _package_imports():
     ]
 
 
+def _has(obj, dotted: str) -> bool:
+    for part in dotted.split("."):
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
 def test_public_names_resolve_and_removed_names_are_gone():
     exported = [(stochmech, name) for name in _package_imports()]
     exported += [(mod, name) for mod in SUBMODULES for name in getattr(mod, "__all__", ())]
@@ -50,6 +65,6 @@ def test_public_names_resolve_and_removed_names_are_gone():
     assert unresolved == []
     present = [
         f"{mod.__name__}.{name}" for mod in (stochmech, *SUBMODULES) for name in REMOVED
-        if hasattr(mod, name)
+        if _has(mod, name)
     ]
     assert present == []

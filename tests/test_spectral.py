@@ -23,7 +23,6 @@ from stochmech import (
     box_eigensystem,
     find_nodes,
     harmonic_eigensystem,
-    quadrature,
     solve_eigensystem,
 )
 from stochmech.spectral import (
@@ -82,29 +81,23 @@ def test_simpson_exact_on_cubics(n):
 
 def test_quadrature_norm_and_orthogonality(harmonic_es):
     psi0, psi1 = harmonic_es.eigenfunctions[:2]
-    assert quadrature(psi0, psi0) == pytest.approx(1.0, abs=1e-10)
-    assert quadrature(psi0, psi1) == pytest.approx(0.0, abs=1e-10)
+    w = harmonic_es.grid.simpson
+    assert w @ (psi0.values * psi0.values) == pytest.approx(1.0, abs=1e-10)
+    assert w @ (psi0.values * psi1.values) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_quadrature_sign_kernel_box(box_es):
     f = np.sign(box_es.grid.points)
     prod = box_es.eigenfunctions[0].values * box_es.eigenfunctions[1].values
-    val = quadrature(f, prod, grid=box_es.grid)
+    val = box_es.grid.simpson @ (f * prod)
     assert val == pytest.approx(8.0 / (3.0 * math.pi), abs=1e-8)
-
-
-def test_quadrature_grid_mismatch(harmonic_es, box_es):
-    with pytest.raises(ParameterError, match="samples live on different grids"):
-        quadrature(harmonic_es.eigenfunctions[0], box_es.eigenfunctions[0])
-    with pytest.raises(ParameterError, match="no grid given and none of the inputs carries one"):
-        quadrature(np.ones(7), grid=None)
 
 
 def test_quadrature_with_weight(harmonic_es):
     es2 = harmonic_eigensystem(2.0, 1)
     psi0 = es2.eigenfunctions[0]
     x2 = es2.grid.points**2
-    assert quadrature(psi0, psi0, x2) == pytest.approx(0.25, abs=1e-10)
+    assert es2.grid.simpson @ (psi0.values * psi0.values * x2) == pytest.approx(0.25, abs=1e-10)
 
 
 # --------------------------------------------------------------------------
@@ -213,7 +206,7 @@ def test_solver_box_as_tabulated_zero():
 def test_solver_sign_convention_matches_analytic(harmonic_es):
     es = solve_eigensystem(HarmonicPotential(1.0), harmonic_es.grid, 3)
     for numeric, analytic in zip(es.eigenfunctions, harmonic_es.eigenfunctions):
-        overlap = quadrature(numeric, analytic)
+        overlap = es.grid.simpson @ (numeric.values * analytic.values)
         assert overlap > 0.999
 
 
@@ -622,9 +615,6 @@ def test_double_well_doublet_structure():
     es = solve_eigensystem(pot, Grid(-3.0, 3.0, 2000), 2)
     gap = es.energies[1] - es.energies[0]
     assert 0 < gap < 0.05  # near-degenerate tunneling doublet
-    assert es.eigenfunctions[0].values @ es.grid.simpson == pytest.approx(
-        quadrature(es.eigenfunctions[0], np.ones(es.grid.n)), abs=1e-12
-    )
 
 
 def test_eigensystem_rejects_unsorted_energies(harmonic_es):

@@ -2,15 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st_
 
 from stochmech import (
-    CompositeState,
     ParameterError,
     build_composite_state,
     density,
-    is_product,
     marginal_density,
 )
 from stochmech.spectral import simpson_weights
@@ -120,38 +116,3 @@ def test_joint_density_normalized_on_tensor_grid(two_oscillator_state):
     pts = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1)
     rho = density(two_oscillator_state, pts)
     assert w @ rho @ w == pytest.approx(1.0, abs=1e-6)
-
-
-def test_is_product_examples(two_oscillator_state, ground_product_state):
-    assert is_product(ground_product_state)
-    assert not is_product(two_oscillator_state)
-
-
-def test_is_product_rank_one_tensor(harmonic_es):
-    # construct directly: such coefficient tensors cannot pass the shared
-    # energy check with non-degenerate clusters, but the rank test must
-    # still judge them correctly as factorizable
-    state = CompositeState(
-        clusters=(harmonic_es, harmonic_es),
-        terms=((0.6, (0, 0)), (0.8, (0, 1))),
-        energy=1.0,
-    )
-    assert is_product(state)
-    state2 = CompositeState(
-        clusters=(harmonic_es, harmonic_es),
-        terms=((0.6, (0, 0)), (0.8, (1, 1))),
-        energy=1.0,
-    )
-    assert not is_product(state2)
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    a=st_.floats(min_value=0.1, max_value=1.0),
-    b=st_.floats(min_value=0.1, max_value=1.0),
-)
-def test_exchange_pair_never_product(a, b, harmonic_es):
-    state = build_composite_state(
-        [harmonic_es, harmonic_es], [(a, (0, 1)), (b, (1, 0))]
-    )
-    assert not is_product(state)
