@@ -40,7 +40,6 @@ from .errors import (
     DomainTruncationError,
     NumericError,
     ParameterError,
-    RegularizationError,
     StepSizeError,
     StochMechError,
     UnsupportedStateError,
@@ -54,7 +53,6 @@ from .nelson_sde import (
     regularized_drift,
     sample_stationary,
     simulate_ensemble,
-    stationarity_distance,
 )
 from .spectral import (
     DoubleWellPotential,

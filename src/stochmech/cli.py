@@ -43,7 +43,7 @@ import numpy as np
 from . import bell, nelson_sde, serialize
 from .config import RunConfig, build_cluster, build_observable, build_state, load_config
 from .correlators import compare_theories, qm_two_time_series
-from .errors import ConfigError, ParameterError, RegularizationError, StepSizeError, StochMechError
+from .errors import ConfigError, ParameterError, StepSizeError, StochMechError
 from .states import CompositeState
 
 EXIT_OK = 0
@@ -222,7 +222,7 @@ def _checked_drift(state: CompositeState, epsilon: float, path: str):
     """Regularized drift; an epsilon the state's nodes rule out is a config error."""
     try:
         return nelson_sde.regularized_drift(state, epsilon)
-    except (ParameterError, RegularizationError) as exc:
+    except ParameterError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -288,7 +288,9 @@ def cmd_chsh(cfg: RunConfig, args, files: dict[str, Path]) -> None:
             files["data"], serialize.CHSH_CSV_HEADER, [serialize.chsh_report_csv_row(report)]
         )
     else:
-        serialize.write_json(files["data"], dataclasses.asdict(report))
+        # a shallow dict: dataclasses.asdict would deep-copy every float for the same bytes
+        fields = dataclasses.fields(report)
+        serialize.write_json(files["data"], {fd.name: getattr(report, fd.name) for fd in fields})
     if not report.classical_feasible:
         print(f"VIOLATES: S = {report.S:.3f}, classical infeasible")
     else:

@@ -111,11 +111,8 @@ class CorrelationSeries:
 
     lags: tuple[float, ...]
     values: tuple[float, ...]
-    method: str
 
     def __post_init__(self):
-        if self.method not in ("qm", "bohm", "nelson_spectral"):
-            raise ParameterError(f"unknown method {self.method!r}")
         if len(self.lags) != len(self.values):
             raise ParameterError("lag/value length mismatch")
         if len(self.lags) == 0:
@@ -278,7 +275,7 @@ def qm_two_time_series(
     freqs = tuple(sorted(buckets))
     decomp = TrigDecomposition(freqs, tuple(buckets[w] for w in freqs))
     values = decomp(np.asarray(lags))
-    series = CorrelationSeries(tuple(lags), tuple(float(v) for v in values), "qm")
+    series = CorrelationSeries(tuple(lags), tuple(float(v) for v in values))
     return series, decomp
 
 
@@ -551,7 +548,7 @@ def nelson_two_time_series(
     lags = [float(t) for t in lags]
     exp = nelson_mode_expansion(state, f, g)
     vals = [exp(t) for t in lags]
-    return CorrelationSeries(tuple(lags), tuple(vals), "nelson_spectral")
+    return CorrelationSeries(tuple(lags), tuple(vals))
 
 
 # --------------------------------------------------------------------------
@@ -582,7 +579,7 @@ def compare_theories(
     qm, _ = qm_two_time_series(state, f, g, lags)
     # the Bohm value is the equal-time QM value, so Bohm agrees at equal times
     qm0 = bohm_multitime_correlation(state, [f, g], [0.0, 0.0])
-    bohm = CorrelationSeries(tuple(lags), tuple(qm0 for _ in lags), "bohm")
+    bohm = CorrelationSeries(tuple(lags), tuple(qm0 for _ in lags))
     nelson = None
     warning = None
     nelson_dev = None

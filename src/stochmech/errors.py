@@ -4,10 +4,10 @@ Exit code of the ``stochmech`` command (``cli.main``) for each class:
 
     ConfigError            2  malformed run configuration
     StepSizeError          4  SDE diagnostics say the step is too coarse
-    ParameterError         3  2 when raised while a config field is checked
+    ParameterError         3  2 when raised while a config field is checked or
+                              the patch of mc.epsilon or eps_study.epsilons[0]
+                              is built
     DomainTruncationError  3  2 when raised while a cluster is built
-    RegularizationError    3  2 when raised building the patch of mc.epsilon or
-                              eps_study.epsilons[0]
     UnsupportedStateError  3  compare catches it and leaves the Nelson column out
     NumericError           3
     StochMechError         3  any other package error
@@ -35,10 +35,6 @@ class NumericError(StochMechError):
 
 class UnsupportedStateError(StochMechError):
     """State outside the family the exact Nelson backends can decompose."""
-
-
-class RegularizationError(StochMechError):
-    """Construction of the smooth node patch failed."""
 
 
 class StepSizeError(StochMechError):

@@ -37,7 +37,6 @@ from .correlators import Observable, nelson_semigroup_correlation
 from .errors import (
     NumericError,
     ParameterError,
-    RegularizationError,
     StepSizeError,
     UnsupportedStateError,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "check_ensemble_size",
     "estimate_two_time",
     "estimate_multi_time",
-    "stationarity_distance",
     "stationarity_distances",
     "epsilon_convergence_study",
     "dump_paths",
@@ -120,11 +118,6 @@ class NodePatch:
     def drift(self, u) -> np.ndarray:
         return self.b * np.tanh(self.b * np.asarray(u, dtype=float))
 
-    @property
-    def curvature(self) -> float:
-        """g''/g, constant over the patch."""
-        return self.b * self.b
-
 
 def _solve_patch(node: float, eps: float, value: float, slope: float) -> NodePatch:
     """Match a cosh to outward value/slope at the patch edge.
@@ -135,14 +128,14 @@ def _solve_patch(node: float, eps: float, value: float, slope: float) -> NodePat
     from scipy.optimize import brentq
 
     if value <= 0.0 or slope <= 0.0:
-        raise RegularizationError(
+        raise ParameterError(
             f"cannot patch node {node:.4g}: non-positive edge value/slope"
         )
     target = eps * slope / value
     try:
         s = brentq(lambda s: s * math.tanh(s) - target, 0.1, 100.0)
     except ValueError:
-        raise RegularizationError(
+        raise ParameterError(
             f"no bracket for the patch slope equation at node {node:.4g}"
         ) from None
     b = s / eps
@@ -268,13 +261,8 @@ class _StackedDrift:
 class RegularizedDrift:
     """Everywhere-defined drift for the full composite state."""
 
-    epsilon: float
     decomposition: ChannelDecomposition
     channels: tuple[DriftChannel, ...]
-
-    @property
-    def patches(self) -> tuple[NodePatch, ...]:
-        return tuple(p for ch in self.channels for p in ch.patches)
 
 
 def _residual_table(spline: BSpline, poles, grid) -> np.ndarray:
@@ -330,7 +318,7 @@ def regularized_drift(state: CompositeState, epsilon: float) -> RegularizedDrift
             dg = patch.a * patch.b * math.sinh(patch.b * epsilon)
             mismatch = max(np.max(np.abs(value - g)), np.max(np.abs(slope - dg)))
             if mismatch > _MATCH_TOL:
-                raise RegularizationError(
+                raise ParameterError(
                     f"patch at node {z:.4g} misses C1 matching by {mismatch:.2e}; "
                     f"reduce epsilon"
                 )
@@ -344,7 +332,7 @@ def regularized_drift(state: CompositeState, epsilon: float) -> RegularizedDrift
                 x_max=grid.x_max,
             )
         )
-    return RegularizedDrift(float(epsilon), dec, tuple(channels))
+    return RegularizedDrift(dec, tuple(channels))
 
 
 # --------------------------------------------------------------------------
@@ -495,8 +483,6 @@ class Ensemble:
     dt: float
     steps: tuple[int, ...]
     positions: np.ndarray
-    seed: int
-    epsilon: float
     clamp_rate: float
     sign_change_fraction: tuple[float, ...]
 
@@ -756,8 +742,6 @@ def simulate_ensemble(
         dt=float(dt),
         steps=tuple(steps),
         positions=positions,
-        seed=int(seed),
-        epsilon=drift.epsilon,
         clamp_rate=float(clamp_rate),
         sign_change_fraction=tuple((crossed / n_paths).tolist()),
     )
@@ -842,33 +826,19 @@ def _ks_stats(positions: np.ndarray, state: CompositeState, cdfs) -> list[tuple[
     return [tuple(s) for s in stats]
 
 
-def _require_clusters(ensemble: Ensemble, state: CompositeState) -> None:
+def stationarity_distances(
+    ensemble: Ensemble, state: CompositeState
+) -> list[tuple[float, ...]]:
+    """Per-cluster KS statistic of each stored marginal against |psi|^2, in t_grid order.
+
+    Each cluster's marginal CDF is built once for all the times, and the
+    times are sorted and compared KS_TIMES at a time.
+    """
     if ensemble.positions.shape[2] != state.n_clusters:
         raise ParameterError(
             f"state has {state.n_clusters} clusters; the ensemble has "
             f"{ensemble.positions.shape[2]}"
         )
-
-
-def stationarity_distance(
-    ensemble: Ensemble, state: CompositeState, t: float
-) -> tuple[float, ...]:
-    """Per-cluster KS statistic of the time-t marginal against |psi|^2."""
-    _require_clusters(ensemble, state)
-    it = ensemble.time_index(float(t))
-    (stats,) = _ks_stats(ensemble.positions[:, it : it + 1], state, _marginal_cdfs(state))
-    return stats
-
-
-def stationarity_distances(
-    ensemble: Ensemble, state: CompositeState
-) -> list[tuple[float, ...]]:
-    """stationarity_distance at every stored time, in t_grid order.
-
-    Each cluster's marginal CDF is built once for all the times, and the
-    times are sorted and compared KS_TIMES at a time.
-    """
-    _require_clusters(ensemble, state)
     return _ks_stats(ensemble.positions, state, _marginal_cdfs(state))
 
 

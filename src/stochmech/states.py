@@ -42,10 +42,6 @@ class CompositeState:
     def n_clusters(self) -> int:
         return len(self.clusters)
 
-    @property
-    def coefficients(self) -> np.ndarray:
-        return np.array([c for c, _ in self.terms])
-
 
 def build_composite_state(clusters, terms) -> CompositeState:
     """Validate and normalize a composite stationary state.

@@ -432,6 +432,38 @@ def test_config_error_after_output_check_leaves_no_file(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
+def _two_oscillator_without(key, **overrides):
+    cfg = two_oscillator_config(**overrides)
+    del cfg[key]
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "command, cfg, extra, message",
+    [
+        ("compare", _two_oscillator_without("observables"), [],
+         "observables: at least one observable is required"),
+        ("qm-corr", _two_oscillator_without("lags"), [], "lags: required for this subcommand"),
+        ("nelson-mc", two_oscillator_config(lags=[0.5]), ["--seed", "1"],
+         "mc: required for stochastic subcommands"),
+        ("chsh", {"system": {"clusters": [{"kind": "harmonic", "omega": 1.0, "k": 1}]}}, [],
+         "system.clusters[0].k: chsh needs at least 2 eigenstates"),
+        ("eps-study", two_oscillator_config(mc={"n_paths": 4, "dt": 1e-3, "seed": 1}), [],
+         "eps_study: epsilons and lag are required"),
+        ("eigen", {"system": {"clusters": [{"kind": "tabulated", "k": 1, "values": [0.0] * 5}]}}, [],
+         "system.clusters[0].grid: required for tabulated potentials"),
+        ("qm-corr", two_oscillator_config(lags=[0.5, 0.2]), [], "lags: must increase strictly"),
+    ],
+    ids=["no-observables", "no-lags", "no-mc", "chsh-k-1", "no-eps-study", "tabulated-no-grid",
+         "decreasing-lags"],
+)
+def test_missing_or_unusable_field_exit_2(tmp_path, capsys, command, cfg, extra, message):
+    cfg_path = write_config(tmp_path, cfg)
+    assert main([command, "--config", cfg_path, "--out", str(tmp_path / "x.csv"), *extra]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 @pytest.mark.parametrize("case", ["a directory", "not UTF-8"])
 def test_unreadable_config_exit_2(tmp_path, capsys, case):
     if case == "a directory":

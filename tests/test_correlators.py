@@ -73,7 +73,7 @@ def test_observable_kinds():
 
 def test_series_lags_increase_strictly():
     with pytest.raises(ParameterError):
-        CorrelationSeries((1.0, 0.0), (0.5, 0.5), "qm")
+        CorrelationSeries((1.0, 0.0), (0.5, 0.5))
 
 
 # --------------------------------------------------------------------------

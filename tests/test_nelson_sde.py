@@ -26,7 +26,6 @@ from stochmech import (
     sample_stationary,
     simulate_ensemble,
     solve_eigensystem,
-    stationarity_distance,
 )
 from stochmech import nelson_sde
 from stochmech.nelson_sde import DriftChannel, epsilon_convergence_study, stationarity_distances
@@ -80,7 +79,7 @@ def test_drift_pure_ou(ground_state_1d):
 def test_patch_matching_and_curvature(excited_state, harmonic_es):
     eps = 1e-3
     drift = regularized_drift(excited_state, eps)
-    (patch,) = drift.patches
+    (patch,) = drift.channels[0].patches
     assert patch.a > 0.0
     # C1 matching against the true factor at the patch edges
     psi1 = lambda x: (4.0 / math.pi) ** 0.25 * x * math.exp(-0.5 * x * x)
@@ -97,7 +96,7 @@ def test_patch_matching_and_curvature(excited_state, harmonic_es):
     mid = 0.37 * eps
     second = (patch.g(mid + du) - 2 * patch.g(mid) + patch.g(mid - du)) / du**2
     ratio = second / patch.g(mid)
-    assert ratio == pytest.approx(patch.curvature, rel=1e-4)
+    assert ratio == pytest.approx(patch.b**2, rel=1e-4)
     # the bounds c1 / eps^2 <= g''/g <= c2 / eps^2 hold with c = (b eps)^2
     c = (patch.b * eps) ** 2
     assert 0.9 * c / eps**2 <= ratio <= 1.1 * c / eps**2
@@ -762,8 +761,6 @@ def test_estimator_names_a_cluster_the_ensemble_lacks(ground_product_state):
 def test_stationarity_needs_the_ensemble_cluster_count(ground_product_state, ground_state_1d):
     ens = _pair_ensemble(ground_product_state)
     with pytest.raises(ParameterError, match="state has 1 clusters; the ensemble has 2"):
-        stationarity_distance(ens, ground_state_1d, 0.01)
-    with pytest.raises(ParameterError, match="state has 1 clusters; the ensemble has 2"):
         stationarity_distances(ens, ground_state_1d)
 
 
@@ -797,8 +794,9 @@ def test_cluster_independence_on_product(ground_product_state):
 def test_ks_within_band(ou_ensemble, ground_state_1d):
     n = ou_ensemble.n_paths
     band = 1.63 / math.sqrt(n)
+    every = stationarity_distances(ou_ensemble, ground_state_1d)
     for t in (0.0, 1.0):
-        (stat,) = stationarity_distance(ou_ensemble, ground_state_1d, t)
+        (stat,) = every[ou_ensemble.time_index(t)]
         assert stat < band
 
 
@@ -806,7 +804,7 @@ def test_ks_statistic_matches_scipy_oracle(ou_ensemble, ground_state_1d):
     from scipy.stats import ks_1samp
     from scipy.special import erf
 
-    (stat,) = stationarity_distance(ou_ensemble, ground_state_1d, 1.0)
+    (stat,) = stationarity_distances(ou_ensemble, ground_state_1d)[ou_ensemble.time_index(1.0)]
     samples = ou_ensemble.positions[:, -1, 0]
     gauss_cdf = lambda x: 0.5 * (1.0 + erf(x))  # |psi_0|^2 is N(0, 1/2)
     oracle = ks_1samp(samples, gauss_cdf).statistic
@@ -827,11 +825,7 @@ def _ks_one_time(positions, state):
     return tuple(stats)
 
 
-def test_ks_at_every_stored_time(ou_ensemble, ground_state_1d, ground_product_state):
-    every = stationarity_distances(ou_ensemble, ground_state_1d)
-    assert every == [
-        stationarity_distance(ou_ensemble, ground_state_1d, t) for t in ou_ensemble.t_grid
-    ]
+def test_ks_at_every_stored_time(ground_product_state):
     # two full blocks of stored times and a part block, on two clusters
     n_times = 2 * nelson_sde.KS_TIMES + 3
     drift = regularized_drift(ground_product_state, 1e-3)
@@ -842,7 +836,6 @@ def test_ks_at_every_stored_time(ou_ensemble, ground_state_1d, ground_product_st
     assert every == [
         _ks_one_time(ens.positions[:, it], ground_product_state) for it in range(n_times)
     ]
-    assert every == [stationarity_distance(ens, ground_product_state, t) for t in ens.t_grid]
 
 
 def test_ks_negative_control_flipped_drift(ground_state_1d):
@@ -855,7 +848,7 @@ def test_ks_negative_control_flipped_drift(ground_state_1d):
     )
     init = sample_stationary(ground_state_1d, 5000, seed=31)
     ens = simulate_ensemble(bad, init, dt=1e-3, times=[2.0], seed=31)
-    (stat,) = stationarity_distance(ens, ground_state_1d, 2.0)
+    (stat,) = stationarity_distances(ens, ground_state_1d)[ens.time_index(2.0)]
     assert stat > 1.63 / math.sqrt(5000)
 
 

@@ -19,7 +19,10 @@ SUBMODULES = [
 # node-restricted spectrum that nodal_interval_modes gives; is_product and
 # CompositeState.indices re-derived the shared-energy rule's one-term
 # products, quadrature restated Grid.simpson @ (...), and
-# chsh_report_to_dict restated ChshReport's fields (dataclasses.asdict)
+# chsh_report_to_dict restated ChshReport's fields; RegularizationError was
+# handled as ParameterError, stationarity_distance is one entry of
+# stationarity_distances, and the other dotted names were fields no code
+# read or accessors only tests read
 REMOVED = (
     "ArrangementDistribution",
     "ProductModel",
@@ -36,6 +39,17 @@ REMOVED = (
     "CompositeState.indices",
     "quadrature",
     "chsh_report_to_dict",
+    "RegularizationError",
+    "stationarity_distance",
+    "Ensemble.seed",
+    "Ensemble.epsilon",
+    "RegularizedDrift.epsilon",
+    "RegularizedDrift.state",
+    "ChannelDecomposition.state",
+    "CorrelationSeries.method",
+    "RegularizedDrift.patches",
+    "CompositeState.coefficients",
+    "NodePatch.curvature",
 )
 
 
@@ -50,10 +64,11 @@ def _package_imports():
 
 
 def _has(obj, dotted: str) -> bool:
+    # a dataclass field without a default is no class attribute, so look in the fields too
     for part in dotted.split("."):
-        if not hasattr(obj, part):
+        if not (hasattr(obj, part) or part in getattr(obj, "__dataclass_fields__", ())):
             return False
-        obj = getattr(obj, part)
+        obj = getattr(obj, part, None)
     return True
 
 

@@ -374,6 +374,27 @@ def test_ground_pair_rejects_an_excited_level():
     assert np.array_equal(energies, ref_e) and np.array_equal(vecs, ref_v)
 
 
+@pytest.mark.parametrize(
+    "tilt, energy",
+    [(0.03, 7.445432160142475), (-0.03, 7.445432160142475),
+     (0.3, 7.189899993923455), (-0.3, 7.189899993923455)],
+)
+def test_tilted_well_ground_state_is_bisections(tilt, energy):
+    # a tabulated barrier-30 well plus tilt * x has no parity, so k = 1 asks
+    # _ground_pair first: at |tilt| 0.03 the Rayleigh-quotient steps settle on
+    # a two-signed level, at 0.3 they do not converge; both fall back
+    grid = Grid(-3.5, 3.5, 2001)
+    x = grid.points
+    pot = TabulatedPotential(grid, DoubleWellPotential(30.0, 1.0).sample(x) + tilt * x)
+    v = pot.sample(x)[1:-1]
+    d, e = _fd_operator(v, grid.h, 1)
+    assert _ground_pair(d, e, float(v.min())) is None
+    es = solve_eigensystem(pot, grid, 1)
+    ref_e, _ = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
+    assert es.energies == (float(ref_e[0]),) == (energy,)
+    assert np.min(es.eigenfunctions[0].values) >= 0.0  # one sign
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_tiny_grids_match_bisection(n):
     # parity blocks of one, two or three points
