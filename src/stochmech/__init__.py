@@ -26,7 +26,6 @@ from .correlators import (
     CorrelationSeries,
     ModeExpansion,
     Observable,
-    TrigDecomposition,
     bohm_multitime_correlation,
     compare_theories,
     nelson_mode_expansion,

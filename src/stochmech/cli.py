@@ -20,8 +20,9 @@ the rule the config check uses.
 Every successful run also writes the sidecar OUT.meta.json.  ``main``
 resolves all of these names into one table before any work, and the
 commands write to the table's paths.  A directory, a missing parent
-directory or a name the file system refuses (too long, a NUL byte) exits 2
-naming ``--out`` or ``--dump-paths``; so does a name that another one of
+directory, a name the file system refuses (too long, a NUL byte) or a file
+or directory the process may not write exits 2 naming ``--out`` or
+``--dump-paths``; so does a name that another one of
 the run's names or the config file already takes, naming the later field.
 
 Exit codes: 0 success, 2 configuration problem, 3 numeric backend error,
@@ -92,13 +93,14 @@ _SIDE_FILES = {"compare": ("summary", ".summary.json"), "nelson-mc": ("diag", ".
 
 
 def _writable(path, field: str) -> Path:
-    """The output path, rejected before any work if no file can be created
+    """The output path, rejected before any work if no file can be written
     there: a directory, a name the file system refuses (too long, a NUL
-    byte), or a missing parent directory."""
+    byte), a missing parent directory, an existing file the process may not
+    write, or a new name in a directory it may not write."""
     path = Path(path)
     try:
         mode = os.stat(path).st_mode
-    except FileNotFoundError:  # the parent check below decides
+    except FileNotFoundError:  # the parent checks below decide
         mode = 0
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{field}: {exc}") from exc
@@ -106,6 +108,10 @@ def _writable(path, field: str) -> Path:
         raise ConfigError(f"{field}: {path} is a directory")
     if not path.parent.is_dir():
         raise ConfigError(f"{field}: directory {path.parent} does not exist")
+    if mode and not os.access(path, os.W_OK):
+        raise ConfigError(f"{field}: {path} is not writable")
+    if not mode and not os.access(path.parent, os.W_OK | os.X_OK):
+        raise ConfigError(f"{field}: directory {path.parent} is not writable")
     return path
 
 
@@ -164,10 +170,10 @@ def cmd_qm_corr(cfg: RunConfig, args, files: dict[str, Path]) -> None:
     state = build_state(cfg)
     f, g = _qm_observables(cfg, state)
     lags = _require_lags(cfg)
-    series, _ = qm_two_time_series(state, f, g, lags)
+    series = qm_two_time_series(state, f, g, lags)
     serialize.write_csv(
         files["data"], ["lag", "value", "method"],
-        [[lag, val, "qm"] for lag, val in zip(series.lags, series.values)],
+        ((lag, val, "qm") for lag, val in zip(series.lags, series.values)),
     )
 
 

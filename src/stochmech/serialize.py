@@ -35,10 +35,11 @@ def fmt(x) -> str:
 
 
 def write_csv(path: str | Path, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """The header, then one line per row as ``rows`` yields it."""
+    with open(path, "w") as out:
+        out.write(",".join(header) + "\n")
+        for row in rows:
+            out.write(",".join(fmt(v) for v in row) + "\n")
 
 
 def write_json(path: str | Path, obj) -> None:

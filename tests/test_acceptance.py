@@ -81,7 +81,7 @@ def mc_run(two_osc):
 def test_criterion_01_qm_cosine_series(two_osc, positions):
     t0 = time.perf_counter()
     lags = np.linspace(0.0, 4.0 * math.pi, 257)
-    series, _ = qm_two_time_series(two_osc, *positions, lags)
+    series = qm_two_time_series(two_osc, *positions, lags)
     err = float(np.max(np.abs(np.asarray(series.values) - np.cos(lags) / 2.0)))
     elapsed = time.perf_counter() - t0
     report(1, err < 1e-8 and elapsed < 1.0,

@@ -6,6 +6,7 @@ import json
 import math
 import platform
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,11 +16,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stochmech
-from stochmech import bell, cli, nelson_sde
+from stochmech import bell, cli, nelson_sde, serialize
 from stochmech.errors import NumericError
 from stochmech.cli import main
 from stochmech.config import MAX_PATHS, build_observable, build_state, parse_config
-from stochmech.correlators import nelson_semigroup_correlation
+from stochmech.correlators import nelson_semigroup_correlation, qm_multitime_correlation
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -181,6 +182,24 @@ def test_invalid_json_exit_2(tmp_path, capsys):
     assert main(["qm-corr", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
 
 
+def test_write_csv_streams_its_rows(tmp_path):
+    # each line is written as its row arrives, so memory does not grow with
+    # the rows: 44 KB peak at 1e5 and at 2e5 rows, where holding every line
+    # took 13 MB and 26 MB
+    n = 10**5
+    rows = ((i, i * 0.1, "qm") for i in range(n))
+    tracemalloc.start()
+    try:
+        serialize.write_csv(tmp_path / "big.csv", ["lag", "value", "method"], rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+    lines = (tmp_path / "big.csv").read_text().split("\n")
+    assert len(lines) == n + 2 and lines[-1] == ""
+    assert lines[:3] == ["lag,value,method", "0,0,qm", "1,0.10000000000000001,qm"]
+
+
 def test_compare_two_oscillators(tmp_path):
     cfg_path = write_config(tmp_path, two_oscillator_config())
     out = tmp_path / "cmp.csv"
@@ -216,6 +235,32 @@ def test_one_parser_serves_successive_calls(tmp_path, capsys):
     assert len(rows) == 9
     assert json.loads((tmp_path / "cmp.csv.meta.json").read_text())["argv"][0] == "compare"
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_qm_columns_are_the_multitime_values(tmp_path, capsys):
+    # the double-well exchange pair: qm-corr's value and compare's qm column
+    # are qm_multitime_correlation at [lag, 0.0], to the last bit
+    well = {"kind": "double_well", "barrier_height": 4.0, "well_separation": 1.0, "k": 2,
+            "grid": {"x_min": -3.5, "x_max": 3.5, "n": 2001}}
+    cfg = two_oscillator_config(
+        system={"clusters": [well, well]},
+        state={"terms": [{"coefficient": 0.6, "indices": [0, 1]},
+                         {"coefficient": 0.8, "indices": [1, 0]}]},
+        lags=[0.0, 0.5, 6.25, 100.0, 1000.0],
+    )
+    parsed = parse_config(cfg)
+    state = build_state(parsed)
+    f = build_observable(parsed.observables[0], state.clusters, 0)
+    g = build_observable(parsed.observables[1], state.clusters, 1)
+    expected = [qm_multitime_correlation(state, [f, g], [lag, 0.0]) for lag in parsed.lags]
+    cfg_path = write_config(tmp_path, cfg)
+    for command, column in (("qm-corr", 1), ("compare", 1)):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--config", cfg_path, "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        assert [float(row[column]) for row in rows] == expected
+    # the rotated double-well pair has no spectral Nelson expansion
+    assert "Nelson spectral backend unavailable" in capsys.readouterr().err
 
 
 def test_compare_product_state(tmp_path):
@@ -319,6 +364,36 @@ def test_nelson_mc_output_in_missing_directory_exit_2(tmp_path, capsys, mc_confi
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {flag}: directory ") and "Traceback" not in err
     assert not (tmp_path / "mc.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--out", "--dump-paths"])
+@pytest.mark.parametrize("exists", [True, False])
+def test_unwritable_output_exit_2(tmp_path, capsys, monkeypatch, mc_config, no_sampling, flag, exists):
+    # an existing file the process may not write, or a new name in a
+    # directory it may not write: exit 2 before any work.  Tests run as
+    # root, whom permission bits do not stop, so os.access is patched.
+    locked_dir = tmp_path / "locked"
+    locked_dir.mkdir()
+    target = locked_dir / "target.txt"
+    if exists:
+        target.write_text("kept\n")
+    denied = str(target) if exists else str(locked_dir)
+    access = cli.os.access
+
+    def deny(path, mode, *args, **kwargs):
+        return False if str(path) == denied else access(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cli.os, "access", deny)
+    paths = {"--out": str(tmp_path / "mc.csv"), "--dump-paths": str(tmp_path / "paths.txt")}
+    paths[flag] = str(target)
+    argv = ["nelson-mc", "--config", mc_config]
+    assert main(argv + [arg for pair in paths.items() for arg in pair]) == 2
+    reason = f"{target} is not writable" if exists else f"directory {locked_dir} is not writable"
+    assert capsys.readouterr().err == f"config error: {flag}: {reason}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["config.json", "locked"])
+    assert [p.name for p in locked_dir.iterdir()] == (["target.txt"] if exists else [])
+    if exists:
+        assert target.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("field", ["--out"])

@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -87,25 +88,43 @@ def test_qm_two_oscillator_cosine(two_oscillator_state, pos0, pos1):
 
 
 def test_qm_series_landmarks(two_oscillator_state, pos0, pos1):
-    series, decomp = qm_two_time_series(
+    series = qm_two_time_series(
         two_oscillator_state, pos0, pos1, [0.0, math.pi / 2.0, math.pi]
     )
     assert series.values[0] == pytest.approx(0.5, abs=1e-9)
     assert series.values[1] == pytest.approx(0.0, abs=1e-9)
     assert series.values[2] == pytest.approx(-0.5, abs=1e-9)
-    # single active frequency at the level splitting
-    active = [w for w, c in zip(decomp.frequencies, decomp.coefficients) if abs(c) > 1e-12]
-    assert active == pytest.approx([1.0])
 
 
-def test_qm_series_matches_decomposition(two_oscillator_state, box_singlet_state, pos0, pos1):
-    lags = np.linspace(0.0, 7.0, 113)
+@pytest.fixture(scope="module")
+def well_exchange_pair():
+    well = solve_eigensystem(DoubleWellPotential(4.0, 1.0), Grid(-3.5, 3.5, 2001), 2)
+    return build_composite_state([well, well], [(0.6, (0, 1)), (0.8, (1, 0))])
+
+
+def test_qm_series_is_the_multitime_sum(
+    two_oscillator_state, box_singlet_state, well_exchange_pair, pos0, pos1
+):
+    # each series value is qm_multitime_correlation at [lag, 0.0], bit for bit,
+    # at long lags too, where a rounded frequency would drift off
+    lags = np.concatenate((np.linspace(0.0, 7.0, 113), [6.25, 100.0, 1000.0]))
+    lags = np.unique(lags)
     for state, f, g in [
         (two_oscillator_state, pos0, pos1),
         (box_singlet_state, Observable("sign", 0), Observable("sign", 1)),
+        (well_exchange_pair, pos0, pos1),
     ]:
-        series, decomp = qm_two_time_series(state, f, g, lags)
-        assert np.max(np.abs(np.asarray(series.values) - decomp(lags))) < 1e-10
+        series = qm_two_time_series(state, f, g, lags)
+        assert series.lags == tuple(lags.tolist())
+        for lag, value in zip(lags, series.values):
+            assert value == qm_multitime_correlation(state, [f, g], [lag, 0.0])
+
+
+def test_qm_series_checks_cancellation_at_every_lag(two_oscillator_state, pos0, pos1, monkeypatch):
+    # the series runs qm_multitime_correlation's cancellation check, over all lags
+    monkeypatch.setattr(correlators, "_IMAG_TOL", -1.0)
+    with pytest.raises(NumericError, match="did not cancel"):
+        qm_two_time_series(two_oscillator_state, pos0, pos1, [0.0, 1.0])
 
 
 def test_qm_box_singlet_sign_correlation(box_singlet_state, box_es):
@@ -118,7 +137,7 @@ def test_qm_box_singlet_sign_correlation(box_singlet_state, box_es):
     lag = math.pi / (4.0 * omega)
     val = qm_multitime_correlation(box_singlet_state, [f, g], [lag, 0.0])
     assert val == pytest.approx(-alpha**2 * math.sqrt(2.0) / 2.0, abs=1e-9)
-    series, _ = qm_two_time_series(box_singlet_state, f, g, [0.0, lag, 2.0 * lag])
+    series = qm_two_time_series(box_singlet_state, f, g, [0.0, lag, 2.0 * lag])
     expected = [-alpha**2 * math.cos(omega * t) for t in (0.0, lag, 2.0 * lag)]
     assert series.values == pytest.approx(expected, abs=1e-9)
 
@@ -129,7 +148,7 @@ def test_qm_series_unknown_cluster(two_oscillator_state, pos0):
 
 
 def test_qm_product_state_odd_observable_zero(ground_product_state, pos0, pos1):
-    series, _ = qm_two_time_series(ground_product_state, pos0, pos1, [0.0, 1.0, 2.0])
+    series = qm_two_time_series(ground_product_state, pos0, pos1, [0.0, 1.0, 2.0])
     assert np.max(np.abs(series.values)) < 1e-12
 
 
@@ -404,14 +423,17 @@ def test_expansion_cache_released_with_state(harmonic_es, pos0):
     assert expansion() is None
 
 
-def _two_branch_call(expansion, t):
-    """ModeExpansion's former evaluation: a matrix product for arrays, a dot for scalars."""
+def _blocked_rule(expansion, lags):
+    """ModeExpansion's evaluation rule, written out: per LAG_BLOCK lags,
+    exp(-outer(|t|, rates)) * coefficients summed along the mode axis."""
     rates = np.asarray(expansion.rates)
     coeffs = np.asarray(expansion.coefficients)
-    tt = np.abs(np.asarray(t, dtype=float))
-    if tt.ndim:
-        return np.exp(-np.outer(tt, rates)) @ coeffs
-    return float(np.exp(-tt * rates) @ coeffs)
+    tt = np.abs(np.asarray(lags, dtype=float))
+    step = correlators.LAG_BLOCK
+    return np.concatenate([
+        (np.exp(-np.multiply.outer(tt[i:i + step], rates)) * coeffs).sum(axis=1)
+        for i in range(0, tt.size, step)
+    ])
 
 
 @pytest.fixture(scope="module")
@@ -428,16 +450,26 @@ def evaluation_cases(two_oscillator_state, harmonic_es, pos0, pos1):
 
 
 @pytest.mark.parametrize("case", ["exchange-pair", "double-well", "sign-pair"])
-def test_expansion_call_matches_two_branch_formula(evaluation_cases, case):
+def test_expansion_call_is_the_blocked_rule(evaluation_cases, case):
     expansion = evaluation_cases[case]
-    lags = np.linspace(-2.0, 10.0, 403)
+    # several blocks and a partial one, negative lags included
+    lags = np.linspace(-20.0, 100.0, 4 * correlators.LAG_BLOCK + 7)
     values = expansion(lags)
     assert values.shape == lags.shape
-    assert np.array_equal(values, _two_branch_call(expansion, lags))
-    for t in lags:
-        value = expansion(t)
-        assert type(value) is float and value == _two_branch_call(expansion, t)
-        assert expansion(float(t)) == value
+    assert np.array_equal(values, _blocked_rule(expansion, lags))
+
+
+@pytest.mark.parametrize("case", ["exchange-pair", "double-well", "sign-pair"])
+def test_expansion_scalar_call_is_the_array_element(evaluation_cases, case):
+    expansion = evaluation_cases[case]
+    rng = np.random.default_rng(32)
+    lags = np.concatenate((rng.uniform(-10.0, 50.0, 10**4), [0.0, -0.0, 1e-300, 1e3]))
+    values = expansion(lags)
+    scalars = [expansion(t) for t in lags]
+    assert all(type(v) is float for v in scalars)
+    assert np.array_equal(values, scalars)
+    assert expansion(float(lags[5])) == values[5]
+    assert np.array_equal(expansion(-lags), values)
 
 
 def test_expansion_call_keeps_array_shape(evaluation_cases):
@@ -445,9 +477,40 @@ def test_expansion_call_keeps_array_shape(evaluation_cases):
     lags = np.linspace(0.0, 3.0, 12).reshape(3, 4)
     values = expansion(lags)
     assert values.shape == (3, 4)
-    np.testing.assert_allclose(
-        values.ravel(), [expansion(t) for t in lags.ravel()], rtol=1e-14, atol=0.0
-    )
+    assert np.array_equal(values.ravel(), [expansion(t) for t in lags.ravel()])
+
+
+def test_expansion_call_memory_is_one_block(evaluation_cases):
+    # beside |t| and the output, an array call holds a block of LAG_BLOCK x
+    # modes floats (two while the loop rebinds it) and NumPy's ufunc buffers
+    # (measured: 2 blocks + 130 KiB), whatever the number of lags
+    expansion = evaluation_cases["exchange-pair"]
+    lags = np.linspace(0.0, 50.0, 2 * 10**5)
+    block = correlators.LAG_BLOCK * len(expansion.rates) * 8
+    assert block > 5 * 10**5
+    tracemalloc.start()
+    try:
+        expansion(lags)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * lags.nbytes + 2 * block + 512 * 1024
+
+
+def test_nelson_series_is_one_expansion_call(two_oscillator_state, pos0, pos1, monkeypatch):
+    expansion = nelson_mode_expansion(two_oscillator_state, pos0, pos1)
+    calls = []
+
+    def counted(self, t):
+        calls.append(np.shape(t))
+        return call(self, t)
+
+    call = correlators.ModeExpansion.__call__
+    monkeypatch.setattr(correlators.ModeExpansion, "__call__", counted)
+    lags = np.linspace(0.0, 5.0, 1000)
+    series = nelson_two_time_series(two_oscillator_state, pos0, pos1, lags)
+    assert calls == [(1000,)]
+    assert series.values == tuple(call(expansion, lags).tolist())
 
 
 def test_rotated_constant_times_position_vanishes(two_oscillator_state, harmonic_es, pos1):
