@@ -15,7 +15,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .errors import NumericError, ParameterError, UnsupportedStateError
 from .spectral import (
     Grid,
     HarmonicPotential,
-    IntervalModes,
     nodal_interval_modes,
     nodal_intervals,
 )
@@ -135,8 +134,10 @@ class ModeExpansion:
     Position pairs on a harmonic ground or first-excited channel take
     their modes from the closed form (_harmonic_position_modes): the rates
     and weights are exact, and the tail is the exact missing norm of the
-    MODE_CAP kept modes.  Every other channel is solved by finite
-    differences, so its modes also carry O(h^2) discretization error.
+    MODE_CAP kept modes.  Every other channel is one sine-DVR solve per
+    nodal interval, whose spectrum converges exponentially: the tail is
+    the truncation, and the quadrature of a jumping observable on the
+    interval grid adds an O(h) error it does not count.
     """
 
     rates: tuple[float, ...]
@@ -304,28 +305,26 @@ def _channel_autocorrelation_modes(channel: Channel, f_fn, g_fn) -> _ChannelMode
     spectral.nodal_interval_modes, whose IntervalModes are the package's
     one node-restricted spectrum, walled at the Monte Carlo's poles; the
     per-interval restriction of |psi|, read off psi.spline(), is kept
-    as the exact rate-0 mode and the finite-difference modes above it are
+    as the exact rate-0 mode and the sine-DVR modes above it are
     orthogonalized against it.  A factor whose sign is unstable between
     its nodes raises NumericError.
 
-    Starting from 24 modes per interval, the count grows fourfold until
-    the truncation deficit meets DEFICIT_TOL or the per-interval share of
-    MODE_CAP is reached.  No eigenpair is computed twice: a growing count
-    solves only the modes above those already held, and under an even
-    potential an interval that mirrors an earlier one reuses its solve.
+    Each interval is solved once, for its share of MODE_CAP.  Of those
+    modes, the leading 24 per interval are kept, then four times as many,
+    until the truncation deficit meets DEFICIT_TOL or the share is reached.
     """
     psi = channel.factor
-    grid = psi.grid
     spline = psi.spline()
     intervals = nodal_intervals(psi)
     per_cap = max(2, MODE_CAP // len(intervals))
-    solved: dict[int, IntervalModes] = {}
+    solved = nodal_interval_modes(channel.potential, intervals, psi.grid.h / 2.0, per_cap)
 
     n_modes = min(24, per_cap)
     while True:
-        pieces = nodal_interval_modes(
-            channel.potential, intervals, grid.h / 2.0, n_modes, solved
-        )
+        pieces = [
+            replace(modes, energies=modes.energies[:n_modes], values=modes.values[:, :n_modes])
+            for modes in solved
+        ]
         result = _assemble_channel_modes(pieces, spline, f_fn, g_fn)
         if result.deficit <= DEFICIT_TOL or n_modes >= per_cap:
             return result
@@ -454,8 +453,9 @@ def nelson_mode_expansion(
     harmonic clusters (position and constant observables only in the
     rotated case).  Position pairs on harmonic ground and first-excited
     channels (every rotated channel, and harmonic clusters of a product
-    state) are exact series; all other channels are finite-difference
-    solves.  The state keeps each (f, g) expansion for as long as it lives.
+    state) are exact series; all other channels are sine-DVR solves of
+    their nodal intervals.  The state keeps each (f, g) expansion for as
+    long as it lives.
     """
     key = (f.key(), g.key())
     expansion = state._expansions.get(key)
@@ -469,7 +469,7 @@ def _build_expansion(state: CompositeState, f: Observable, g: Observable) -> Mod
 
     Terms on a shared channel contribute that channel's decaying modes:
     the closed form for the identity on both sides of a harmonic channel
-    of index 0 or 1, the finite-difference solve otherwise.  Terms on
+    of index 0 or 1, the nodal-interval solve otherwise.  Terms on
     distinct channels are independent and contribute the product of their
     means at rate 0, as does a constant side times the other side's mean.
     """

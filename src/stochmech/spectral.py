@@ -6,10 +6,10 @@ potentials (double wells, tabulated data), node location, and the
 node-restricted spectrum, where the operator carries Dirichlet
 conditions on the zeros of a given eigenfunction: the zeros of its
 spline, which every consumer reads from find_nodes.  That spectrum has
-one form: the IntervalModes of each nodal interval, returned by
-nodal_interval_modes and read by the Nelson expansion.  Everything is
-real: eigenfunctions are sampled on uniform grids and inner products are
-composite-Simpson quadratures.
+one form: the IntervalModes of each nodal interval, one sine-DVR solve
+each, returned by nodal_interval_modes and read by the Nelson expansion.
+Everything is real: eigenfunctions are sampled on uniform grids and inner
+products are composite-Simpson quadratures.
 
 Units are hbar = m = 1 throughout.
 """
@@ -58,11 +58,6 @@ _NORM_TOL = 1e-8
 _PARITY_TOL = 1e-10
 _DEAD_TOL = 1e-9  # samples below this fraction of max|f| count as zero
 _SIGN_SCALE = 1e-12
-# An interval whose ends lie within this many eigensolver steps of an
-# earlier interval's negated ends is that interval's mirror image, and one
-# whose ends lie so close to each other's negation is centred on 0; a
-# tolerance, because the node of an odd state sits within roundoff of 0.
-_MIRROR_TOL = 1e-9
 # The certified lowest pair of a tridiagonal block: inverse-iteration steps
 # at the potential floor, the most Rayleigh-quotient steps allowed, and the
 # largest entry of the opposite sign, as a fraction of max|v|, that a
@@ -547,24 +542,24 @@ def _ground_pair(diag, off, floor: float) -> tuple[np.ndarray, np.ndarray] | Non
     return np.array([rho]), v[:, None]
 
 
-def _eigh_range(diag, off, first: int, stop: int, floor: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs first .. stop-1 of a symmetric tridiagonal matrix T with
+def _eigh_range(diag, off, k: int, floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """The k lowest eigenpairs of a symmetric tridiagonal matrix T with
     negative couplings, where T - floor*I is a kinetic stencil plus a
     non-negative potential and so positive definite.
 
     A block of two or more points asked only for its lowest pair takes
-    _ground_pair; any other range, and a lowest pair that _ground_pair
+    _ground_pair; any other count, and a lowest pair that _ground_pair
     cannot certify, takes eigh_tridiagonal's index-selected bisection and
     inverse iteration.
     """
-    if (first, stop) == (0, 1) and diag.size > 1:
+    if k == 1 and diag.size > 1:
         pair = _ground_pair(diag, off, floor)
         if pair is not None:
             return pair
     from scipy.linalg import eigh_tridiagonal
 
     try:
-        energies, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(first, stop - 1))
+        energies, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericError(f"tridiagonal eigensolver failed: {exc}") from exc
     if not np.all(np.isfinite(energies)):
@@ -572,22 +567,16 @@ def _eigh_range(diag, off, first: int, stop: int, floor: float) -> tuple[np.ndar
     return energies, vecs
 
 
-def _solve_interior(
-    v_diag: np.ndarray, h: float, k: int, first: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs first .. k-1, in ascending order, of the Dirichlet
+def _solve_interior(v_diag: np.ndarray, h: float, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k lowest eigenpairs, in ascending order, of the Dirichlet
     finite-difference operator.
 
-    A call for the ground pair alone (first 0, k 1) takes _eigh_range's
-    certified inverse iteration from the floor min(v_diag).  Any other
-    range is computed by index-selected bisection and inverse iteration,
-    each pair on its own, so pairs first .. k-1 appended to an earlier
-    call's pairs 0 .. first-1 agree with one call for 0 .. k-1 within the
-    bisection tolerance eps * ||T||_1; the certified pair meets that
-    tolerance too.
+    A call for the ground pair alone (k 1) takes _eigh_range's certified
+    inverse iteration from the floor min(v_diag); any other count takes
+    index-selected bisection and inverse iteration.
     """
     diag, off = _fd_operator(v_diag, h, k)
-    return _eigh_range(diag, off, first, k, float(v_diag.min()))
+    return _eigh_range(diag, off, k, float(v_diag.min()))
 
 
 def _parity_blocks(v_diag: np.ndarray, h: float, k: int) -> tuple[tuple, tuple]:
@@ -619,9 +608,7 @@ def _parity_blocks(v_diag: np.ndarray, h: float, k: int) -> tuple[tuple, tuple]:
     return (even_d, even_e, v_diag[c:]), (odd_d, odd_e, v_diag[c + m % 2:])
 
 
-def _solve_parity(
-    v_diag: np.ndarray, h: float, k: int, first: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
+def _solve_parity(v_diag: np.ndarray, h: float, k: int) -> tuple[np.ndarray, np.ndarray]:
     """_solve_interior for a potential that is even about the centre of
     the interior points, solved as its two half-size _parity_blocks.
 
@@ -629,22 +616,21 @@ def _solve_parity(
     is pair j // 2 of the even block for even j and of the odd block for
     odd j; the levels interleave by index, so a near-degenerate doublet
     keeps its order.  Each column is one half mirrored, exactly even or
-    odd, and each block extends an earlier call's pairs on its own.  A
-    block asked only for its lowest pair (both blocks of a k <= 2 solve,
-    the odd block of k = 3) takes _eigh_range's certified inverse
+    odd.  A block asked only for its lowest pair (both blocks of a k <= 2
+    solve, the odd block of k = 3) takes _eigh_range's certified inverse
     iteration from the minimum of the block's potential samples; every
-    other block range takes index-selected bisection and inverse iteration.
+    other block takes index-selected bisection and inverse iteration.
     """
     m = v_diag.size
     c = m // 2
-    energies = np.empty(k - first)
-    vecs = np.empty((m, k - first))
+    energies = np.empty(k)
+    vecs = np.empty((m, k))
     for p, (bd, be, bv) in enumerate(_parity_blocks(v_diag, h, k)):
-        lo, hi = (first + 1 - p) // 2, (k + 1 - p) // 2
-        if hi <= lo:
+        hi = (k + 1 - p) // 2
+        if hi == 0:
             continue
-        block_e, block_v = _eigh_range(bd, be, lo, hi, float(bv.min()))
-        cols = 2 * np.arange(lo, hi) + p - first
+        block_e, block_v = _eigh_range(bd, be, hi, float(bv.min()))
+        cols = 2 * np.arange(hi) + p
         energies[cols] = block_e
         right = block_v / math.sqrt(2.0)
         if m % 2 and p == 0:
@@ -754,7 +740,8 @@ class IntervalModes:
 
     ``values`` has one column per mode, sampled on ``points`` (interval
     endpoints included, held at zero); columns are orthonormal under the
-    h-weighted dot product.
+    h-weighted dot product.  Each column is a sine-DVR eigenvector's sine
+    series evaluated on ``points`` (interval_dirichlet_modes).
     """
 
     a: float
@@ -764,56 +751,63 @@ class IntervalModes:
     energies: np.ndarray
     values: np.ndarray
 
-    def mirrored(self) -> "IntervalModes":
-        """The same spectrum on [-b, -a], valid when the potential is even."""
-        values = self.values[::-1].copy()
-        for i in range(self.energies.size):
-            values[:, i] = _fix_sign(values[:, i])
-        return IntervalModes(
-            -self.b, -self.a, -self.points[::-1], self.h, self.energies, values
-        )
+
+def _sine_dvr_kinetic(n: int, span: float) -> np.ndarray:
+    """The Colbert-Miller kinetic matrix -(1/2) d^2/dx^2 on the n - 1
+    interior points of an interval of length ``span`` split into n equal
+    steps (J. Chem. Phys. 96, 1982 (1992), eq. A6): the operator of the
+    n - 1 lowest sine modes, exact on each of them.
+
+    Entry (i, j) is pi^2 / (4 span^2) times g(|i - j|) - g(i + j) off the
+    diagonal, with g(m) = (-1)^m / sin^2(pi m / 2n), and times
+    (2n^2 + 1) / 3 - 1 / sin^2(pi i / n) on it.
+    """
+    m = np.arange(2 * n - 1)
+    with np.errstate(divide="ignore"):  # g(0) = inf only feeds the diagonal
+        g = np.where(m % 2, -1.0, 1.0) / np.sin(np.pi * m / (2 * n)) ** 2
+    j = np.arange(1, n)
+    t = g[np.abs(np.subtract.outer(j, j))] - g[np.add.outer(j, j)]
+    np.fill_diagonal(t, (2.0 * n * n + 1.0) / 3.0 - 1.0 / np.sin(np.pi * j / n) ** 2)
+    return math.pi**2 / (4.0 * span * span) * t
 
 
 def interval_dirichlet_modes(
-    potential: Potential,
-    a: float,
-    b: float,
-    h_target: float,
-    n_modes: int,
-    solved: IntervalModes | None = None,
+    potential: Potential, a: float, b: float, h_target: float, n_modes: int
 ) -> IntervalModes:
-    """Solve the Dirichlet problem on [a, b] with spacing close to h_target.
+    """The n_modes lowest Dirichlet modes on [a, b], on a grid of spacing
+    close to h_target.
 
-    ``solved`` holds the lowest modes from an earlier call on the same
-    interval; they are kept and only the modes above them are computed.
-    Under an even potential an interval centred on 0 within _MIRROR_TOL
-    steps is solved by parity sector (_solve_parity), each sector
-    extending its own earlier modes.
+    One sine discrete-variable-representation (DVR) solve: the
+    Colbert-Miller kinetic matrix plus diag(V) on the N - 1 interior points
+    of N equal steps, diagonalized by np.linalg.eigh.  N is the smallest
+    power of two at least max(64, 2.5 n_modes), and at most the output
+    grid's step count.  A DST-I maps each eigenvector to its sine
+    coefficients and a second evaluates the series on the output grid;
+    the columns are then h-normalized and sign-fixed.
     """
+    from scipy.fft import dst
+
     span = b - a
     n = max(51, int(round(span / h_target)) + 1)
     pts = np.linspace(a, b, n)
     h = pts[1] - pts[0]
-    k = min(n_modes, n - 2)
-    first = 0
-    if solved is not None:
-        if (solved.a, solved.b, solved.points.size) != (a, b, n):
-            raise ParameterError("solved modes belong to another interval")
-        first = solved.energies.size
-        if k <= first:
-            return solved
-    v = potential.sample(pts)
-    by_parity = potential.symmetric and abs(a + b) <= _MIRROR_TOL * h_target
-    solve = _solve_parity if by_parity else _solve_interior
-    energies, vecs = solve(v[1:-1], h, k, first)
-    full = np.zeros((n, k - first))
-    full[1:-1, :] = vecs / math.sqrt(h)  # unit norm under sum * h
-    for i in range(k - first):
-        full[:, i] = _fix_sign(full[:, i])
-    if solved is not None:
-        energies = np.concatenate([solved.energies, energies])
-        full = np.hstack([solved.values, full])
-    return IntervalModes(a, b, pts, float(h), energies, full)
+    steps = 64
+    while steps < 2.5 * n_modes:
+        steps *= 2
+    steps = min(steps, n - 1)
+    k = min(n_modes, steps - 1)
+    hamiltonian = _sine_dvr_kinetic(steps, span)
+    dvr_points = a + span / steps * np.arange(1, steps)
+    hamiltonian[np.diag_indices(steps - 1)] += potential.sample(dvr_points)
+    energies, vecs = np.linalg.eigh(hamiltonian)
+    # one row per mode, so each transform and sign fix runs on contiguous samples
+    coefficients = dst(vecs[:, :k].T, type=1, norm="ortho")
+    rows = np.zeros((k, n))
+    rows[:, 1:-1] = dst(coefficients, type=1, n=n - 2)
+    rows /= np.sqrt(h * np.einsum("ij,ij->i", rows, rows))[:, None]  # unit norm under sum * h
+    for row in rows:
+        row[:] = _fix_sign(row)
+    return IntervalModes(a, b, pts, float(h), energies[:k], rows.T)
 
 
 def nodal_intervals(psi: Wavefunction) -> list[tuple[float, float]]:
@@ -827,30 +821,8 @@ def nodal_intervals(psi: Wavefunction) -> list[tuple[float, float]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
-def nodal_interval_modes(potential, intervals, h_target, n_modes, solved) -> list[IntervalModes]:
+def nodal_interval_modes(potential, intervals, h_target, n_modes) -> list[IntervalModes]:
     """n_modes Dirichlet modes on each nodal interval, in interval order:
-    the node-restricted spectrum, and the only form the package builds it in.
-
-    ``solved`` maps interval index to the modes solved so far and is
-    updated in place; they are extended rather than solved again.  Under an
-    even potential an interval whose ends mirror those of an earlier one
-    takes that interval's modes reflected, and is left out of ``solved``.
-    """
-    tol = _MIRROR_TOL * h_target
-    pieces: list[IntervalModes] = []
-    for i, (a, b) in enumerate(intervals):
-        twin = next(
-            (
-                j for j, (aj, bj) in enumerate(intervals[:i])
-                if abs(a + bj) <= tol and abs(b + aj) <= tol
-            ),
-            None,
-        )
-        if twin is not None and potential.symmetric:
-            pieces.append(pieces[twin].mirrored())
-        else:
-            solved[i] = interval_dirichlet_modes(
-                potential, a, b, h_target, n_modes, solved.get(i)
-            )
-            pieces.append(solved[i])
-    return pieces
+    the node-restricted spectrum, and the only form the package builds it
+    in.  Each interval is one interval_dirichlet_modes solve."""
+    return [interval_dirichlet_modes(potential, a, b, h_target, n_modes) for a, b in intervals]

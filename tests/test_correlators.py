@@ -318,6 +318,44 @@ def test_finite_difference_channel_modes_match_closed_form(omega, index, bound):
     assert err <= bound * exact[0]
 
 
+CHANNEL_LAGS = np.array([0.0, 0.25, 0.5, 1.0, 2.0])
+
+
+def test_interval_path_matches_oscillator_closed_forms(harmonic_es):
+    # the unit oscillator's position pairs, which the package expands by
+    # the closed form, routed through the interval path on the default grid
+    f = correlators._identity
+    excited = Channel(HarmonicPotential(1.0), harmonic_es, 1)
+    cm = correlators._channel_autocorrelation_modes(excited, f, f)
+    series = correlators._harmonic_position_modes(excited)
+    err = _channel_values(cm, CHANNEL_LAGS) - _channel_values(series, CHANNEL_LAGS)
+    # measured 2.3e-8 at lag 0, where the two truncations differ, and at
+    # most 2.7e-11 beyond it; finite differences were 9.3e-7 off
+    assert abs(err[0]) <= 1e-7
+    assert np.max(np.abs(err[1:])) <= 1e-10
+    ground = Channel(HarmonicPotential(1.0), harmonic_es, 0)
+    cm = correlators._channel_autocorrelation_modes(ground, f, f)
+    # Ornstein-Uhlenbeck, sigma^2 exp(-omega t): measured 3.1e-14 off,
+    # finite differences 5.8e-7
+    err = _channel_values(cm, CHANNEL_LAGS) - 0.5 * np.exp(-CHANNEL_LAGS)
+    assert np.max(np.abs(err)) <= 1e-13
+
+
+def test_ornstein_uhlenbeck_sign_autocorrelation_is_sheppards(harmonic_es):
+    # Sheppard's formula for a stationary Gaussian process:
+    # E[sign u(t) sign u(0)] = (2/pi) arcsin(exp(-omega t)).  Measured
+    # -4.1e-6, -2.1e-6, -7.3e-7, -9.7e-8 here and -1.9e-6, -5.5e-7, +8.2e-8,
+    # +8.4e-8 by finite differences: the sign's jump at 0 is integrated to
+    # O(h), far inside the 2.0e-2 truncation tail, whatever the spectrum
+    sign = Observable("sign", 0)
+    ground = Channel(HarmonicPotential(1.0), harmonic_es, 0)
+    cm = correlators._channel_autocorrelation_modes(ground, sign, sign)
+    lags = np.array([0.5, 1.0, 2.0, 4.0])
+    err = _channel_values(cm, lags) - 2.0 / math.pi * np.arcsin(np.exp(-lags))
+    assert np.max(np.abs(err)) <= 1e-5
+    assert cm.deficit == pytest.approx(1.972e-2, rel=1e-3)
+
+
 def test_closed_form_dispatch(harmonic_es, interval_solves):
     excited = build_composite_state([harmonic_es], [(1.0, (1,))])
     pos = Observable("position", 0)
@@ -542,8 +580,8 @@ def test_box_position_expansion_finite_difference(n, rates):
     exp = nelson_mode_expansion(build_composite_state([es], [(1.0, (n,))]), x, x)
     r, c = np.asarray(exp.rates), np.asarray(exp.coefficients)
     weighted = r[(r > 0.0) & (c > 1e-6 * c.sum())]
-    # measured: at most 3.5e-6 relative
-    assert weighted[:4] == pytest.approx(rates, rel=1e-5)
+    # measured: at most 2.1e-12 relative (3.5e-6 by finite differences)
+    assert weighted[:4] == pytest.approx(rates, rel=1e-10)
     # lag 0 is <x^2>; measured gaps 2.7e-8 (psi_0) and 6.7e-9 (psi_1)
     psi = es.eigenfunctions[n].values
     second = es.grid.simpson @ (es.grid.points**2 * psi * psi)
@@ -564,43 +602,15 @@ def test_rotated_same_cluster_equal_time_second_moment(two_oscillator_state, har
 
 @pytest.fixture()
 def interval_solves(monkeypatch):
-    """The (a, b) of every interval eigensolve the Nelson expansion makes."""
+    """The (a, b, n_modes) of every interval eigensolve the Nelson expansion makes."""
     calls = []
 
-    def record(potential, a, b, *args, **kwargs):
-        calls.append((a, b))
-        return interval_dirichlet_modes(potential, a, b, *args, **kwargs)
+    def record(potential, a, b, h_target, n_modes):
+        calls.append((a, b, n_modes))
+        return interval_dirichlet_modes(potential, a, b, h_target, n_modes)
 
     monkeypatch.setattr(spectral, "interval_dirichlet_modes", record)
     return calls
-
-
-def test_mirrored_interval_matches_direct_solve(harmonic_es, interval_solves):
-    psi = harmonic_es.eigenfunctions[1]
-    grid = psi.grid
-    intervals = nodal_intervals(psi)
-    assert len(intervals) == 2
-    h_target = grid.h / 2.0
-    pot = HarmonicPotential(1.0)
-    left, right = spectral.nodal_interval_modes(pot, intervals, h_target, 24, {})
-    assert interval_solves == [intervals[0]]
-    direct = interval_dirichlet_modes(pot, *intervals[1], h_target, 24)
-    # the right half carries its own points, so |psi| weighs it as a direct solve does
-    assert right.points.shape == direct.points.shape
-    assert np.max(np.abs(right.points - direct.points)) < 1e-12
-    assert right.h == pytest.approx(direct.h, rel=1e-12)
-    spline = CubicSpline(grid.points, psi.values)
-    assert np.max(np.abs(spline(right.points) - spline(direct.points))) < 1e-12
-    f, g = Observable("position", 0), Observable("indicator", 0, a=0.5, b=2.0)
-    mirrored = correlators._assemble_channel_modes([right], spline, f, g)
-    solved = correlators._assemble_channel_modes([direct], spline, f, g)
-    assert mirrored.rates.shape == solved.rates.shape
-    # two bisection runs place each energy within eps * ||T||_1 of the exact
-    # matrix eigenvalue, so a rate (a difference of two) agrees within 4x that
-    norm1 = 2.0 / direct.h**2 + float(np.max(pot.sample(direct.points)))
-    assert np.max(np.abs(mirrored.rates - solved.rates)) <= 4 * np.finfo(float).eps * norm1
-    assert np.max(np.abs(mirrored.weights - solved.weights)) < 1e-10
-    assert mirrored.deficit == pytest.approx(solved.deficit, abs=1e-12)
 
 
 def _gram_schmidt_modes(pieces, spline, f_fn, g_fn):
@@ -666,7 +676,7 @@ def test_assembly_matches_gram_schmidt_reference(double_well_es, index, f, g):
     assert len(intervals) == index + 1
     for n_modes in (24, correlators.MODE_CAP // len(intervals)):
         pieces = spectral.nodal_interval_modes(
-            double_well_es.potential, intervals, grid.h / 2.0, n_modes, {}
+            double_well_es.potential, intervals, grid.h / 2.0, n_modes
         )
         cm = correlators._assemble_channel_modes(pieces, spline, f, g)
         rates, weights, deficit = _gram_schmidt_modes(pieces, spline, f, g)
@@ -675,44 +685,27 @@ def test_assembly_matches_gram_schmidt_reference(double_well_es, index, f, g):
         assert abs(cm.deficit - deficit) <= 1e-13
 
 
-def test_intervals_without_mirror_are_all_solved(interval_solves):
-    # an uneven potential: mirrored interval ends alone are not enough
-    grid = Grid(-5.0, 5.0, 2001)
-    tilted = TabulatedPotential(grid, 0.5 * grid.points**2 + 0.05 * grid.points**3)
-    halves = [(-5.0, 0.0), (0.0, 5.0)]
-    pieces = spectral.nodal_interval_modes(tilted, halves, grid.h / 2.0, 24, {})
-    assert interval_solves == halves
-    direct = interval_dirichlet_modes(tilted, 0.0, 5.0, grid.h / 2.0, 24)
-    assert np.array_equal(pieces[1].energies, direct.energies)
-    # an even potential with the node off the grid's centre
-    interval_solves.clear()
-    es = harmonic_eigensystem(1.0, 2, Grid(-9.0, 11.0, 4001))
-    channel = Channel(HarmonicPotential(1.0), es, 1)
-    intervals = nodal_intervals(es.eigenfunctions[1])
-    f = Observable("position", 0)
-    correlators._channel_autocorrelation_modes(channel, f, f)
-    assert set(interval_solves) == set(intervals)
-    assert len(interval_solves) % len(intervals) == 0
+@pytest.mark.parametrize("kind, kept", [("position", 50), ("sign", 24)])
+def test_each_interval_solved_once_at_cap(harmonic_es, interval_solves, monkeypatch, kind, kept):
+    # psi_3: four nodal intervals, each solved once for its MODE_CAP // 4
+    # modes, whether the deficit rule keeps them all (position: a second
+    # round) or the leading 24 (sign times |psi| is each interval's ground mode)
+    eigh = np.linalg.eigh
+    sizes = []
 
+    def record(matrix):
+        sizes.append(matrix.shape[0])
+        return eigh(matrix)
 
-def test_escalation_extends_each_interval_once(harmonic_es, interval_solves, monkeypatch):
-    # psi_3: four nodal intervals, the right two mirroring the left two; the
-    # position observable needs a second round of modes
-    solve = spectral._solve_interior
-    index_ranges = []
-
-    def record(v_diag, h, k, first=0):
-        index_ranges.append((first, k))
-        return solve(v_diag, h, k, first)
-
-    monkeypatch.setattr(spectral, "_solve_interior", record)
+    monkeypatch.setattr(np.linalg, "eigh", record)
     channel = Channel(HarmonicPotential(1.0), harmonic_es, 3)
     intervals = nodal_intervals(harmonic_es.eigenfunctions[3])
-    f = Observable("position", 0)
-    cm = correlators._channel_autocorrelation_modes(channel, f, f)
-    assert interval_solves == intervals[:2] * 2
-    assert index_ranges == [(0, 24), (0, 24), (24, 50), (24, 50)]
-    assert cm.rates.size == correlators.MODE_CAP  # 4 intervals x MODE_CAP // 4 modes
+    fn = correlators._identity if kind == "position" else Observable(kind, 0)
+    cm = correlators._channel_autocorrelation_modes(channel, fn, fn)
+    cap = correlators.MODE_CAP // len(intervals)
+    assert interval_solves == [(a, b, cap) for a, b in intervals]
+    assert sizes == [127] * 4  # 128 steps: the smallest power of two >= 2.5 * 50
+    assert cm.rates.size == 4 * kept
 
 
 def test_nelson_expansion_rejects_unstable_sign_pattern():

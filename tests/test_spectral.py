@@ -30,6 +30,7 @@ from stochmech.spectral import (
     _fd_operator,
     _ground_pair,
     _parity_blocks,
+    _sine_dvr_kinetic,
     _solve_interior,
     _solve_parity,
     interval_dirichlet_modes,
@@ -266,18 +267,6 @@ def test_parity_solver_matches_full_solve(pot, n, k):
     assert np.max(np.abs(vecs.T @ vecs - np.eye(k))) < 1e-12
 
 
-@pytest.mark.parametrize("pot", EVEN_POTENTIALS)
-@pytest.mark.parametrize("n", [401, 400])
-def test_parity_solver_extends_each_sector(pot, n):
-    v, h, tol = _interior(pot, n)
-    one_shot, one_shot_vecs = _solve_parity(v, h, 7)
-    for first in range(1, 7):
-        head, head_vecs = _solve_parity(v, h, first)
-        tail, tail_vecs = _solve_parity(v, h, 7, first)
-        assert np.max(np.abs(np.concatenate([head, tail]) - one_shot)) <= tol
-        assert np.max(np.abs(np.abs(tail_vecs) - np.abs(one_shot_vecs[:, first:]))) < 1e-10
-
-
 # --------------------------------------------------------------------------
 # certified lowest pair of a tridiagonal block
 # --------------------------------------------------------------------------
@@ -356,7 +345,7 @@ def test_ground_pair_falls_back_to_bisection():
     ref_e, ref_v = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
     above = float(ref_e[0]) + 1e-3
     assert _ground_pair(d, e, above) is None
-    energies, vecs = _eigh_range(d, e, 0, 1, above)
+    energies, vecs = _eigh_range(d, e, 1, above)
     assert np.array_equal(energies, ref_e) and np.array_equal(vecs, ref_v)
 
 
@@ -522,9 +511,7 @@ def _restricted(psi, n_modes):
     """Each nodal interval of psi with its n_modes Dirichlet modes, at half
     the grid step."""
     intervals = nodal_intervals(psi)
-    pieces = nodal_interval_modes(
-        HarmonicPotential(1.0), intervals, psi.grid.h / 2.0, n_modes, {}
-    )
+    pieces = nodal_interval_modes(HarmonicPotential(1.0), intervals, psi.grid.h / 2.0, n_modes)
     return intervals, pieces
 
 
@@ -557,41 +544,34 @@ def test_dirichlet_merges_nodal_intervals(harmonic_es):
         assert modes.energies[0] == pytest.approx(2.5, abs=1e-3)
 
 
-def test_interval_modes_extend_earlier_solve():
-    # the unit oscillator's left half at the channel grid's eigensolver step
+def test_half_line_interval_modes_are_odd_oscillator_levels():
+    # the unit oscillator's half-line at the channel grid's step: its
+    # Dirichlet levels are the odd levels 2m + 3/2; measured at most 3.8e-14
+    # off with the 64-step floor, where 16 steps were 2.5e-3 off
     pot = HarmonicPotential(1.0)
-    a, b, h_target = -10.0, 0.0, 0.0025
-    first = interval_dirichlet_modes(pot, a, b, h_target, 24)
-    extended = interval_dirichlet_modes(pot, a, b, h_target, 96, solved=first)
-    one_shot = interval_dirichlet_modes(pot, a, b, h_target, 96)
-    assert np.array_equal(extended.energies[:24], first.energies)
-    assert np.array_equal(extended.values[:, :24], first.values)
-    # bisection places each energy within eps * ||T||_1 of its own run
-    norm1 = 2.0 / one_shot.h**2 + float(np.max(pot.sample(one_shot.points)))
-    dev = np.max(np.abs(extended.energies - one_shot.energies))
-    assert dev <= np.finfo(float).eps * norm1
-    assert np.max(np.abs(extended.values - one_shot.values)) < 1e-10
-    # nothing left to solve hands the earlier modes back
-    assert interval_dirichlet_modes(pot, a, b, h_target, 24, solved=first) is first
-    with pytest.raises(ParameterError, match="another interval"):
-        interval_dirichlet_modes(pot, 0.0, 10.0, h_target, 96, solved=first)
+    modes = interval_dirichlet_modes(pot, 0.0, 10.0, 0.0025, 4)
+    assert modes.points.size == 4001 and modes.values.shape == (4001, 4)
+    assert np.max(np.abs(modes.energies - [1.5, 3.5, 5.5, 7.5])) < 1e-12
+    # the lowest mode is the first excited oscillator state, zero at the ends
+    x = modes.points
+    exact = np.sqrt(2.0) * math.pi**-0.25 * x * np.exp(-0.5 * x * x)
+    exact /= math.sqrt(modes.h * float(exact @ exact))
+    assert modes.values[0, 0] == modes.values[-1, 0] == 0.0
+    assert np.max(np.abs(modes.values[:, 0] - exact)) < 1e-10
+    gram = modes.h * modes.values.T @ modes.values
+    assert np.max(np.abs(gram - np.eye(4))) < 1e-12
 
 
-def test_parity_interval_modes_extend_earlier_solve():
-    # the whole line is centred on 0, so it is solved by parity sector;
-    # the 5 earlier modes are 3 even + 2 odd, each sector extends its own
-    pot = HarmonicPotential(1.0)
-    a, b, h_target = -10.0, 10.0, 0.0025
-    first = interval_dirichlet_modes(pot, a, b, h_target, 5)
-    extended = interval_dirichlet_modes(pot, a, b, h_target, 24, solved=first)
-    one_shot = interval_dirichlet_modes(pot, a, b, h_target, 24)
-    assert np.array_equal(extended.energies[:5], first.energies)
-    assert np.array_equal(extended.values[:, :5], first.values)
-    norm1 = 2.0 / one_shot.h**2 + float(np.max(pot.sample(one_shot.points)))
-    assert np.max(np.abs(extended.energies - one_shot.energies)) <= np.finfo(float).eps * norm1
-    assert np.max(np.abs(extended.values - one_shot.values)) < 1e-10
-    for j in range(24):
-        assert np.array_equal(one_shot.values[:, j], (-1) ** j * one_shot.values[::-1, j])
+def test_sine_dvr_kinetic_is_the_sine_mode_operator():
+    # the closed form equals S diag((k pi / L)^2 / 2) S, with S the
+    # orthonormal DST-I matrix of the n - 1 lowest sine modes
+    from scipy.fft import dst
+
+    for n, span in [(17, 2.3), (64, 10.0)]:
+        s = dst(np.eye(n - 1), type=1, norm="ortho", axis=0)
+        k = np.arange(1, n)
+        ref = (s * (k * math.pi / span) ** 2 / 2.0) @ s
+        assert np.max(np.abs(_sine_dvr_kinetic(n, span) - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
 def test_dirichlet_rejects_unstable_sign_pattern():
