@@ -262,7 +262,7 @@ def test_criterion_11_eigensolver_accuracy():
     worst_fd = max(abs(e - (n + 0.5)) for n, e in enumerate(es.energies))
     psi1 = harmonic_eigensystem(1.0, 2).eigenfunctions[1]
     # the sine-DVR Dirichlet modes of psi_1's two nodal intervals, merged in
-    # order: 4e-14 off (finite differences were 1.96e-5 off)
+    # order: 1.9e-14 off (finite differences were 1.96e-5 off)
     pieces = nodal_interval_modes(
         HarmonicPotential(1.0), nodal_intervals(psi1), psi1.grid.h / 2.0, 4
     )

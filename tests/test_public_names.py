@@ -24,7 +24,8 @@ SUBMODULES = [
 # stationarity_distances, and the other dotted names were fields no code
 # read or accessors only tests read; TrigDecomposition bucketed a QM
 # series by rounded frequency, which qm_multitime_correlation's own double
-# sum gives without the rounding
+# sum gives without the rounding; IntervalModes.mirrored reflected a solved
+# interval's modes onto its mirror image, and every interval is now solved
 REMOVED = (
     "ArrangementDistribution",
     "ProductModel",
@@ -53,6 +54,7 @@ REMOVED = (
     "CompositeState.coefficients",
     "NodePatch.curvature",
     "TrigDecomposition",
+    "IntervalModes.mirrored",
 )
 
 
