@@ -24,6 +24,7 @@ from .errors import NumericError, ParameterError, UnsupportedStateError
 from .spectral import (
     Grid,
     HarmonicPotential,
+    _dvr_steps,
     nodal_interval_modes,
     nodal_intervals,
 )
@@ -134,10 +135,11 @@ class ModeExpansion:
     Position pairs on a harmonic ground or first-excited channel take
     their modes from the closed form (_harmonic_position_modes): the rates
     and weights are exact, and the tail is the exact missing norm of the
-    MODE_CAP kept modes.  Every other channel is one sine-DVR solve per
-    nodal interval, whose spectrum converges exponentially: the tail is
-    the truncation, and the quadrature of a jumping observable on the
-    interval grid adds an O(h) error it does not count.
+    MODE_CAP kept modes.  Every other channel takes sine-DVR solves of its
+    nodal intervals, and the tail counts only the truncation: not the
+    DVR's own error, which falls as N^-4 where the potential has a slope
+    at a node (5e-8 on the oscillator's third position pair), nor the O(h)
+    quadrature of a jumping observable on the interval grid.
     """
 
     rates: tuple[float, ...]
@@ -309,25 +311,34 @@ def _channel_autocorrelation_modes(channel: Channel, f_fn, g_fn) -> _ChannelMode
     orthogonalized against it.  A factor whose sign is unstable between
     its nodes raises NumericError.
 
-    Each interval is solved once, for its share of MODE_CAP.  Of those
-    modes, the leading 24 per interval are kept, then four times as many,
-    until the truncation deficit meets DEFICIT_TOL or the share is reached.
+    Starting from 24 modes per interval, the count grows fourfold until
+    the truncation deficit meets DEFICIT_TOL or the per-interval share of
+    MODE_CAP is reached.  The first round solves each interval for its 24
+    modes; the first round that grows solves each once more, for the
+    share, and it and every later round keep leading modes of that solve.
+    A smooth pair stops at the first round.  A share whose solve takes
+    under twice the first round's steps (four or more intervals) is solved
+    at once, since a solve costs about the cube of its steps.
     """
     psi = channel.factor
     spline = psi.spline()
     intervals = nodal_intervals(psi)
     per_cap = max(2, MODE_CAP // len(intervals))
-    solved = nodal_interval_modes(channel.potential, intervals, psi.grid.h / 2.0, per_cap)
-
     n_modes = min(24, per_cap)
+    first = n_modes if _dvr_steps(per_cap) >= 2 * _dvr_steps(n_modes) else per_cap
+    solved = nodal_interval_modes(channel.potential, intervals, psi.grid.h / 2.0, first)
     while True:
         pieces = [
-            replace(modes, energies=modes.energies[:n_modes], values=modes.values[:, :n_modes])
+            replace(
+                modes, energies=modes.energies[:n_modes], coefficients=modes.coefficients[:, :n_modes]
+            )
             for modes in solved
         ]
         result = _assemble_channel_modes(pieces, spline, f_fn, g_fn)
         if result.deficit <= DEFICIT_TOL or n_modes >= per_cap:
             return result
+        if n_modes == solved[0].energies.size:
+            solved = nodal_interval_modes(channel.potential, intervals, psi.grid.h / 2.0, per_cap)
         n_modes = min(per_cap, n_modes * 4)
 
 
@@ -360,6 +371,8 @@ def _harmonic_position_modes(channel: Channel) -> _ChannelModes:
 
 
 def _assemble_channel_modes(pieces, spline, f_fn, g_fn) -> _ChannelModes:
+    from scipy.fft import dst
+
     # |psi| on each interval's interior points is that interval's rate-0 mode.
     amplitudes = [np.abs(spline(modes.points[1:-1])) for modes in pieces]
     # Global h-dot normalization of |psi| over the partitioned grid makes
@@ -375,17 +388,21 @@ def _assemble_channel_modes(pieces, spline, f_fn, g_fn) -> _ChannelModes:
         h, xs = modes.h, modes.points[1:-1]
         w = amp / scale
         ground = w / math.sqrt(h * float(w @ w))
-        # The modes V above the lowest, orthogonalized against ground, are
-        # the columns of (V - ground c^T) / col_norm, never formed.  einsum
-        # keeps the products with V single-threaded: a threaded BLAS product
-        # here has been seen to leave threads spinning into later eigensolves.
-        upper = modes.values[1:-1, 1:]
-        c = h * np.einsum("i,ij->j", ground, upper)
-        col_norm = np.sqrt(np.maximum(0.0, h * np.einsum("ij,ij->j", upper, upper) - c * c))
-        keep = col_norm >= 1e-12
         obs = np.stack((f_fn(xs), g_fn(xs))) * w
+        # The modes V above the lowest, orthogonalized against ground, are
+        # the columns of (V - ground c^T) / col_norm, never formed.  An
+        # h-dot product with a mode is one of the sine transform of the
+        # samples with its coefficients (IntervalModes).  einsum keeps the
+        # products single-threaded: a threaded BLAS product here has been
+        # seen to leave threads spinning into later eigensolves.
+        upper = modes.coefficients[:, 1:]
+        sines = 0.5 * dst(np.vstack((ground, obs)), type=1, axis=1)[:, : upper.shape[0]]
+        c = h * np.einsum("i,ij->j", sines[0], upper)
+        upper_sq = 0.5 * h * (xs.size + 1) * np.einsum("ij,ij->j", upper, upper)  # h-norms squared
+        col_norm = np.sqrt(np.maximum(0.0, upper_sq - c * c))
+        keep = col_norm >= 1e-12
         over0 = h * np.einsum("ki,i->k", obs, ground)
-        over = h * np.einsum("ki,ij->kj", obs, upper) - np.outer(over0, c)
+        over = h * np.einsum("ki,ij->kj", sines[1:], upper) - np.outer(over0, c)
         over = np.column_stack((over0, over[:, keep] / col_norm[keep]))
         e = modes.energies
         rates.append(np.concatenate(([0.0], e[1:][keep] - e[0])))

@@ -685,27 +685,25 @@ def test_assembly_matches_gram_schmidt_reference(double_well_es, index, f, g):
         assert abs(cm.deficit - deficit) <= 1e-13
 
 
-@pytest.mark.parametrize("kind, kept", [("position", 50), ("sign", 24)])
-def test_each_interval_solved_once_at_cap(harmonic_es, interval_solves, monkeypatch, kind, kept):
-    # psi_3: four nodal intervals, each solved once for its MODE_CAP // 4
-    # modes, whether the deficit rule keeps them all (position: a second
-    # round) or the leading 24 (sign times |psi| is each interval's ground mode)
-    eigh = np.linalg.eigh
-    sizes = []
-
-    def record(matrix):
-        sizes.append(matrix.shape[0])
-        return eigh(matrix)
-
-    monkeypatch.setattr(np.linalg, "eigh", record)
-    channel = Channel(HarmonicPotential(1.0), harmonic_es, 3)
-    intervals = nodal_intervals(harmonic_es.eigenfunctions[3])
+@pytest.mark.parametrize(
+    "index, kind, solves, kept",
+    [(0, "sign", [24, 200], 200), (2, "sign", [24, 66], 66), (3, "position", [50], 50), (3, "sign", [50], 24)],
+)
+def test_interval_solves_first_round_then_share(harmonic_es, interval_solves, index, kind, solves, kept):
+    # The first round solves each nodal interval for 24 modes; the first
+    # round that grows solves each once more, for its share of MODE_CAP,
+    # and later rounds keep leading modes of that solve: psi_0's sign pair
+    # keeps 24, 96 and then 200 modes from two solves, psi_2's keeps 24 and
+    # then 66.  psi_3's four intervals have a share of 50, whose 100-step
+    # solve is under twice the first round's 64, so each is solved once,
+    # for 50 modes; position keeps them all, while sign times |psi| is each
+    # interval's ground mode and stops at 24.
+    channel = Channel(HarmonicPotential(1.0), harmonic_es, index)
+    intervals = nodal_intervals(harmonic_es.eigenfunctions[index])
     fn = correlators._identity if kind == "position" else Observable(kind, 0)
     cm = correlators._channel_autocorrelation_modes(channel, fn, fn)
-    cap = correlators.MODE_CAP // len(intervals)
-    assert interval_solves == [(a, b, cap) for a, b in intervals]
-    assert sizes == [127] * 4  # 128 steps: the smallest power of two >= 2.5 * 50
-    assert cm.rates.size == 4 * kept
+    assert interval_solves == [(a, b, n) for n in solves for a, b in intervals]
+    assert cm.rates.size == len(intervals) * kept
 
 
 def test_nelson_expansion_rejects_unstable_sign_pattern():

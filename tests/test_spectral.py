@@ -26,9 +26,11 @@ from stochmech import (
     solve_eigensystem,
 )
 from stochmech.spectral import (
+    _apply_reflectors,
     _eigh_range,
     _fd_operator,
     _ground_pair,
+    _householder_tridiagonal,
     _parity_blocks,
     _sine_dvr_kinetic,
     _solve_interior,
@@ -560,6 +562,59 @@ def test_half_line_interval_modes_are_odd_oscillator_levels():
     assert np.max(np.abs(modes.values[:, 0] - exact)) < 1e-12  # measured 1.1e-14
     gram = modes.h * modes.values.T @ modes.values
     assert np.max(np.abs(gram - np.eye(4))) < 1e-12
+
+
+def test_householder_tridiagonal_is_similar_to_its_matrix():
+    # A = Q T Q^T with Q the product of the unit reflections, applied to
+    # the identity's rows by _apply_reflectors; T's spectrum is A's
+    rng = np.random.default_rng(7)
+    for n in (2, 3, 40, 70):  # one panel, and a panel and a part
+        a = rng.standard_normal((n, n))
+        a = a + a.T
+        diag, off, reflectors = _householder_tridiagonal(a)
+        q = _apply_reflectors(reflectors, np.eye(n)).T
+        t = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        assert np.max(np.abs(q @ t @ q.T - a)) < 1e-12 * n
+        assert np.max(np.abs(q.T @ q - np.eye(n))) < 1e-13 * n
+        assert np.max(np.abs(eigh_tridiagonal(diag, off, eigvals_only=True) - np.linalg.eigvalsh(a))) < 1e-12 * n
+
+
+def test_interval_modes_do_not_depend_on_blas_thread_count():
+    # a 400-step solve (the whole-line share of MODE_CAP), where a threaded
+    # LAPACK eigh gives thread-dependent bits, run at one and two threads
+    import hashlib
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "import hashlib; from stochmech.spectral import HarmonicPotential, interval_dirichlet_modes; "
+        "m = interval_dirichlet_modes(HarmonicPotential(1.0), -10.0, 10.0, 0.005, 200); "
+        "print(hashlib.sha256(m.energies.tobytes() + m.coefficients.tobytes()).hexdigest())"
+    )
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(sys.path))
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        digests.add(run.stdout.strip())
+    assert len(digests) == 1
+
+
+@pytest.mark.parametrize("fault", ["raise", "nan"])
+def test_interval_eigensolver_failure_is_numeric_error(monkeypatch, fault):
+    import scipy.linalg
+
+    solve = scipy.linalg.eigh_tridiagonal
+
+    def broken(*args, **kwargs):
+        if fault == "raise":
+            raise np.linalg.LinAlgError("stemr did not converge")
+        energies, vecs = solve(*args, **kwargs)
+        return np.full_like(energies, np.nan), vecs
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", broken)
+    with pytest.raises(NumericError, match="eigensolver"):
+        interval_dirichlet_modes(HarmonicPotential(1.0), 0.0, 10.0, 0.0025, 4)
 
 
 def test_sine_dvr_kinetic_is_the_sine_mode_operator():
