@@ -138,7 +138,7 @@ class ModeExpansion:
     MODE_CAP kept modes.  Every other channel takes sine-DVR solves of its
     nodal intervals, and the tail counts only the truncation: not the
     DVR's own error, which falls as N^-4 where the potential has a slope
-    at a node (5e-8 on the oscillator's third position pair), nor the O(h)
+    at a node (5e-8 on the oscillator's psi_3 position pair), nor the O(h)
     quadrature of a jumping observable on the interval grid.
     """
 
