@@ -39,8 +39,6 @@ import stat
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import bell, nelson_sde, serialize
 from .config import RunConfig, build_cluster, build_observable, build_state, load_config
 from .correlators import compare_theories, qm_two_time_series
@@ -161,7 +159,7 @@ def _qm_observables(cfg: RunConfig, state: CompositeState):
 
 
 def _require_lags(cfg: RunConfig):
-    if not cfg.lags:
+    if not cfg.lags.size:
         raise ConfigError("lags: required for this subcommand")
     return cfg.lags
 
@@ -169,19 +167,15 @@ def _require_lags(cfg: RunConfig):
 def cmd_qm_corr(cfg: RunConfig, args, files: dict[str, Path]) -> None:
     state = build_state(cfg)
     f, g = _qm_observables(cfg, state)
-    lags = _require_lags(cfg)
-    series = qm_two_time_series(state, f, g, lags)
-    serialize.write_csv(
-        files["data"], ["lag", "value", "method"],
-        ((lag, val, "qm") for lag, val in zip(series.lags, series.values)),
-    )
+    series = qm_two_time_series(state, f, g, _require_lags(cfg))
+    columns = [series.lags, series.values, "qm"]
+    serialize.write_csv(files["data"], ["lag", "value", "method"], columns)
 
 
 def cmd_compare(cfg: RunConfig, args, files: dict[str, Path]) -> None:
     state = build_state(cfg)
     f, g = _qm_observables(cfg, state)
-    lags = _require_lags(cfg)
-    result = compare_theories(state, f, g, lags)
+    result = compare_theories(state, f, g, _require_lags(cfg))
     header = ["lag", "qm", "bohm"]
     columns = [result.qm.lags, result.qm.values, result.bohm.values]
     if result.nelson is None:
@@ -192,7 +186,7 @@ def cmd_compare(cfg: RunConfig, args, files: dict[str, Path]) -> None:
     else:
         header.append("nelson")
         columns.append(result.nelson.values)
-    serialize.write_csv(files["data"], header, zip(*columns))
+    serialize.write_csv(files["data"], header, columns)
     expansion = result.nelson_expansion
     summary = {
         "equal_time_agreement": result.equal_time_max_dev,
@@ -236,7 +230,8 @@ def cmd_nelson_mc(cfg: RunConfig, args, files: dict[str, Path]) -> None:
     mc, seed = _mc_plan(cfg, args, "epsilon", "horizon")
     state = build_state(cfg)
     f, g = _two_observables(cfg, state)
-    lags = _require_lags(cfg)
+    # Python floats: a NumPy 1e308 / dt in step_count would warn on overflow
+    lags = _require_lags(cfg).tolist()
     # the stored times, as simulate_ensemble counts them: a lag lies within
     # the horizon when its step count does
     lag_steps = [_n_steps(lag, mc.dt, "lags") for lag in lags]
@@ -252,13 +247,10 @@ def cmd_nelson_mc(cfg: RunConfig, args, files: dict[str, Path]) -> None:
     drift = _checked_drift(state, mc.epsilon, "mc.epsilon")
     init = nelson_sde.sample_stationary(state, mc.n_paths, seed)
     ensemble = nelson_sde.simulate_ensemble(drift, init, mc.dt, [*lags, mc.horizon], seed)
-    rows = []
-    for lag in lags:
-        value, stderr = nelson_sde.estimate_two_time(ensemble, f, g, lag, 0.0)
-        rows.append([lag, value, stderr])
-    serialize.write_csv(files["data"], ["lag", "estimate", "stderr"], rows)
+    estimates = [nelson_sde.estimate_two_time(ensemble, f, g, lag, 0.0) for lag in lags]
+    serialize.write_csv(files["data"], ["lag", "estimate", "stderr"], [lags, *zip(*estimates)])
     ks = {
-        serialize.fmt(float(t)): list(stats)
+        format(float(t), ".17g"): list(stats)
         for t, stats in zip(ensemble.t_grid, nelson_sde.stationarity_distances(ensemble, state))
     }
     diagnostics = {
@@ -291,7 +283,7 @@ def cmd_chsh(cfg: RunConfig, args, files: dict[str, Path]) -> None:
     report = bell.run_chsh(es, f, cfg.chsh_times)
     if cfg.output_format == "csv":
         serialize.write_csv(
-            files["data"], serialize.CHSH_CSV_HEADER, [serialize.chsh_report_csv_row(report)]
+            files["data"], serialize.CHSH_CSV_HEADER, serialize.chsh_report_csv_columns(report)
         )
     else:
         # a shallow dict: dataclasses.asdict would deep-copy every float for the same bytes
@@ -317,11 +309,9 @@ def cmd_eps_study(cfg: RunConfig, args, files: dict[str, Path]) -> None:
         state, f, g, cfg.eps_study_lag, cfg.eps_study_epsilons,
         n_paths=mc.n_paths, dt=mc.dt, seed=seed,
     )
-    serialize.write_csv(
-        files["data"],
-        ["epsilon", "value", "stderr", "spectral_ref", "abs_dev"],
-        [[r.epsilon, r.value, r.stderr, r.spectral_ref, r.abs_dev] for r in rows],
-    )
+    header = ["epsilon", "value", "stderr", "spectral_ref", "abs_dev"]  # the fields of a row
+    columns = [[getattr(r, name) for r in rows] for name in header]
+    serialize.write_csv(files["data"], header, columns)
 
 
 def cmd_eigen(cfg: RunConfig, args, files: dict[str, Path]) -> None:
@@ -330,8 +320,8 @@ def cmd_eigen(cfg: RunConfig, args, files: dict[str, Path]) -> None:
         raise ConfigError(f"--cluster: no cluster {idx} in the config")
     es = build_cluster(cfg.clusters[idx], f"system.clusters[{idx}]")
     header = ["x"] + [f"psi_{i}" for i in range(es.k)]
-    mat = np.column_stack([es.grid.points] + [f.values for f in es.eigenfunctions])
-    serialize.write_csv(files["data"], header, mat.tolist())
+    columns = [es.grid.points] + [f.values for f in es.eigenfunctions]
+    serialize.write_csv(files["data"], header, columns)
 
 
 _COMMANDS = {

@@ -121,12 +121,12 @@ class McConfig:
     horizon: float | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunConfig:
     clusters: tuple[ClusterConfig, ...]
     terms: tuple[tuple[float, tuple[int, ...]], ...]  # empty when "state" is absent
     observables: tuple[dict, ...]
-    lags: tuple[float, ...]
+    lags: np.ndarray  # read-only float64, empty when "lags" is absent
     mc: McConfig | None
     chsh_observable: dict | None
     chsh_times: tuple[float, float, float, float] | None
@@ -187,9 +187,9 @@ def _parse_cluster(raw, path: str) -> ClusterConfig:
     return ClusterConfig(potential, grid, k)
 
 
-def _parse_lags(raw, path: str) -> tuple[float, ...]:
+def _parse_lags(raw, path: str) -> np.ndarray:
     if isinstance(raw, list):
-        lags = [_as_float(v, f"{path}[{i}]") for i, v in enumerate(raw)]
+        lags = np.array([_as_float(v, f"{path}[{i}]") for i, v in enumerate(raw)])
     elif isinstance(raw, dict):
         _object(raw, path, "start", "stop", "step")
         start, stop, step = (_number(raw, key, path) for key in ("start", "stop", "step"))
@@ -199,14 +199,15 @@ def _parse_lags(raw, path: str) -> tuple[float, ...]:
         if not count < MAX_LAGS:  # inf too
             raise ConfigError(f"{path}: spans more than {MAX_LAGS} lags")
         count = int(math.floor(count)) + 1
-        lags = [start + i * step for i in range(count)]
+        lags = start + np.arange(count) * step  # each start + i * step, exactly
     else:
         raise ConfigError(f"{path}: expected a list or a start/stop/step object")
-    if not lags:
+    if not lags.size:
         raise ConfigError(f"{path}: must not be empty")
-    if any(b <= a for a, b in zip(lags, lags[1:])):
+    if np.any(np.diff(lags) <= 0):
         raise ConfigError(f"{path}: must increase strictly")
-    return tuple(lags)
+    lags.setflags(write=False)
+    return lags
 
 
 def _parse_mc(raw, path: str) -> McConfig:
@@ -259,7 +260,7 @@ def parse_config(raw: dict) -> RunConfig:
     for i, o in enumerate(observables):
         _need_kind(o, f"observables[{i}]")
         build_observable(o, clusters, i, f"observables[{i}]")
-    lags = _parse_lags(raw["lags"], "lags") if "lags" in raw else ()
+    lags = _parse_lags(raw["lags"], "lags") if "lags" in raw else np.empty(0)
     mc = _parse_mc(raw["mc"], "mc") if "mc" in raw else None
     chsh_obs = None
     chsh_times = None

@@ -15,7 +15,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -105,27 +105,40 @@ class Observable:
         return (self.kind, self.cluster, self.a, self.b)
 
 
-@dataclass(frozen=True)
-class CorrelationSeries:
-    """Correlation values over a strictly increasing list of time lags."""
+def _read_only(values) -> np.ndarray:
+    """``values`` as a read-only float64 array, copied unless it already is one."""
+    if isinstance(values, np.ndarray) and values.dtype == np.float64 and not values.flags.writeable:
+        return values
+    out = np.array(values, dtype=float)
+    out.setflags(write=False)
+    return out
 
-    lags: tuple[float, ...]
-    values: tuple[float, ...]
+
+@dataclass(frozen=True, eq=False)
+class CorrelationSeries:
+    """Correlation values over strictly increasing lags, both read-only float64 arrays."""
+
+    lags: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        if len(self.lags) != len(self.values):
+        lags, values = _read_only(self.lags), _read_only(self.values)
+        if lags.ndim != 1 or lags.shape != values.shape:
             raise ParameterError("lag/value length mismatch")
-        if len(self.lags) == 0:
+        if lags.size == 0:
             raise ParameterError("series must hold at least one lag")
-        if np.any(np.diff(self.lags) <= 0):
+        if np.any(np.diff(lags) <= 0):
             raise ParameterError("lags must increase strictly")
+        object.__setattr__(self, "lags", lags)
+        object.__setattr__(self, "values", values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeExpansion:
     """Spectral data of the Nelson semigroup for one observable pair.
 
-    value(t) = sum_n coefficients[n] * exp(-rates[n] * |t|).  Each mode is
+    value(t) = sum_n coefficients[n] * exp(-rates[n] * |t|), over two
+    read-only float64 arrays.  Each mode is
     an eigenmode of one channel's Dirichlet-restricted generator, weighted
     by both observables' overlaps with it; products of means of
     independent channels form one extra rate-0 mode.  The rate-0 sector
@@ -142,15 +155,12 @@ class ModeExpansion:
     quadrature of a jumping observable on the interval grid.
     """
 
-    rates: tuple[float, ...]
-    coefficients: tuple[float, ...]
+    rates: np.ndarray
+    coefficients: np.ndarray
     truncation_tail: float
-    _rates: np.ndarray = field(init=False, repr=False, compare=False)
-    _coefficients: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        r = np.asarray(self.rates, dtype=float)
-        c = np.asarray(self.coefficients, dtype=float)
+        r, c = _read_only(self.rates), _read_only(self.coefficients)
         if r.size == 0:
             raise ParameterError("mode expansion must hold at least one mode")
         if np.any(r < -1e-9):
@@ -161,8 +171,8 @@ class ModeExpansion:
             raise ParameterError("rate-0 sector missing from the expansion")
         if r.shape != c.shape:
             raise ParameterError("mode arrays must share one length")
-        object.__setattr__(self, "_rates", r)
-        object.__setattr__(self, "_coefficients", c)
+        object.__setattr__(self, "rates", r)
+        object.__setattr__(self, "coefficients", c)
 
     def __call__(self, t) -> float | np.ndarray:
         """The value at each lag of ``t``, in ``t``'s shape; a float for a scalar.
@@ -175,9 +185,9 @@ class ModeExpansion:
         out = np.empty(lags.shape)
         flat_lags, flat_out = lags.reshape(-1), out.reshape(-1)
         for start in range(0, flat_lags.size, LAG_BLOCK):
-            block = np.multiply.outer(flat_lags[start:start + LAG_BLOCK], -self._rates)
+            block = np.multiply.outer(flat_lags[start:start + LAG_BLOCK], -self.rates)
             np.exp(block, out=block)
-            block *= self._coefficients
+            block *= self.coefficients
             block.sum(axis=1, out=flat_out[start:start + LAG_BLOCK])
         return float(out) if out.ndim == 0 else out
 
@@ -262,11 +272,10 @@ def qm_two_time_series(
     t_1 - t_2 alone.  One pass of the multi-time double sum over an array
     of lags gives each value that function's bits.
     """
-    lags = [float(t) for t in lags]
-    if not lags:
+    lags = _read_only(lags)
+    if not lags.size:
         raise ParameterError("need at least one lag")
-    values = _qm_correlation(state, [f, g], [np.asarray(lags), 0.0])
-    return CorrelationSeries(tuple(lags), tuple(values.tolist()))
+    return CorrelationSeries(lags, _qm_correlation(state, [f, g], [lags, 0.0]))
 
 
 # --------------------------------------------------------------------------
@@ -494,7 +503,7 @@ def _build_expansion(state: CompositeState, f: Observable, g: Observable) -> Mod
     dec = decompose(state)
     const_f, f_terms = _channel_terms(state, dec, f)
     const_g, g_terms = _channel_terms(state, dec, g)
-    modes: list[tuple[float, float]] = []  # rate, coefficient
+    rates, coefficients = [], []  # an array of each per term pair on one channel
     cross: list[float] = []  # rate-0 products of independent means
     tail = 0.0
     for c, f_fn, wf in f_terms:
@@ -511,9 +520,8 @@ def _build_expansion(state: CompositeState, f: Observable, g: Observable) -> Mod
                 else:
                     cm = _channel_autocorrelation_modes(channel, f_fn, g_fn)
                 tail = max(tail, cm.deficit)
-                modes.extend(
-                    (float(r), float(wf * wg * w)) for r, w in zip(cm.rates, cm.weights)
-                )
+                rates.append(cm.rates)
+                coefficients.append(wf * wg * cm.weights)
             else:
                 cross.append(
                     wf * wg * _channel_mean(dec.channels[c], f_fn)
@@ -525,15 +533,15 @@ def _build_expansion(state: CompositeState, f: Observable, g: Observable) -> Mod
         cross.append(const_g * _mean(dec, const_f, f_terms))
     if cross:
         # start from the first term so a lone product is kept exactly
-        modes.append((0.0, float(sum(cross[1:], cross[0]))))
-    modes.sort(key=lambda m: m[0])
-    if abs(modes[0][0]) > 1e-9:
-        modes.insert(0, (0.0, 0.0))
-    return ModeExpansion(
-        rates=tuple(max(0.0, r) for r, _ in modes),
-        coefficients=tuple(c for _, c in modes),
-        truncation_tail=tail,
-    )
+        rates.append([0.0])
+        coefficients.append([float(sum(cross[1:], cross[0]))])
+    rates = np.concatenate(rates)
+    order = np.argsort(rates, kind="stable")
+    rates, coefficients = rates[order], np.concatenate(coefficients)[order]
+    if abs(rates[0]) > 1e-9:
+        rates, coefficients = np.insert(rates, 0, 0.0), np.insert(coefficients, 0, 0.0)
+    # this argument order clamps a -0.0 rate to +0.0
+    return ModeExpansion(np.maximum(rates, 0.0), coefficients, truncation_tail=tail)
 
 
 def nelson_semigroup_correlation(
@@ -550,9 +558,7 @@ def nelson_two_time_series(
     state: CompositeState, f: Observable, g: Observable, lags
 ) -> CorrelationSeries:
     """E[f(t) g(0)] over the lags: one call of the pair's ModeExpansion."""
-    lags = [float(t) for t in lags]
-    values = nelson_mode_expansion(state, f, g)(np.asarray(lags))
-    return CorrelationSeries(tuple(lags), tuple(values.tolist()))
+    return CorrelationSeries(lags, nelson_mode_expansion(state, f, g)(lags))
 
 
 # --------------------------------------------------------------------------
@@ -579,11 +585,10 @@ def compare_theories(
     Raises NumericError when the three theories fail to agree at equal
     times within 1e-6 (they must: the stationary density is shared).
     """
-    lags = [float(t) for t in lags]
     qm = qm_two_time_series(state, f, g, lags)
     # the Bohm value is the equal-time QM value, so Bohm agrees at equal times
     qm0 = bohm_multitime_correlation(state, [f, g], [0.0, 0.0])
-    bohm = CorrelationSeries(tuple(lags), tuple(qm0 for _ in lags))
+    bohm = CorrelationSeries(qm.lags, np.broadcast_to(qm0, qm.lags.shape))
     nelson = None
     warning = None
     nelson_dev = None
@@ -594,11 +599,9 @@ def compare_theories(
     except UnsupportedStateError as exc:
         warning = str(exc)
     else:
-        nelson = CorrelationSeries(tuple(lags), tuple(expansion(np.asarray(lags)).tolist()))
+        nelson = CorrelationSeries(qm.lags, expansion(qm.lags))
         equal_dev = abs(expansion(0.0) - qm0)
-        nelson_dev = float(
-            np.max(np.abs(np.asarray(nelson.values) - np.asarray(qm.values)))
-        )
+        nelson_dev = float(np.max(np.abs(nelson.values - qm.values)))
     if equal_dev > 1e-6:
         raise NumericError(
             f"theories disagree at equal times by {equal_dev:.3e}"
@@ -608,9 +611,7 @@ def compare_theories(
         bohm=bohm,
         nelson=nelson,
         equal_time_max_dev=float(equal_dev),
-        max_abs_dev_qm_bohm=float(
-            np.max(np.abs(np.asarray(bohm.values) - np.asarray(qm.values)))
-        ),
+        max_abs_dev_qm_bohm=float(np.max(np.abs(bohm.values - qm.values))),
         max_abs_dev_qm_nelson=nelson_dev,
         nelson_warning=warning,
         nelson_expansion=expansion,

@@ -19,39 +19,40 @@ from . import __version__
 from .bell import ChshReport
 
 __all__ = [
-    "fmt",
     "write_csv",
     "write_json",
     "write_sidecar",
 ]
 
-
-def fmt(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
+CSV_BLOCK = 4096  # rows write_csv formats at once
 
 
-def write_csv(path: str | Path, header, rows) -> None:
-    """The header, then one line per row as ``rows`` yields it."""
+def write_csv(path: str | Path, header, columns) -> None:
+    """The header, then one line per row of the equal-length ``columns``.
+
+    A column holds floats, each written with 17 significant digits, or is a
+    string without '%', written on every row.  Each block of CSV_BLOCK rows
+    is formatted by one ``%`` of the repeated row template, so the memory
+    the writer holds does not grow with the rows.
+    """
+    floats = [numpy.asarray(c, dtype=float) for c in columns if not isinstance(c, str)]
+    template = ",".join(c if isinstance(c, str) else "%.17g" for c in columns) + "\n"
     with open(path, "w") as out:
         out.write(",".join(header) + "\n")
-        for row in rows:
-            out.write(",".join(fmt(v) for v in row) + "\n")
+        for start in range(0, len(floats[0]), CSV_BLOCK):
+            block = numpy.column_stack([c[start:start + CSV_BLOCK] for c in floats])
+            out.write(template * len(block) % tuple(block.ravel().tolist()))
 
 
 def write_json(path: str | Path, obj) -> None:
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def chsh_report_csv_row(report: ChshReport) -> list:
+def chsh_report_csv_columns(report: ChshReport) -> list:
+    """The columns of the report's one-row CSV, in CHSH_CSV_HEADER's order."""
     (e11, e12), (e21, e22) = report.correlations
-    return [
-        report.alpha, report.omega, *report.times,
-        e11, e12, e21, e22, report.S, report.classical_feasible,
-    ]
+    values = [report.alpha, report.omega, *report.times, e11, e12, e21, e22, report.S]
+    return [[v] for v in values] + ["true" if report.classical_feasible else "false"]
 
 
 CHSH_CSV_HEADER = [

@@ -183,14 +183,15 @@ def test_invalid_json_exit_2(tmp_path, capsys):
 
 
 def test_write_csv_streams_its_rows(tmp_path):
-    # each line is written as its row arrives, so memory does not grow with
-    # the rows: 44 KB peak at 1e5 and at 2e5 rows, where holding every line
-    # took 13 MB and 26 MB
+    # rows are formatted serialize.CSV_BLOCK at a time, so memory does not
+    # grow with the rows: 515 KB peak at 1e5 and at 2e5 rows, where holding
+    # every line took 13 MB and 26 MB
     n = 10**5
-    rows = ((i, i * 0.1, "qm") for i in range(n))
+    lags = np.arange(n, dtype=float)
+    values = lags * 0.1
     tracemalloc.start()
     try:
-        serialize.write_csv(tmp_path / "big.csv", ["lag", "value", "method"], rows)
+        serialize.write_csv(tmp_path / "big.csv", ["lag", "value", "method"], [lags, values, "qm"])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -198,6 +199,39 @@ def test_write_csv_streams_its_rows(tmp_path):
     lines = (tmp_path / "big.csv").read_text().split("\n")
     assert len(lines) == n + 2 and lines[-1] == ""
     assert lines[:3] == ["lag,value,method", "0,0,qm", "1,0.10000000000000001,qm"]
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_write_csv_writes_each_value_as_format_17g(tmp_path, extra):
+    # rows just short of, at and just past one block: special values, whole
+    # numbers and random bit patterns, and a string column on every row
+    n = serialize.CSV_BLOCK + extra
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+               2.2250738585072014e-308, 1e16, 1e17, 0.1, 3.0, -12.0]
+    first = np.resize(special, n)
+    bits = np.frombuffer(np.random.default_rng(34).bytes(8 * n), dtype=float)
+    path = tmp_path / "t.csv"
+    serialize.write_csv(path, ["a", "b", "method"], [first, bits, "qm"])
+    expected = [
+        ",".join([format(x, ".17g"), format(y, ".17g"), "qm"])
+        for x, y in zip(first.tolist(), bits.tolist())
+    ]
+    assert path.read_text().split("\n") == ["a,b,method", *expected, ""]
+
+
+@pytest.mark.parametrize("feasible", [True, False])
+def test_chsh_csv_row(tmp_path, feasible):
+    corr = ((0.25, -0.5), (0.1, 1.0 / 3.0))
+    s = 0.25 + 1.0 / 3.0 + 0.1 - -0.5
+    report = bell.ChshReport(
+        alpha=0.5, omega=1.0, times=(0.0, 1.0, 2.0, 3.0), correlations=corr,
+        marginals=(0.0, 0.0, 0.0, 0.0), S=s, classical_feasible=feasible,
+    )
+    path = tmp_path / "chsh.csv"
+    serialize.write_csv(path, serialize.CHSH_CSV_HEADER, serialize.chsh_report_csv_columns(report))
+    values = [0.5, 1.0, 0.0, 1.0, 2.0, 3.0, 0.25, -0.5, 0.1, 1.0 / 3.0, s]
+    row = ",".join(format(v, ".17g") for v in values) + "," + str(feasible).lower()
+    assert path.read_text() == ",".join(serialize.CHSH_CSV_HEADER) + "\n" + row + "\n"
 
 
 def test_compare_two_oscillators(tmp_path):
@@ -734,8 +768,12 @@ def test_nelson_mc_step_count_overflow_exit_2(tmp_path, capsys, field):
             "horizon": 1e308 if field == "mc.horizon" else 0.5},
     )
     cfg_path = write_config(tmp_path, cfg)
-    assert main(["nelson-mc", "--config", cfg_path, "--out", str(tmp_path / "x.csv")]) == 2
-    assert f"{field}:" in capsys.readouterr().err
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["nelson-mc", "--config", cfg_path, "--out", str(tmp_path / "x.csv")]) == 2
+    assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}: ") and err.count("\n") == 1 and err[-1] == "\n"
 
 
 @pytest.mark.parametrize(
