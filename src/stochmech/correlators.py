@@ -46,6 +46,7 @@ __all__ = [
 
 MODE_CAP = 200
 LAG_BLOCK = 512  # lags per block of a ModeExpansion call
+_QM_LAG_BLOCK = 4096  # lags per block of a QM series
 DEFICIT_TOL = 1e-6
 _IMAG_TOL = 1e-10
 
@@ -226,7 +227,12 @@ def _check_clusters(state: CompositeState, observables) -> None:
 
 def _qm_correlation(state: CompositeState, observables, times):
     """qm_multitime_correlation elementwise over times that are floats or
-    arrays of one shape, with the cancellation asserted at every element."""
+    arrays of one shape, with the cancellation asserted at every element.
+
+    The double sum runs over _QM_LAG_BLOCK elements at a time, so its
+    complex temporaries do not grow with the lags; every operation is
+    elementwise, so each value keeps its bits in any block.
+    """
     observables = list(observables)
     if len(observables) != len(times):
         raise ParameterError("need one time per observable")
@@ -235,21 +241,30 @@ def _qm_correlation(state: CompositeState, observables, times):
     _check_distinct_clusters(observables)
     _check_clusters(state, observables)
     mats = {o.cluster: _matrix_elements(state, o) for o in observables}
-    t_of = {o.cluster: t for o, t in zip(observables, times)}
+    flat = [np.reshape(t, -1) if np.ndim(t) else t for t in times]
+    out = np.empty(np.broadcast_shapes(*(np.shape(t) for t in times)))
+    flat_out = out.reshape(-1)
     observed = set(mats)
-    total = 0.0 + 0.0j
-    for s, p in term_pairs(state, observed):
-        (cs, idx_s), (cp, idx_p) = state.terms[s], state.terms[p]
-        factor = cs * cp + 0.0j
-        for i in observed:
-            es = state.clusters[i]
-            dlam = es.energies[idx_s[i]] - es.energies[idx_p[i]]
-            factor *= mats[i][s, p] * np.exp(1j * dlam * t_of[i])
-        total += factor
-    imag = np.max(np.abs(np.imag(total)))
+    pairs = list(term_pairs(state, observed))
+    imag = 0.0
+    for start in range(0, flat_out.size, _QM_LAG_BLOCK):
+        block = slice(start, start + _QM_LAG_BLOCK)
+        t_of = {o.cluster: t[block] if np.ndim(t) else t for o, t in zip(observables, flat)}
+        total = 0.0 + 0.0j
+        for s, p in pairs:
+            (cs, idx_s), (cp, idx_p) = state.terms[s], state.terms[p]
+            factor = cs * cp + 0.0j
+            for i in observed:
+                es = state.clusters[i]
+                dlam = es.energies[idx_s[i]] - es.energies[idx_p[i]]
+                factor *= mats[i][s, p] * np.exp(1j * dlam * t_of[i])
+            total += factor
+        imag = np.maximum(imag, np.max(np.abs(np.imag(total))))
+        flat_out[block] = np.real(total)
     if imag > _IMAG_TOL:
         raise NumericError(f"imaginary part {imag:.3e} did not cancel")
-    return np.real(total)
+    out.setflags(write=False)  # so a series takes it without a copy
+    return out
 
 
 def qm_multitime_correlation(state: CompositeState, observables, times) -> float:

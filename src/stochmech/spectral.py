@@ -6,11 +6,11 @@ potentials (double wells, tabulated data), node location, and the
 node-restricted spectrum, where the operator carries Dirichlet
 conditions on the zeros of a given eigenfunction: the zeros of its
 spline, which every consumer reads from find_nodes.  That spectrum has
-one form: the IntervalModes of each nodal interval, sine-DVR solves
-reduced to tridiagonal form without BLAS, returned by
-nodal_interval_modes and read by the Nelson expansion.  Everything is
-real: eigenfunctions are sampled on uniform grids and inner products are
-composite-Simpson quadratures.
+one form: the IntervalModes of each nodal interval, sine-DVR solves by
+one LAPACK call each (eig_banded), returned by nodal_interval_modes and
+read by the Nelson expansion.  Everything is real: eigenfunctions are
+sampled on uniform grids and inner products are composite-Simpson
+quadratures.
 
 Units are hbar = m = 1 throughout.
 """
@@ -72,7 +72,6 @@ _ONE_SIGN_TOL = 1e-14
 # as N^2.
 _DVR_STEPS_PER_MODE = 2.0
 _DVR_SIGN_SCALE = 1e-8
-_PANEL = 32  # columns per deferred-update panel of _householder_tridiagonal
 
 
 @dataclass(frozen=True)
@@ -566,28 +565,29 @@ def _eigh_range(diag, off, k: int, floor: float) -> tuple[np.ndarray, np.ndarray
     return _tridiagonal_pairs(diag, off, k)
 
 
-def _tridiagonal_pairs(diag, off, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of a symmetric tridiagonal matrix, in ascending order: the
-    k lowest by eigh_tridiagonal's index-selected bisection and inverse
-    iteration, or with k None all of them by relatively robust
-    representations (LAPACK dstemr), which is faster than selecting even
-    the lower half by index.
+def _lowest_pairs(solve, *matrix, k: int, **options) -> tuple[np.ndarray, np.ndarray]:
+    """The k lowest eigenpairs, in ascending order, that the SciPy
+    eigensolver ``solve`` selects by index from the matrix given by its
+    leading arguments.
 
     A LAPACK failure and a non-finite energy raise NumericError.
     """
-    from scipy.linalg import eigh_tridiagonal
-
-    if k is None:
-        options = {"lapack_driver": "stemr"}
-    else:
-        options = {"select": "i", "select_range": (0, k - 1)}
     try:
-        energies, vecs = eigh_tridiagonal(diag, off, **options)
+        energies, vecs = solve(*matrix, select="i", select_range=(0, k - 1), **options)
     except np.linalg.LinAlgError as exc:
-        raise NumericError(f"tridiagonal eigensolver failed: {exc}") from exc
+        raise NumericError(f"eigensolver failed: {exc}") from exc
     if not np.all(np.isfinite(energies)):
         raise NumericError("eigensolver returned non-finite energies")
     return energies, vecs
+
+
+def _tridiagonal_pairs(diag, off, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k lowest eigenpairs of a symmetric tridiagonal matrix, in
+    ascending order, by eigh_tridiagonal's index-selected bisection and
+    inverse iteration."""
+    from scipy.linalg import eigh_tridiagonal
+
+    return _lowest_pairs(eigh_tridiagonal, diag, off, k=k)
 
 
 def _solve_interior(v_diag: np.ndarray, h: float, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -805,76 +805,6 @@ def _sine_dvr_kinetic(n: int, span: float) -> np.ndarray:
     return math.pi**2 / (4.0 * span * span) * t
 
 
-def _householder_tridiagonal(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Householder reduction of a symmetric matrix A = Q T Q^T, T tridiagonal.
-
-    Returns T's diagonal and off-diagonal and the unit reflectors: row j
-    holds v_j, zero up to index j, and Q is the product of the
-    I - 2 v_j v_j^T in order.  The rank-2 updates of each panel of _PANEL
-    columns are deferred to one product, as in LAPACK's dsytrd (Dongarra,
-    Hammarling & Sorensen, J. Comput. Appl. Math. 27, 215 (1989)).  Every
-    product is a NumPy einsum, which runs in one thread and calls no BLAS,
-    so the bits do not depend on the BLAS thread count; np.linalg.eigh's
-    do, from 256 points up under OpenBLAS.
-    """
-    a = matrix.copy()
-    n = a.shape[0]
-    diag = np.empty(n)
-    off = np.empty(n - 1)
-    reflectors = np.zeros((n - 1, n))
-    for j0 in range(0, n - 1, _PANEL):
-        j1 = min(j0 + _PANEL, n - 1)
-        # rows 2i and 2i + 1 of vw hold (v_i, w_i) of the panel's i-th
-        # reflection, those of wv (w_i, v_i): the matrix with the panel's
-        # reflections applied is a - vw^T wv
-        vw = np.zeros((2 * (j1 - j0), n))
-        wv = np.zeros_like(vw)
-        for i, j in enumerate(range(j0, j1)):
-            done = slice(0, 2 * i)
-            col = a[j:, j] - np.einsum("k,ki->i", wv[done, j], vw[done, j:])
-            diag[j] = col[0]
-            x = col[1:]
-            norm = math.sqrt(np.einsum("i,i->", x, x))
-            if norm == 0.0:  # column already reduced: Q skips it
-                off[j] = 0.0
-                continue
-            off[j] = alpha = -math.copysign(norm, x[0])
-            length = math.sqrt(2.0 * norm * (norm + abs(x[0])))  # |x - alpha e_1|
-            v = np.divide(x, length, out=reflectors[j, j + 1:])
-            v[0] = (x[0] - alpha) / length
-            s = slice(j + 1, None)
-            p = np.einsum("ij,j->i", a[s, s], v)
-            p -= np.einsum("ki,k->i", vw[done, s], np.einsum("ki,i->k", wv[done, s], v))
-            p -= np.einsum("i,i->", v, p) * v
-            vw[2 * i, s] = wv[2 * i + 1, s] = v
-            vw[2 * i + 1, s] = wv[2 * i, s] = 2.0 * p
-        s = slice(j1, None)
-        a[s, s] -= np.einsum("ki,kj->ij", vw[:, s], wv[:, s])
-    diag[n - 1] = a[n - 1, n - 1]
-    return diag, off, reflectors
-
-
-def _apply_reflectors(reflectors: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """(Q z^T)^T, in place, for the reflectors of _householder_tridiagonal
-    and vectors z, one per row.
-
-    Each panel of _PANEL reflections is one product I - V^T T V, with V
-    their rows and T upper triangular (LAPACK's dlarft; Schreiber & Van
-    Loan, SIAM J. Sci. Stat. Comput. 10, 53 (1989)), applied by einsum.
-    """
-    for j0 in reversed(range(0, reflectors.shape[0], _PANEL)):
-        s = slice(j0 + 1, None)
-        v = reflectors[j0 : j0 + _PANEL, s]
-        gram = np.einsum("ki,li->kl", v, v)
-        t = np.zeros_like(gram)
-        for i in range(t.shape[0]):
-            t[i, i] = 2.0
-            t[:i, i] = -2.0 * np.einsum("kl,l->k", t[:i, :i], gram[:i, i])
-        y = np.einsum("mk,lk->ml", np.einsum("mi,ki->mk", rows[:, s], v), t)
-        rows[:, s] -= np.einsum("ml,li->mi", y, v)
-    return rows
-
-
 def _dvr_steps(n_modes: int) -> int:
     """The step count N of a sine-DVR solve for n_modes modes on an
     interval whose grid has at least N steps: max(64, ceil(2 n_modes)).
@@ -891,14 +821,15 @@ def interval_dirichlet_modes(
     One sine discrete-variable-representation (DVR) solve: the
     Colbert-Miller kinetic matrix plus diag(V) on the N - 1 interior points
     of N = _dvr_steps(n_modes) equal steps, at most the grid's step count.
-    It is reduced to tridiagonal form without BLAS
-    (_householder_tridiagonal), so its bits do not depend on the BLAS
-    thread count, and _tridiagonal_pairs gives its eigenpairs.  Each
+    Its k lowest eigenpairs come from one LAPACK call, eig_banded at full
+    bandwidth (dsbevx), whose bits do not depend on the BLAS thread count;
+    np.linalg.eigh's do, from 256 points up under OpenBLAS.  Each
     eigenvector is oriented like _fix_sign on the DVR points, and a DST-I
     maps it to the coefficients of its sine series, scaled to unit norm on
     the grid.  A LAPACK failure or a non-finite energy raises NumericError.
     """
     from scipy.fft import dst
+    from scipy.linalg import eig_banded
 
     span = b - a
     n = max(51, int(round(span / h_target)) + 1)
@@ -909,17 +840,19 @@ def interval_dirichlet_modes(
     hamiltonian = _sine_dvr_kinetic(steps, span)
     dvr_points = a + span / steps * np.arange(1, steps)
     hamiltonian[np.diag_indices(steps - 1)] += potential.sample(dvr_points)
-    diag, off, reflectors = _householder_tridiagonal(hamiltonian)
-    energies, vecs = _tridiagonal_pairs(diag, off)
-    # one row per mode, so the reflections, sign fix and transform run on contiguous samples
-    rows = _apply_reflectors(reflectors, np.ascontiguousarray(vecs[:, :k].T))
-    # _fix_sign on every row at once, above the dense reduction's roundoff
+    band = np.zeros_like(hamiltonian)  # lower band storage: band[d, j] = H[j + d, j]
+    for d in range(steps - 1):
+        band[d, : steps - 1 - d] = np.diagonal(hamiltonian, -d)
+    energies, vecs = _lowest_pairs(eig_banded, band, k=k, lower=True)
+    # one row per mode, so the sign fix and transform run on contiguous samples
+    rows = np.ascontiguousarray(vecs.T)
+    # _fix_sign on every row at once, above the dense solve's roundoff
     live = np.abs(rows) > _DVR_SIGN_SCALE * np.max(np.abs(rows), axis=1, keepdims=True)
     last = rows.shape[1] - 1 - np.argmax(live[:, ::-1], axis=1)
     rows[rows[np.arange(k), last] < 0.0] *= -1.0
     coefficients = dst(rows, type=1)
     coefficients /= np.sqrt(0.5 * h * (n - 1) * np.einsum("ij,ij->i", coefficients, coefficients))[:, None]
-    return IntervalModes(a, b, pts, float(h), energies[:k], coefficients.T)
+    return IntervalModes(a, b, pts, float(h), energies, coefficients.T)
 
 
 def nodal_intervals(psi: Wavefunction) -> list[tuple[float, float]]:

@@ -106,18 +106,20 @@ def test_qm_series_is_the_multitime_sum(
     two_oscillator_state, box_singlet_state, well_exchange_pair, pos0, pos1
 ):
     # each series value is qm_multitime_correlation at [lag, 0.0], bit for bit,
-    # at long lags too, where a rounded frequency would drift off
-    lags = np.concatenate((np.linspace(0.0, 7.0, 113), [6.25, 100.0, 1000.0]))
-    lags = np.unique(lags)
+    # at long lags too, where a rounded frequency would drift off, and past
+    # the first block of lags
+    short = np.unique(np.concatenate((np.linspace(0.0, 7.0, 113), [6.25, 100.0, 1000.0])))
+    long = np.linspace(0.0, 1000.0, correlators._QM_LAG_BLOCK + 1)
     for state, f, g in [
         (two_oscillator_state, pos0, pos1),
         (box_singlet_state, Observable("sign", 0), Observable("sign", 1)),
         (well_exchange_pair, pos0, pos1),
     ]:
-        series = qm_two_time_series(state, f, g, lags)
-        assert np.array_equal(series.lags, lags)
-        for lag, value in zip(lags, series.values):
-            assert value == qm_multitime_correlation(state, [f, g], [lag, 0.0])
+        for lags in (short, long):
+            series = qm_two_time_series(state, f, g, lags)
+            assert np.array_equal(series.lags, lags)
+            for lag, value in zip(lags, series.values):
+                assert value == qm_multitime_correlation(state, [f, g], [lag, 0.0])
 
 
 def test_qm_series_checks_cancellation_at_every_lag(two_oscillator_state, pos0, pos1, monkeypatch):
@@ -541,18 +543,26 @@ def test_compare_series_memory_per_lag(harmonic_es, pos0, pos1):
     # the three series share the caller's read-only lags, the Bohm values
     # are one broadcast float, so the result holds one float per lag for QM
     # and one for Nelson: measured 16 B per lag held and a 48 B peak at 1e5
-    # lags, where tuples of floats held 96 B and peaked at 120 B
+    # lags, where tuples of floats held 96 B and peaked at 120 B.  The QM
+    # series alone peaks at 17 B per lag: its values, the series' 9 B
+    # strict-increase check, and complex temporaries of _QM_LAG_BLOCK lags;
+    # summed over the whole lag array at once, it peaked at 48 B
     state = build_composite_state([harmonic_es, harmonic_es], [(0.6, (0, 1)), (0.8, (1, 0))])
     nelson_mode_expansion(state, pos0, pos1)
+    qm_two_time_series(state, pos0, pos1, [0.0])
     n = 10**5
     lags = np.arange(n) * 1e-3
     lags.setflags(write=False)
     tracemalloc.start()
     try:
+        qm_two_time_series(state, pos0, pos1, lags)
+        _, qm_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
         result = compare_theories(state, pos0, pos1, lags)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert qm_peak <= 24 * n
     assert all(series.lags is lags for series in (result.qm, result.bohm, result.nelson))
     assert held <= 24 * n and peak <= 64 * n
 

@@ -26,11 +26,9 @@ from stochmech import (
     solve_eigensystem,
 )
 from stochmech.spectral import (
-    _apply_reflectors,
     _eigh_range,
     _fd_operator,
     _ground_pair,
-    _householder_tridiagonal,
     _parity_blocks,
     _sine_dvr_kinetic,
     _solve_interior,
@@ -564,24 +562,12 @@ def test_half_line_interval_modes_are_odd_oscillator_levels():
     assert np.max(np.abs(gram - np.eye(4))) < 1e-12
 
 
-def test_householder_tridiagonal_is_similar_to_its_matrix():
-    # A = Q T Q^T with Q the product of the unit reflections, applied to
-    # the identity's rows by _apply_reflectors; T's spectrum is A's
-    rng = np.random.default_rng(7)
-    for n in (2, 3, 40, 70):  # one panel, and a panel and a part
-        a = rng.standard_normal((n, n))
-        a = a + a.T
-        diag, off, reflectors = _householder_tridiagonal(a)
-        q = _apply_reflectors(reflectors, np.eye(n)).T
-        t = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-        assert np.max(np.abs(q @ t @ q.T - a)) < 1e-12 * n
-        assert np.max(np.abs(q.T @ q - np.eye(n))) < 1e-13 * n
-        assert np.max(np.abs(eigh_tridiagonal(diag, off, eigvals_only=True) - np.linalg.eigvalsh(a))) < 1e-12 * n
-
-
-def test_interval_modes_do_not_depend_on_blas_thread_count():
-    # a 400-step solve (the whole-line share of MODE_CAP), where a threaded
-    # LAPACK eigh gives thread-dependent bits, run at one and two threads
+@pytest.mark.parametrize("n_modes", [24, 100, 200])
+def test_interval_modes_do_not_depend_on_blas_thread_count(n_modes):
+    # solves of 64, 200 and 400 steps (the first round, a middle size, and
+    # the whole-line share of MODE_CAP), run at one and two threads: a threaded LAPACK eigh
+    # gives thread-dependent bits from 256 points up, and above about 96
+    # points dsbevx's back-transformation calls dgemv, which OpenBLAS may thread
     import hashlib
     import os
     import subprocess
@@ -589,7 +575,7 @@ def test_interval_modes_do_not_depend_on_blas_thread_count():
 
     code = (
         "import hashlib; from stochmech.spectral import HarmonicPotential, interval_dirichlet_modes; "
-        "m = interval_dirichlet_modes(HarmonicPotential(1.0), -10.0, 10.0, 0.005, 200); "
+        f"m = interval_dirichlet_modes(HarmonicPotential(1.0), -10.0, 10.0, 0.005, {n_modes}); "
         "print(hashlib.sha256(m.energies.tobytes() + m.coefficients.tobytes()).hexdigest())"
     )
     digests = set()
@@ -604,15 +590,15 @@ def test_interval_modes_do_not_depend_on_blas_thread_count():
 def test_interval_eigensolver_failure_is_numeric_error(monkeypatch, fault):
     import scipy.linalg
 
-    solve = scipy.linalg.eigh_tridiagonal
+    solve = scipy.linalg.eig_banded
 
     def broken(*args, **kwargs):
         if fault == "raise":
-            raise np.linalg.LinAlgError("stemr did not converge")
+            raise np.linalg.LinAlgError("sbevx did not converge")
         energies, vecs = solve(*args, **kwargs)
         return np.full_like(energies, np.nan), vecs
 
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", broken)
+    monkeypatch.setattr(scipy.linalg, "eig_banded", broken)
     with pytest.raises(NumericError, match="eigensolver"):
         interval_dirichlet_modes(HarmonicPotential(1.0), 0.0, 10.0, 0.0025, 4)
 
